@@ -18,7 +18,6 @@
 #ifndef CCL_BENCH_BENCHCOMMON_H
 #define CCL_BENCH_BENCHCOMMON_H
 
-#include "support/BuildInfo.h"
 #include "support/TablePrinter.h"
 
 #include <cstdio>
@@ -108,10 +107,7 @@ inline std::string metricsOutPath(int Argc, char **Argv) {
 /// JSON document (schema ccl-bench-v1):
 ///
 ///   {"schema":"ccl-bench-v1","bench":"fig5","full":false,
-///    "simd":"avx2","results":[{"name":"...","cycles_per_search":...}]}
-///
-/// "simd" records the trace-decode kernel the producing process
-/// selected (readers skip unknown fields, so the schema stays v1).
+///    "build_type":"bench","results":[{"name":"...",...}]}
 ///
 /// Usage: beginResult() starts a result object; num()/integer()/str()
 /// append fields to the most recent one.
@@ -153,10 +149,10 @@ public:
       return false;
     }
     std::fprintf(Out, "{\"schema\":\"ccl-bench-v1\",\"bench\":\"%s\","
-                      "\"full\":%s,\"build_type\":\"%s\",\"simd\":\"%s\","
+                      "\"full\":%s,\"build_type\":\"%s\","
                       "\"results\":[",
                  escape(Bench).c_str(), Full ? "true" : "false",
-                 buildType(), ccl::simdKernel());
+                 buildType());
     for (size_t R = 0; R < Results.size(); ++R) {
       std::fprintf(Out, "%s{", R == 0 ? "" : ",");
       for (size_t F = 0; F < Results[R].size(); ++F)

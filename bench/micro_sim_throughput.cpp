@@ -17,7 +17,6 @@
 #include "sim/MemoryHierarchy.h"
 #include "sim/TraceBuffer.h"
 #include "sim/TraceShardIndex.h"
-#include "support/SimdDispatch.h"
 #include "support/SweepRunner.h"
 
 #include <benchmark/benchmark.h>
@@ -103,29 +102,11 @@ void SimPointerChase(benchmark::State &State) {
   runTrace(State, TraceKind::PointerChase);
 }
 
-// Same pointer-chase trace through the batched readTrace() entry point.
-void SimPointerChaseBatch(benchmark::State &State) {
-  const std::vector<uint64_t> Addrs =
-      makeTrace(TraceKind::PointerChase, 1 << 20);
-  std::vector<MemAccess> Trace;
-  Trace.reserve(Addrs.size());
-  for (uint64_t Addr : Addrs)
-    Trace.push_back({Addr, 8, false});
-  MemoryHierarchy M(presetFor(State.range(0)));
-  for (auto _ : State) {
-    M.readTrace(Trace);
-    benchmark::DoNotOptimize(M.stats().L2Misses);
-  }
-  State.SetItemsProcessed(int64_t(State.iterations()) *
-                          int64_t(Trace.size()));
-  State.SetLabel(State.range(0) == 0 ? "e5000" : "rsim");
-}
-
 // Record-once/replay-many path: the pointer chase is encoded into a
 // TraceBuffer once, then every iteration replays the sealed recording
-// through the software-pipelined MemoryHierarchy::replay() decoder.
-// Items/sec here vs SimPointerChaseBatch is the per-replay cost of the
-// trace engine (decode + prefetch vs iterating raw MemAccess records).
+// through MemoryHierarchy::replay(). Items/sec here vs SimPointerChase
+// is the per-replay cost of the trace engine (decoding the recording
+// vs iterating a raw address vector).
 void SimPointerChaseReplay(benchmark::State &State) {
   const std::vector<uint64_t> Addrs =
       makeTrace(TraceKind::PointerChase, 1 << 20);
@@ -145,15 +126,13 @@ void SimPointerChaseReplay(benchmark::State &State) {
 
 // Pure decode throughput: stream the recorded pointer chase through a
 // TraceCursor and discard the records — no cache probes — so codec wins
-// are measured separately from probe wins. Arg selects the wire format:
-// 1 = v1 (per-record varints, scalar by construction), 2 = v2 (blocked
-// control/data lanes through the selected shuffle kernel; CCL_SIMD=off
-// measures the scalar fallback). The label stamps encoding + kernel.
+// are measured separately from probe wins. The Arg is unused; it keeps
+// the row name, SimTraceDecodeOnly/2, that BENCH_sim_throughput.json
+// compares against.
 void SimTraceDecodeOnly(benchmark::State &State) {
-  const bool V1 = State.range(0) == 1;
   const std::vector<uint64_t> Addrs =
       makeTrace(TraceKind::PointerChase, 1 << 20);
-  TraceBuffer Buf(V1 ? TraceEncoding::V1 : TraceEncoding::V2);
+  TraceBuffer Buf;
   for (uint64_t Addr : Addrs)
     Buf.recordRead(Addr, 8);
   Buf.seal();
@@ -169,10 +148,6 @@ void SimTraceDecodeOnly(benchmark::State &State) {
   }
   State.SetItemsProcessed(int64_t(State.iterations()) *
                           int64_t(Buf.records()));
-  char Label[64];
-  std::snprintf(Label, sizeof(Label), "%s %s", V1 ? "v1" : "v2",
-                V1 ? "scalar" : ccl::simdLevelName());
-  State.SetLabel(Label);
 }
 
 // Sharded replay scaling: the pointer-chase recording is indexed once
@@ -248,9 +223,8 @@ void SimPointerChaseObserved(benchmark::State &State) {
 }
 
 BENCHMARK(SimPointerChase)->Arg(0)->Arg(1);
-BENCHMARK(SimPointerChaseBatch)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseReplay)->Arg(0)->Arg(1);
-BENCHMARK(SimTraceDecodeOnly)->Arg(1)->Arg(2);
+BENCHMARK(SimTraceDecodeOnly)->Arg(2);
 // UseRealTime: the replay work runs on pool threads, so main-thread CPU
 // time (the default basis for items/sec) would overstate throughput.
 BENCHMARK(SimReplayShardedScaling)

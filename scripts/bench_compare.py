@@ -125,9 +125,13 @@ def main():
             if sign == 0:
                 continue
             new_value = new_metrics[metric]
-            # Positive delta_pct always means "worse".
-            delta_pct = (ref_value / new_value - 1.0) * 100.0 if sign > 0 \
-                else (new_value / ref_value - 1.0) * 100.0
+            # Positive delta_pct always means "worse". A higher-is-better
+            # metric that fell to zero (or below) is infinitely worse.
+            if sign > 0:
+                delta_pct = (ref_value / new_value - 1.0) * 100.0 \
+                    if new_value > 0 else float("inf")
+            else:
+                delta_pct = (new_value / ref_value - 1.0) * 100.0
             compared += 1
             label = "%s :: %s" % (name, metric)
             if delta_pct > args.tolerance:

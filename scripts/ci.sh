@@ -39,17 +39,6 @@ run_preset() {
 }
 
 run_preset release
-
-# Scalar-fallback pass: the trace/replay suites must produce identical
-# results with the SIMD decode kernels disabled (CCL_SIMD=off pins the
-# scalar path; see support/SimdDispatch.h). Cheap — only the simulator
-# suites rerun — and it is the only coverage the scalar kernel gets on
-# hosts where the vector kernels win the process-wide dispatch.
-echo "=== [release] sim suite with CCL_SIMD=off ==="
-CCL_SIMD=off ctest --test-dir build-release -j "$JOBS" \
-  --output-on-failure \
-  -R '(trace_test|trace_v2_test|sim_golden_test|shard_replay_test|hierarchy_test)'
-
 run_preset asan
 
 # ThreadSanitizer pass: the test preset filters to the suites that

@@ -108,7 +108,6 @@ bool ccl::obs::parseBenchJson(const std::string &Text, BenchDoc &Doc) {
   }
   Doc.Bench = Top.str("bench");
   Doc.BuildType = Top.str("build_type");
-  Doc.Simd = Top.str("simd");
   Doc.Full = Top.str("full") == "true";
 
   size_t P = ResultsPos + std::string("\"results\":[").size();

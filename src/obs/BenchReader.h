@@ -41,9 +41,6 @@ struct BenchResultRecord {
 struct BenchDoc {
   std::string Bench;
   std::string BuildType;
-  /// Trace-decode kernel the producing process selected ("scalar" /
-  /// "ssse3" / "avx2"); empty in documents written before the stamp.
-  std::string Simd;
   bool Full = false;
   std::vector<BenchResultRecord> Results;
 };

@@ -6,7 +6,7 @@
 
 #include "obs/Export.h"
 
-// Header-only use of the v2 codec constants (TraceBlockCap); ccl_obs
+// Header-only use of the trace codec constants (TraceBlockCap); ccl_obs
 // does not link ccl_sim.
 #include "sim/TraceBuffer.h"
 #include "support/BuildInfo.h"
@@ -55,21 +55,20 @@ TraceSink::TraceSink(std::FILE *Out, const AttributionConfig &Config,
                      const RegionRegistry *Registry,
                      const TraceSinkOptions &Options)
     : Out(Out), Config(Config), Registry(Registry), Options(Options) {
-  // v2 meta adds the codec fields ("simd" kernel, "trace_block"
-  // records per v2 block); every event line is unchanged from v1 and
-  // readers never gate on the schema string, so v1 dumps still parse
-  // and v1 readers skip the new fields.
+  // v2 meta adds "trace_block" (records per codec block); every event
+  // line is unchanged from v1 and readers never gate on the schema
+  // string, so v1 dumps still parse and v1 readers skip the new field.
   std::fprintf(Out,
                "{\"kind\":\"meta\",\"schema\":\"ccl-trace-v2\","
                "\"l1_block\":%" PRIu32 ",\"l1_sets\":%" PRIu64
                ",\"l2_block\":%" PRIu32 ",\"l2_sets\":%" PRIu64
                ",\"hot_sets\":%" PRIu64 ",\"sample\":%" PRIu64
-               ",\"simd\":\"%s\",\"trace_block\":%zu"
+               ",\"trace_block\":%zu"
                ",\"binary\":\"%s\",\"git\":\"%s\"}\n",
                Config.L1BlockBytes, Config.L1Sets, Config.L2BlockBytes,
                Config.L2Sets, Config.HotSets,
                Options.SampleInterval ? Options.SampleInterval : 1,
-               simdKernel(), ccl::sim::TraceBlockCap,
+               ccl::sim::TraceBlockCap,
                jsonEscape(binaryName()).c_str(),
                jsonEscape(gitDescribe()).c_str());
   ++Lines;
@@ -240,9 +239,8 @@ void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
                  Sharding->MaxImbalance,
                  jsonEscape(Sharding->LastSerialReason).c_str());
   if (Codec && Codec->any()) {
-    std::fprintf(Out, ",\"trace_codec\":{\"schema\":\"%s\",\"simd\":\"%s\"",
-                 jsonEscape(Codec->Schema).c_str(),
-                 jsonEscape(Codec->Simd).c_str());
+    std::fprintf(Out, ",\"trace_codec\":{\"schema\":\"%s\"",
+                 jsonEscape(Codec->Schema).c_str());
     if (Codec->TraceBlock != 0)
       std::fprintf(Out, ",\"trace_block\":%" PRIu64, Codec->TraceBlock);
     std::fprintf(Out, "}");

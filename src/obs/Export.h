@@ -19,7 +19,7 @@
 /// one object per line:
 ///   {"kind":"meta","schema":"ccl-trace-v2","l1_block":..,"l1_sets":..,
 ///    "l2_block":..,"l2_sets":..,"hot_sets":..,"sample":N,
-///    "simd":"avx2","trace_block":64,"binary":"...","git":"..."}
+///    "trace_block":64,"binary":"...","git":"..."}
 ///   {"kind":"region","id":3,"name":"ctree","color":"hot"}
 ///   {"kind":"a","now":..,"va":..,"pa":..,"sz":8,"w":0,"lvl":"mem",
 ///    "tlb":0,"cyc":70,"r":3}
@@ -31,10 +31,11 @@
 /// The "shard" line (replayParallel telemetry) was added after the
 /// first ccl-trace-v1 dumps shipped; readers skip unknown kinds, so old
 /// dumps parse unchanged and old readers ignore the new line. The v2
-/// meta fields ("simd" = selected decode kernel, "trace_block" =
-/// records per blocked-codec block) follow the same rule: readers
-/// never gate on the schema string, so v1 dumps keep parsing and v1
-/// readers skip the additions.
+/// meta field "trace_block" (records per block of the in-memory trace
+/// codec, sim/TraceBuffer.h) follows the same rule: readers never gate
+/// on the schema string and skip unknown keys, so v1 dumps, and v2
+/// dumps that still carry the retired "simd" kernel stamp, keep
+/// parsing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,17 +115,13 @@ struct ReplayShardingSummary {
 };
 
 /// Codec identification from a trace dump's meta line: the schema
-/// string, the producing process's decode kernel, and (v2) the blocked
-/// codec's records-per-block. All-empty for dumps written before the
-/// stamps existed.
+/// string and (v2) the trace codec's records-per-block. All-empty for
+/// dumps written before the stamps existed.
 struct TraceCodecInfo {
   std::string Schema;
-  std::string Simd;
   uint64_t TraceBlock = 0;
 
-  bool any() const {
-    return !Schema.empty() || !Simd.empty() || TraceBlock != 0;
-  }
+  bool any() const { return !Schema.empty() || TraceBlock != 0; }
 };
 
 /// Writes an AttributionSink's results as one JSON document

@@ -187,10 +187,10 @@ void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                                 bool IncludeIdle) {
   std::fprintf(Out,
                "{\"kind\":\"meta\",\"schema\":\"ccl-fields-v1\","
-               "\"binary\":\"%s\",\"git\":\"%s\",\"simd\":\"%s\","
+               "\"binary\":\"%s\",\"git\":\"%s\","
                "\"attributed\":%" PRIu64 ",\"unattributed\":%" PRIu64 "}\n",
                jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str(), simdKernel(),
+               jsonEscape(gitDescribe()).c_str(),
                Sink.attributedEvents(), Sink.unattributedEvents());
   const reflect::TypeRegistry &Registry = Sink.registry();
   for (const reflect::TypeDesc *Desc : Registry.all()) {
@@ -286,7 +286,6 @@ bool ccl::obs::parseFieldsLine(const std::string &Line, FieldsDoc &Doc) {
     getString(Line, "schema", Doc.Schema);
     getString(Line, "binary", Doc.Binary);
     getString(Line, "git", Doc.Git);
-    getString(Line, "simd", Doc.Simd);
     getU64(Line, "attributed", Doc.Attributed);
     getU64(Line, "unattributed", Doc.Unattributed);
     return true;

@@ -23,7 +23,7 @@
 ///
 /// ccl-fields-v1, one object per line:
 ///   {"kind":"meta","schema":"ccl-fields-v1","binary":"...","git":"...",
-///    "simd":"...","attributed":N,"unattributed":N}
+///    "attributed":N,"unattributed":N}
 ///   {"kind":"type","name":"BTreeNode","module":"trees","size":64,
 ///    "align":8,"objects":N,"accesses":N,"pad_bytes":N}
 ///   {"kind":"f","type":"BTreeNode","field":"Keys","off":8,"size":16,
@@ -180,7 +180,6 @@ struct FieldsDoc {
   std::string Schema;
   std::string Binary;
   std::string Git;
-  std::string Simd;
   uint64_t Attributed = 0;
   uint64_t Unattributed = 0;
   std::vector<FieldsTypeDoc> Types;

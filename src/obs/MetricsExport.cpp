@@ -92,10 +92,10 @@ void ccl::obs::writeMetricsJsonl(const metrics::Snapshot &Snapshot,
                                  std::FILE *Out) {
   std::fprintf(Out,
                "{\"kind\":\"meta\",\"schema\":\"ccl-metrics-v1\","
-               "\"binary\":\"%s\",\"git\":\"%s\",\"simd\":\"%s\","
+               "\"binary\":\"%s\",\"git\":\"%s\","
                "\"clock_ns\":%" PRIu64 "%s",
                jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str(), simdKernel(),
+               jsonEscape(gitDescribe()).c_str(),
                metrics::clockNs(),
                Snapshot.Overflowed ? ",\"overflowed\":1" : "");
   if (Snapshot.SpansDropped != 0)
@@ -155,7 +155,6 @@ bool ccl::obs::parseMetricsLine(const std::string &Line, MetricsDoc &Doc) {
       return false;
     getString(Line, "binary", Doc.Binary);
     getString(Line, "git", Doc.Git);
-    getString(Line, "simd", Doc.Simd);
     if (getU64(Line, "overflowed", U) && U != 0)
       Doc.Data.Overflowed = true;
     if (getU64(Line, "spans_dropped", U))
@@ -333,9 +332,8 @@ void ccl::obs::writeMetricsSummaryJson(const MetricsDoc &Doc,
                                        std::FILE *Out) {
   std::fprintf(Out,
                "{\"schema\":\"ccl-metrics-summary-v1\",\"binary\":\"%s\","
-               "\"git\":\"%s\",\"simd\":\"%s\",",
-               jsonEscape(Doc.Binary).c_str(), jsonEscape(Doc.Git).c_str(),
-               jsonEscape(Doc.Simd).c_str());
+               "\"git\":\"%s\",",
+               jsonEscape(Doc.Binary).c_str(), jsonEscape(Doc.Git).c_str());
   std::fprintf(Out, "\"counters\":{");
   for (size_t I = 0; I < Doc.Data.Counters.size(); ++I)
     std::fprintf(Out, "%s\"%s\":%" PRIu64, I == 0 ? "" : ",",

@@ -11,7 +11,7 @@
 ///
 /// Metrics schema (ccl-metrics-v1), one object per line:
 ///   {"kind":"meta","schema":"ccl-metrics-v1","binary":"fig5_...",
-///    "git":"a382da8","simd":"avx2","clock_ns":123456}
+///    "git":"a382da8","clock_ns":123456}
 ///   {"kind":"c","name":"ccmalloc.alloc_fast","v":123}
 ///   {"kind":"h","name":"replay.group_ns","count":8,"sum":91833,
 ///    "b":[[13,2],[14,6]]}            // sparse [bucket,count] pairs;
@@ -47,9 +47,6 @@ bool dumpProcessMetrics(const std::string &Path);
 struct MetricsDoc {
   std::string Binary;
   std::string Git;
-  /// Trace-decode kernel the producing process selected; empty in
-  /// dumps written before the stamp.
-  std::string Simd;
   metrics::Snapshot Data;
 };
 

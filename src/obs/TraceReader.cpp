@@ -102,7 +102,6 @@ bool ccl::obs::parseTraceLine(const std::string &Line, TraceRecord &Out) {
     getString(Line, "binary", Out.Producer);
     getString(Line, "git", Out.ProducerGit);
     getString(Line, "schema", Out.Schema);
-    getString(Line, "simd", Out.Simd);
     if (getU64(Line, "trace_block", U))
       Out.TraceBlock = U;
     return true;

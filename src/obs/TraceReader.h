@@ -36,10 +36,9 @@ struct TraceRecord {
   std::string Producer;
   std::string ProducerGit;
   // Schema string ("ccl-trace-v1" / "ccl-trace-v2"); empty when the
-  // meta line predates the stamp. v2 metas also carry the selected
-  // decode kernel and the blocked-codec record count (0 = absent).
+  // meta line predates the stamp. v2 metas also carry the trace codec's
+  // records per block (0 = absent).
   std::string Schema;
-  std::string Simd;
   uint64_t TraceBlock = 0;
 
   // Kind::Region

@@ -126,12 +126,6 @@ public:
     uint64_t misses() const { return Misses; }
     uint64_t accesses() const { return Accesses; }
 
-    /// Best-effort host prefetch of the tag line for \p Addr's set;
-    /// the slice twin of Cache::prefetchTags(). Never modifies state.
-    void prefetchTags(uint64_t Addr) const {
-      __builtin_prefetch(&Tags[((Addr >> BlockShift) & SetMask) * Assoc]);
-    }
-
   private:
     friend class Cache;
     explicit ShardSlice(Cache &Parent)
@@ -197,13 +191,6 @@ public:
     uint64_t Block = Addr >> BlockShift;
     uint64_t SetIdx = Block & SetMask;
     return Tags[SetIdx * Assoc + Mru[SetIdx]] == Block;
-  }
-
-  /// Best-effort host prefetch of the tag line for \p Addr's set, used
-  /// by the replay engine to warm simulator state one decoded batch
-  /// ahead. Never modifies simulated state.
-  void prefetchTags(uint64_t Addr) const {
-    __builtin_prefetch(&Tags[((Addr >> BlockShift) & SetMask) * Assoc]);
   }
 
   /// Commits the access after mruMatches(\p Addr) returned true:

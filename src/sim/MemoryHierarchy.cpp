@@ -9,7 +9,6 @@
 #include "support/Reflect.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 using namespace ccl::sim;
@@ -54,28 +53,13 @@ void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
     return;
   }
 
-  // Two-stage software pipeline over double-buffered batches: while
-  // batch N sits between its warming pass (host prefetches of the L1/L2
-  // tag lines and TLB index slots it will probe — non-mutating, unknown
-  // first-touch units skipped) and its exact access pass, batch N+1 is
-  // kernel-decoded. The decode is pure shuffle/pointer arithmetic over
-  // the blocked stream (v2) or the varint stream (v1), so it overlaps
-  // with the prefetches in flight instead of stalling behind them.
-  constexpr size_t BatchSize = TraceBlockCap;
-  TraceRecord Buf0[BatchSize], Buf1[BatchSize];
-  TraceRecord *Probe = Buf0, *Ahead = Buf1;
-  size_t ProbeCount =
-      Cursor.nextBatch(Probe, MaxRecords < BatchSize ? MaxRecords : BatchSize);
-  MaxRecords -= ProbeCount;
-  while (ProbeCount != 0) {
-    for (size_t I = 0; I < ProbeCount; ++I)
-      if (Probe[I].K != TraceRecord::Kind::Tick)
-        warmReplayTarget(Probe[I].Addr);
-    size_t AheadCount = Cursor.nextBatch(
-        Ahead, MaxRecords < BatchSize ? MaxRecords : BatchSize);
-    MaxRecords -= AheadCount;
-    for (size_t I = 0; I < ProbeCount; ++I) {
-      const TraceRecord &R = Probe[I];
+  // Decode a block, then probe it.
+  TraceRecord Batch[TraceBlockCap];
+  while (size_t Got = Cursor.nextBatch(Batch, std::min(MaxRecords,
+                                                       TraceBlockCap))) {
+    MaxRecords -= Got;
+    for (size_t I = 0; I < Got; ++I) {
+      const TraceRecord &R = Batch[I];
       switch (R.K) {
       case TraceRecord::Kind::Read:
         if (!tryAccessFast(R.Addr, R.Arg, false))
@@ -93,8 +77,6 @@ void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
         break;
       }
     }
-    std::swap(Probe, Ahead);
-    ProbeCount = AheadCount;
   }
 }
 
@@ -306,7 +288,6 @@ void MemoryHierarchy::reset() {
 }
 
 void ccl::sim::reflectSimTypes() {
-  CCL_REFLECT("sim", MemAccess, Addr, Size, IsWrite);
   CCL_REFLECT("sim", CacheConfig, CapacityBytes, BlockBytes, Associativity,
               HitLatency);
   CCL_REFLECT("sim", TlbConfig, Enabled, Entries, PageBytes, MissLatency);

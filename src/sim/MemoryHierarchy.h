@@ -42,21 +42,12 @@
 #include "support/FlatMap.h"
 
 #include <cstdint>
-#include <span>
 
 namespace ccl {
 class SweepRunner;
 } // namespace ccl
 
 namespace ccl::sim {
-
-/// One element of a pre-recorded access trace (see
-/// MemoryHierarchy::readTrace).
-struct MemAccess {
-  uint64_t Addr = 0;
-  uint32_t Size = 1;
-  bool IsWrite = false;
-};
 
 /// A two-level blocking cache hierarchy with cycle accounting.
 ///
@@ -95,26 +86,11 @@ public:
       accessRange(Addr, Size, true);
   }
 
-  /// Replays a pre-recorded trace. Equivalent to calling read()/write()
-  /// per element, but keeps the hot path resident and amortizes the call
-  /// overhead — the preferred entry point for bulk simulation.
-  void readTrace(std::span<const MemAccess> Trace) {
-    if (Obs != nullptr) [[unlikely]] {
-      for (const MemAccess &A : Trace)
-        accessRangeObserved(A.Addr, A.Size, A.IsWrite);
-      return;
-    }
-    for (const MemAccess &A : Trace)
-      if (!tryAccessFast(A.Addr, A.Size, A.IsWrite))
-        accessRange(A.Addr, A.Size, A.IsWrite);
-  }
-
   /// Replays a recorded trace (or prefix view of one): bit-identical to
   /// issuing the same read()/write()/prefetch()/tick() calls in recorded
-  /// order, but decoded batch-at-a-time with the simulator's tag lines
-  /// warmed one batch ahead — the record-once/replay-many engine the
-  /// figure benches use to evaluate many sweep points against one
-  /// native recording. Because replay preserves the recorded order, the
+  /// order, but decoded a block at a time — the record-once/replay-many
+  /// engine the figure benches use to evaluate many sweep points against
+  /// one native recording. Because replay preserves the recorded order, the
   /// canonical first-touch address remap resolves identically to a live
   /// run (locked down by tests/trace_test.cpp and sim_golden_test).
   void replay(TraceView View) {
@@ -260,27 +236,6 @@ private:
 
   uint64_t translateSlow(uint64_t Addr);
 
-  /// Best-effort, strictly non-mutating host prefetch of the tag lines
-  /// and TLB index slot a replayed access will touch. Uses only
-  /// translations that already exist (cached unit or a map hit);
-  /// first-touch units are skipped — their mapping must not be created
-  /// out of order.
-  void warmReplayTarget(uint64_t Addr) {
-    uint64_t Unit = Addr >> UnitShift;
-    uint64_t Mapped;
-    if (Unit == LastUnit) {
-      Mapped = (LastMapped << UnitShift) | (Addr & UnitMask);
-    } else if (const uint64_t *Known = UnitMap.find(Unit)) {
-      Mapped = (*Known << UnitShift) | (Addr & UnitMask);
-    } else {
-      return;
-    }
-    L1.prefetchTags(Mapped);
-    L2.prefetchTags(Mapped);
-    if (Config.Tlb.Enabled)
-      TlbModel.prefetchIndex(Mapped);
-  }
-
   HierarchyConfig Config;
   Cache L1;
   Cache L2;
@@ -303,8 +258,8 @@ private:
   uint64_t LastMapped = 0;
 };
 
-/// Registers the simulator's parameter/result layouts (MemAccess,
-/// SimStats, CacheConfig, HierarchyConfig) with the reflection
+/// Registers the simulator's parameter/result layouts (SimStats,
+/// CacheConfig, TlbConfig, HierarchyConfig) with the reflection
 /// TypeRegistry (support/Reflect.h). Idempotent; defined in
 /// MemoryHierarchy.cpp.
 void reflectSimTypes();

@@ -27,7 +27,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace {
@@ -166,26 +165,16 @@ MemoryHierarchy::replayParallel(const TraceShardIndex &Index, size_t CutA,
     uint32_t First = uint32_t(uint64_t(Group) * Shards / Groups);
     uint32_t Last = uint32_t(uint64_t(Group + 1) * Shards / Groups);
     GroupState &G = GroupStates[Group];
-    TraceRecord Buf0[TraceBlockCap], Buf1[TraceBlockCap];
+    TraceRecord Batch[TraceBlockCap];
     for (uint32_t Shard = First; Shard < Last; ++Shard) {
       TraceCursor Cursor = Index.shardCursorAt(Shard, CutA);
       uint64_t Left = Index.shardAccessesBetween(Shard, CutA, CutB);
-      // Same two-stage pipeline as the serial replay loop: probe batch
-      // N with its slice tag lines warmed while batch N+1 decodes.
-      TraceRecord *Probe = Buf0, *Ahead = Buf1;
-      size_t ProbeCount = Cursor.nextBatch(
-          Probe, Left < TraceBlockCap ? size_t(Left) : TraceBlockCap);
-      Left -= ProbeCount;
-      while (ProbeCount != 0) {
-        for (size_t I = 0; I < ProbeCount; ++I) {
-          G.L1Slice.prefetchTags(Probe[I].Addr);
-          G.L2Slice.prefetchTags(Probe[I].Addr);
-        }
-        size_t AheadCount = Cursor.nextBatch(
-            Ahead, Left < TraceBlockCap ? size_t(Left) : TraceBlockCap);
-        Left -= AheadCount;
-        for (size_t I = 0; I < ProbeCount; ++I) {
-          const TraceRecord &Record = Probe[I];
+      // Same plain loop as the serial replay: decode a block, probe it.
+      while (size_t Got = Cursor.nextBatch(
+                 Batch, Left < TraceBlockCap ? size_t(Left) : TraceBlockCap)) {
+        Left -= Got;
+        for (size_t I = 0; I < Got; ++I) {
+          const TraceRecord &Record = Batch[I];
           bool IsWrite = Record.K == TraceRecord::Kind::Write;
           if (IsWrite)
             ++G.Stats.Writes;
@@ -211,8 +200,6 @@ MemoryHierarchy::replayParallel(const TraceShardIndex &Index, size_t CutA,
           ++G.Stats.L2Misses;
           G.Stats.L2StallCycles += MemLatency;
         }
-        std::swap(Probe, Ahead);
-        ProbeCount = AheadCount;
       }
     }
   };

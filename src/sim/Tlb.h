@@ -60,13 +60,6 @@ public:
   /// bookkeeping to the access() fast path (the entry is already MRU).
   void commitFastHit() { ++Hits; }
 
-  /// Best-effort host prefetch of the page-index slot an access to
-  /// \p Addr would probe. Never modifies TLB state; the replay engine
-  /// issues these one decoded batch ahead of the probe loop.
-  void prefetchIndex(uint64_t Addr) const {
-    Index.prefetchSlot(Addr >> PageShift);
-  }
-
   void reset();
 
   uint64_t hits() const { return Hits; }

@@ -12,40 +12,31 @@
 /// the paper's own RSIM experiments, where one recorded address stream
 /// was evaluated against many layouts.
 ///
-/// Two wire encodings share one record model:
-///
-/// v1 (delta/varint, one record at a time — kept for compatibility and
-/// as the compact-recording baseline):
-///
-///   header byte: [7..5 reserved][4..2 size code][1..0 opcode]
-///     opcode     0 = read, 1 = write, 2 = prefetch, 3 = tick
-///     size code  1..7 -> {1, 2, 4, 8, 16, 32, 64} bytes (the common
-///                field/node sizes); 0 -> explicit varint size follows
-///                the address delta. Prefetch/tick leave it zero.
-///   read/write: zigzag varint of (addr - prev addr) [+ varint size]
-///   prefetch:   zigzag varint of (addr - prev addr)
-///   tick:       varint cycle count
-///
-/// v2 (blocked control/data lanes, the default — decodes a whole block
-/// with the table-driven shuffle kernels in sim/TraceSimd.cpp):
+/// The encoding is a sequence of blocks, each holding up to
+/// TraceBlockCap records with their control bytes separated from their
+/// payloads:
 ///
 ///   block: varint record count N (<= TraceBlockCap)
 ///          varint data-lane bytes
 ///          varint extra-lane bytes
 ///          N control bytes | data lane | extra lane
 ///   control byte: [7 reserved][6..5 width code][4..2 size code]
-///                 [1..0 opcode] — opcode and size code exactly as v1.
+///                 [1..0 opcode]
+///     opcode     0 = read, 1 = write, 2 = prefetch, 3 = tick
+///     size code  1..7 -> {1, 2, 4, 8, 16, 32, 64} bytes (the common
+///                field/node sizes); 0 -> the size is in the extra
+///                lane. Prefetches and ticks leave it zero.
 ///   data lane:    per record, little-endian payload of 1/2/4/8 bytes
 ///                 (1 << width code): the zigzag address delta for
 ///                 read/write/prefetch, the cycle count for ticks.
 ///   extra lane:   varint explicit sizes (size code 0 reads/writes), in
 ///                 record order.
 ///
-/// Reads, writes, and prefetches share one previous-address chain in
-/// both encodings, so pointer-chase locality keeps deltas short. The
-/// encodings store identical record streams — same kinds, addresses,
-/// and arguments — so replay results cannot depend on the version
-/// (locked down by tests/trace_v2_test.cpp).
+/// Reads, writes, and prefetches share one previous-address chain, so
+/// pointer-chase locality keeps deltas short. Because the widths sit in
+/// the control lane, a cursor decodes a whole block's payloads in one
+/// branchless pass (TraceCursor::openBlock); seal() leaves TracePadBytes
+/// of zero padding so that pass may load 8 bytes at the last payload.
 ///
 /// A sealed buffer is immutable; TraceView (a borrowed prefix) and
 /// TraceCursor (a decoding position) are cheap value types, so many
@@ -54,9 +45,9 @@
 /// record count: because a view always decodes from the start, replaying
 /// "the first N searches" of fig5's seeded key stream needs no
 /// per-record index. Mid-stream positions (TraceShardIndex cut points)
-/// are captured as TraceResume values, which for v2 carry the containing
-/// block plus an in-block offset. Encode/decode round-trips exactly —
-/// including size-0 touches and full-range addresses — locked down by
+/// are captured as TraceResume values: the containing block plus an
+/// in-block offset. Encode/decode round-trips exactly — including
+/// size-0 touches and full-range addresses — locked down by
 /// tests/trace_test.cpp and tests/trace_v2_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
@@ -64,7 +55,6 @@
 #ifndef CCL_SIM_TRACEBUFFER_H
 #define CCL_SIM_TRACEBUFFER_H
 
-#include "sim/TraceSimd.h"
 #include "support/Varint.h"
 
 #include <bit>
@@ -74,14 +64,20 @@
 #include <cstring>
 #include <vector>
 
+static_assert(std::endian::native == std::endian::little,
+              "data lanes store payloads little-endian; the block decode "
+              "loads them with memcpy");
+
 namespace ccl::sim {
 
-/// Wire encodings a TraceBuffer can record (see the file comment).
-enum class TraceEncoding : uint8_t { V1 = 1, V2 = 2 };
-
-/// Records per v2 block. Also the natural batch size for
-/// TraceCursor::nextBatch() — one kernel invocation decodes one block.
+/// Records per block. Also the batch size of TraceCursor::nextBatch():
+/// one openBlock() pass decodes one block.
 inline constexpr size_t TraceBlockCap = 64;
+
+/// Zero bytes seal() keeps past the encoded stream. The block decode
+/// loads 8 bytes at every payload, so a 1-byte payload at the very end
+/// reads 7 bytes beyond it.
+inline constexpr size_t TracePadBytes = 8;
 
 /// One decoded trace record. \p Arg holds the byte size for reads and
 /// writes and the cycle count for ticks; prefetches carry only \p Addr.
@@ -92,25 +88,23 @@ struct TraceRecord {
   Kind K = Kind::Read;
 };
 
-/// A borrowed, immutable prefix of a TraceBuffer: the first NumRecords
-/// records of the underlying encoding. Copyable and trivially shareable
-/// across threads; the owning buffer must outlive it.
+/// A borrowed, immutable prefix of a sealed TraceBuffer: its first
+/// NumRecords records. Copyable and trivially shareable across threads;
+/// the owning buffer must outlive it.
 struct TraceView {
   const uint8_t *Data = nullptr;
   size_t NumRecords = 0;
-  TraceEncoding Enc = TraceEncoding::V1;
 
   size_t records() const { return NumRecords; }
   bool empty() const { return NumRecords == 0; }
-  TraceEncoding encoding() const { return Enc; }
 };
 
 /// A resumable mid-stream decode position, captured from a decoding
 /// cursor (TraceCursor::resume) or a recording buffer
 /// (TraceBuffer::resumeState). The delta chain makes an encoded stream
 /// position-dependent, so ChainAddr must come from the same decode or
-/// recording; for v2, ByteOffset addresses the containing block's header
-/// and InBlock counts records already consumed inside it.
+/// recording; ByteOffset addresses the containing block's header and
+/// InBlock counts records already consumed inside it.
 struct TraceResume {
   size_t ByteOffset = 0;
   uint32_t InBlock = 0;
@@ -118,26 +112,24 @@ struct TraceResume {
 };
 
 /// A decoding position inside a view. next() streams records in order;
-/// nextBatch() decodes up to a block at a time (the replay engine's
-/// pipelined consumption path); MemoryHierarchy::replay(cursor, n)
-/// consumes a bounded number, so one recording can be replayed in phases
-/// (e.g. fig10's warmup, then its measured window) with cycle snapshots
-/// taken in between.
+/// nextBatch() hands out up to a block at a time (the replay loops'
+/// consumption path); MemoryHierarchy::replay(cursor, n) consumes a
+/// bounded number, so one recording can be replayed in phases (e.g.
+/// fig10's warmup, then its measured window) with cycle snapshots taken
+/// in between.
 class TraceCursor {
 public:
   TraceCursor() = default;
   explicit TraceCursor(TraceView View)
-      : Enc(View.Enc), Pos(View.Data), RecordsLeft(View.NumRecords) {}
+      : Pos(View.Data), RecordsLeft(View.NumRecords) {}
 
-  /// Resumes decoding at a position captured over the same encoding
-  /// after the same number of records (TraceShardIndex records these at
-  /// its cut points). \p RecordsLeft bounds the resumed decode.
+  /// Resumes decoding at a position captured after the same number of
+  /// records (TraceShardIndex records these at its cut points).
+  /// \p RecordsLeft bounds the resumed decode.
   TraceCursor(TraceView View, const TraceResume &R, size_t RecordsLeft)
-      : Enc(View.Enc), Pos(View.Data + R.ByteOffset),
-        RecordsLeft(RecordsLeft), PrevAddr(R.ChainAddr) {
-    assert((R.InBlock == 0 || Enc == TraceEncoding::V2) &&
-           "v1 positions are always block-aligned");
-    if (Enc == TraceEncoding::V2 && R.InBlock != 0 && RecordsLeft != 0) {
+      : Pos(View.Data + R.ByteOffset), RecordsLeft(RecordsLeft),
+        PrevAddr(R.ChainAddr) {
+    if (R.InBlock != 0 && RecordsLeft != 0) {
       openBlock();
       assert(R.InBlock <= BlockLen && "resume offset beyond its block");
       // Skip the records before the cut without touching the chain:
@@ -147,7 +139,6 @@ public:
         if ((Ctrl[I] & 0x3) <= 1 && ((Ctrl[I] >> 2) & 0x7) == 0)
           varintDecode(Extra);
       BlockIdx = R.InBlock;
-      PrevAddr = R.ChainAddr;
     }
   }
 
@@ -160,7 +151,7 @@ public:
   /// Captures the current position for later resumption; \p Base must be
   /// the view's Data pointer.
   TraceResume resume(const uint8_t *Base) const {
-    if (Enc == TraceEncoding::V2 && BlockIdx < BlockLen)
+    if (BlockIdx < BlockLen)
       return {size_t(BlockPos - Base), BlockIdx, PrevAddr};
     return {size_t(Pos - Base), 0, PrevAddr};
   }
@@ -170,10 +161,6 @@ public:
     if (RecordsLeft == 0)
       return false;
     --RecordsLeft;
-    if (Enc == TraceEncoding::V1) {
-      nextV1(Out);
-      return true;
-    }
     if (BlockIdx == BlockLen)
       openBlock();
     finalizeRecord(BlockIdx++, Out);
@@ -181,20 +168,14 @@ public:
   }
 
   /// Decodes up to \p Max records into \p Out and returns how many were
-  /// produced (0 only when exhausted). A v2 cursor returns at most the
-  /// rest of its current block, so after the first call batches align
-  /// with kernel-decoded blocks; callers loop until satisfied.
+  /// produced (0 only when exhausted). Returns at most the rest of the
+  /// current block, so after the first call batches align with blocks;
+  /// callers loop until satisfied.
   size_t nextBatch(TraceRecord *Out, size_t Max) {
     if (Max > RecordsLeft)
       Max = RecordsLeft;
     if (Max == 0)
       return 0;
-    if (Enc == TraceEncoding::V1) {
-      for (size_t I = 0; I < Max; ++I)
-        nextV1(Out[I]);
-      RecordsLeft -= Max;
-      return Max;
-    }
     if (BlockIdx == BlockLen)
       openBlock();
     size_t Take = BlockLen - BlockIdx;
@@ -208,46 +189,31 @@ public:
   }
 
 private:
-  /// v1 per-record decode (the original wire format).
-  void nextV1(TraceRecord &Out) {
-    uint8_t Header = *Pos++;
-    auto Kind = TraceRecord::Kind(Header & 0x3);
-    Out.K = Kind;
-    if (Kind == TraceRecord::Kind::Tick) {
-      Out.Addr = 0;
-      Out.Arg = varintDecode(Pos);
-      return;
-    }
-    PrevAddr += uint64_t(zigzagDecode(varintDecode(Pos)));
-    Out.Addr = PrevAddr;
-    if (Kind == TraceRecord::Kind::Prefetch) {
-      Out.Arg = 0;
-      return;
-    }
-    uint32_t SizeCode = (Header >> 2) & 0x7;
-    Out.Arg = SizeCode != 0 ? uint64_t(1) << (SizeCode - 1)
-                            : varintDecode(Pos);
-  }
-
-  /// Opens the v2 block at Pos: parses the header, locates the lanes,
-  /// and kernel-decodes every payload in one pass.
+  /// Opens the block at Pos: parses the header, locates the lanes, and
+  /// decodes every payload in one branchless pass — load 8 bytes, keep
+  /// the low 1 << w of them, step by 1 << w. Loads past the last payload
+  /// read the extra lane, the next block, or seal()'s tail padding.
   void openBlock() {
     BlockPos = Pos;
     const uint8_t *P = Pos;
     uint64_t N = varintDecode(P);
     uint64_t DataBytes = varintDecode(P);
     uint64_t ExtraBytes = varintDecode(P);
-    assert(N != 0 && N <= TraceBlockCap && "corrupt v2 block header");
+    assert(N != 0 && N <= TraceBlockCap && "corrupt block header");
     Ctrl = P;
-    const uint8_t *DataLane = Ctrl + N;
-    Extra = DataLane + DataBytes;
+    const uint8_t *Data = Ctrl + N;
+    Extra = Data + DataBytes;
     Pos = Extra + ExtraBytes;
     BlockLen = uint32_t(N);
     BlockIdx = 0;
-    size_t Consumed = decodeBlockPayloads(Ctrl, size_t(N), DataLane,
-                                          Payloads);
-    assert(Consumed == DataBytes && "block data lane length mismatch");
-    (void)Consumed;
+    for (uint32_t I = 0; I < BlockLen; ++I) {
+      uint32_t Width = (Ctrl[I] >> 5) & 0x3;
+      uint64_t Raw;
+      std::memcpy(&Raw, Data, sizeof(Raw));
+      Payloads[I] = Raw & WidthMask[Width];
+      Data += size_t(1) << Width;
+    }
+    assert(Data == Extra && "block data lane length mismatch");
   }
 
   /// Turns decoded payload \p I of the open block into a TraceRecord,
@@ -272,18 +238,21 @@ private:
                             : varintDecode(Extra);
   }
 
-  TraceEncoding Enc = TraceEncoding::V1;
-  /// v1: the next record's header. v2: the next block's header.
+  /// Payload bits kept for each width code (1, 2, 4, 8 bytes).
+  static constexpr uint64_t WidthMask[4] = {0xFF, 0xFFFF, 0xFFFFFFFF,
+                                            ~uint64_t(0)};
+
+  /// The next block's header.
   const uint8_t *Pos = nullptr;
   size_t RecordsLeft = 0;
   uint64_t PrevAddr = 0;
-  // v2 state for the open block.
+  // The open block.
   const uint8_t *BlockPos = nullptr; ///< Header byte (resume anchor).
   const uint8_t *Ctrl = nullptr;     ///< Control lane.
   const uint8_t *Extra = nullptr;    ///< Extra-lane read position.
   uint32_t BlockLen = 0;
   uint32_t BlockIdx = 0;
-  /// Kernel-decoded raw payloads of the open block.
+  /// Decoded raw payloads of the open block.
   uint64_t Payloads[TraceBlockCap];
 };
 
@@ -291,10 +260,7 @@ private:
 /// (or a sim::RecordAccess policy), seal(), then hand out views.
 class TraceBuffer {
 public:
-  /// Records in the blocked v2 encoding by default; pass
-  /// TraceEncoding::V1 for the legacy per-record varint format.
   TraceBuffer() = default;
-  explicit TraceBuffer(TraceEncoding Enc) : Enc(Enc) {}
 
   // The encoding chains address deltas; moving the storage is fine, but
   // accidental copies of multi-megabyte recordings are not.
@@ -302,8 +268,6 @@ public:
   TraceBuffer &operator=(const TraceBuffer &) = delete;
   TraceBuffer(TraceBuffer &&) = default;
   TraceBuffer &operator=(TraceBuffer &&) = default;
-
-  TraceEncoding encodingVersion() const { return Enc; }
 
   void recordRead(uint64_t Addr, uint64_t Size) {
     recordAccess(0, Addr, Size);
@@ -315,32 +279,14 @@ public:
 
   void recordPrefetch(uint64_t Addr) {
     assert(!Sealed && "recording into a sealed trace");
-    if (Enc == TraceEncoding::V2) {
-      uint64_t Delta = zigzagEncode(int64_t(Addr - PrevAddr));
-      pendingPush(2, Delta);
-      PrevAddr = Addr;
-      ++NumRecords;
-      return;
-    }
-    uint8_t *P = grab(MaxRecordBytes);
-    *P++ = 2;
-    P = varintEncode(P, zigzagEncode(int64_t(Addr - PrevAddr)));
-    Used = size_t(P - Data.data());
+    pendingPush(2, zigzagEncode(int64_t(Addr - PrevAddr)));
     PrevAddr = Addr;
     ++NumRecords;
   }
 
   void recordTick(uint64_t Cycles) {
     assert(!Sealed && "recording into a sealed trace");
-    if (Enc == TraceEncoding::V2) {
-      pendingPush(3, Cycles);
-      ++NumRecords;
-      return;
-    }
-    uint8_t *P = grab(MaxRecordBytes);
-    *P++ = 3;
-    P = varintEncode(P, Cycles);
-    Used = size_t(P - Data.data());
+    pendingPush(3, Cycles);
     ++NumRecords;
   }
 
@@ -348,44 +294,33 @@ public:
   /// prefix() for "everything recorded up to this point".
   size_t records() const { return NumRecords; }
 
-  /// Encoded size, including the not-yet-flushed v2 block; compactness
-  /// is what makes whole-benchmark recordings affordable (tests assert
-  /// it beats sizeof(MemAccess) per record).
+  /// Encoded size, including the not-yet-flushed block and excluding
+  /// seal()'s padding; compactness is what makes whole-benchmark
+  /// recordings affordable (tests bound it well under a 16-byte raw
+  /// record).
   size_t bytes() const { return Used + pendingEncodedBytes(); }
 
   /// Freezes the buffer (and trims its allocation). Required before
-  /// views may be shared across threads. v2 buffers keep
-  /// TraceSimdPadBytes of readable zero padding past the encoded bytes
-  /// so the shuffle kernels' full-width tail loads stay in bounds;
-  /// bytes() still reports the unpadded size.
+  /// views may be taken. Keeps TracePadBytes of zero padding past the
+  /// encoded bytes for the block decode's 8-byte loads.
   void seal() {
-    if (Enc == TraceEncoding::V2) {
-      flushBlock();
-      Sealed = true;
-      Data.resize(Used + TraceSimdPadBytes);
-      std::memset(Data.data() + Used, 0, TraceSimdPadBytes);
-    } else {
-      Sealed = true;
-      Data.resize(Used);
-    }
+    flushBlock();
+    Sealed = true;
+    Data.resize(Used + TracePadBytes);
+    std::memset(Data.data() + Used, 0, TracePadBytes);
     Data.shrink_to_fit();
   }
 
   bool sealed() const { return Sealed; }
 
   /// View over the whole recording.
-  TraceView view() const {
-    assert(pendingEncodedBytes() == 0 &&
-           "seal() a v2 buffer before taking views");
-    return {Data.data(), NumRecords, Enc};
-  }
+  TraceView view() const { return prefix(NumRecords); }
 
   /// View over the first \p Records records.
   TraceView prefix(size_t Records) const {
     assert(Records <= NumRecords && "prefix longer than the recording");
-    assert(pendingEncodedBytes() == 0 &&
-           "seal() a v2 buffer before taking views");
-    return {Data.data(), Records, Enc};
+    assert(Sealed && "seal() the buffer before taking views");
+    return {Data.data(), Records};
   }
 
   /// Position at which recording will continue: the state a cursor needs
@@ -409,21 +344,10 @@ private:
   void recordAccess(uint8_t Opcode, uint64_t Addr, uint64_t Size) {
     assert(!Sealed && "recording into a sealed trace");
     uint32_t SizeCode = sizeCodeFor(Size);
-    if (Enc == TraceEncoding::V2) {
-      uint64_t Delta = zigzagEncode(int64_t(Addr - PrevAddr));
-      if (SizeCode == 0)
-        varintEncode(PendingExtra, Size);
-      pendingPush(uint8_t(Opcode | (SizeCode << 2)), Delta);
-      PrevAddr = Addr;
-      ++NumRecords;
-      return;
-    }
-    uint8_t *P = grab(MaxRecordBytes);
-    *P++ = uint8_t(Opcode | (SizeCode << 2));
-    P = varintEncode(P, zigzagEncode(int64_t(Addr - PrevAddr)));
     if (SizeCode == 0)
-      P = varintEncode(P, Size);
-    Used = size_t(P - Data.data());
+      varintEncode(PendingExtra, Size);
+    pendingPush(uint8_t(Opcode | (SizeCode << 2)),
+                zigzagEncode(int64_t(Addr - PrevAddr)));
     PrevAddr = Addr;
     ++NumRecords;
   }
@@ -439,7 +363,7 @@ private:
     return 3;
   }
 
-  /// Appends one record to the pending v2 block, flushing when full.
+  /// Appends one record to the pending block, flushing when full.
   void pendingPush(uint8_t CtrlBits, uint64_t Payload) {
     uint32_t Width = widthCodeFor(Payload);
     PendingCtrl[PendingCount] = uint8_t(CtrlBits | (Width << 5));
@@ -454,10 +378,7 @@ private:
   void flushBlock() {
     if (PendingCount == 0)
       return;
-    size_t Total = varintLen(PendingCount) + varintLen(PendingDataBytes) +
-                   varintLen(PendingExtra.size()) + PendingCount +
-                   PendingDataBytes + PendingExtra.size();
-    uint8_t *P = grab(Total);
+    uint8_t *P = grab(pendingEncodedBytes());
     P = varintEncode(P, PendingCount);
     P = varintEncode(P, PendingDataBytes);
     P = varintEncode(P, PendingExtra.size());
@@ -490,13 +411,10 @@ private:
            PendingDataBytes + PendingExtra.size();
   }
 
-  /// Longest possible v1 record: header byte + two 10-byte varints.
-  static constexpr size_t MaxRecordBytes = 21;
-
   /// Returns a write pointer with at least \p Need bytes of headroom,
-  /// growing the backing storage geometrically. Record paths write
-  /// through the pointer unchecked and then advance Used — this is what
-  /// keeps recording from paying a bounds check per byte.
+  /// growing the backing storage geometrically. flushBlock() writes
+  /// through the pointer unchecked and then advances Used — this is
+  /// what keeps recording from paying a bounds check per byte.
   uint8_t *grab(size_t Need) {
     if (Used + Need > Data.size()) {
       size_t Grown = Data.size() < 2048 ? 4096 : Data.size() * 2;
@@ -513,16 +431,15 @@ private:
     return uint32_t(std::countr_zero(Size)) + 1;
   }
 
-  TraceEncoding Enc = TraceEncoding::V2;
   /// Backing storage; sized with headroom while recording, trimmed (plus
-  /// v2 kernel padding) by seal().
+  /// tail padding) by seal().
   std::vector<uint8_t> Data;
   /// Encoded bytes written so far (Data.size() is capacity-like).
   size_t Used = 0;
   size_t NumRecords = 0;
   uint64_t PrevAddr = 0;
   bool Sealed = false;
-  // Pending (unflushed) v2 block.
+  // Pending (unflushed) block.
   uint32_t PendingCount = 0;
   uint32_t PendingDataBytes = 0;
   uint8_t PendingCtrl[TraceBlockCap];

@@ -89,9 +89,9 @@ struct ShardKeySpec {
 class TraceShardIndex {
 public:
   /// Decode position for resuming a stream at a cut. Pos carries the
-  /// encoding-aware resume state (for v2 streams: the containing block
-  /// plus an in-block offset, so cuts land anywhere, not just on block
-  /// boundaries); Records is the stream-local record count at the cut.
+  /// resume state (the containing block plus an in-block offset, so
+  /// cuts land anywhere, not just on block boundaries); Records is the
+  /// stream-local record count at the cut.
   struct StreamPos {
     TraceResume Pos;
     size_t Records = 0;

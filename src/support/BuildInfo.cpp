@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/BuildInfo.h"
-#include "support/SimdDispatch.h"
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -18,8 +17,6 @@ using namespace ccl;
 #endif
 
 const char *ccl::gitDescribe() { return CCL_GIT_DESCRIBE; }
-
-const char *ccl::simdKernel() { return simdLevelName(); }
 
 const std::string &ccl::binaryName() {
   static const std::string Name = [] {

@@ -27,12 +27,6 @@ const char *gitDescribe();
 /// when it cannot be resolved.
 const std::string &binaryName();
 
-/// Name of the trace-decode kernel this process selected ("scalar",
-/// "ssse3", or "avx2"; see support/SimdDispatch.h). Stamped into
-/// ccl-bench-v1 and ccl-metrics-v1 meta lines so archived perf numbers
-/// record which decode path produced them.
-const char *simdKernel();
-
 } // namespace ccl
 
 #endif // CCL_SUPPORT_BUILDINFO_H

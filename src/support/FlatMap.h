@@ -73,14 +73,6 @@ public:
 
   bool contains(uint64_t Key) const { return find(Key) != nullptr; }
 
-  /// Best-effort host prefetch of \p Key's home slot — the first line a
-  /// find() probe sequence will touch. Never modifies the map; used by
-  /// the replay engine to warm lookups one decoded batch ahead.
-  void prefetchSlot(uint64_t Key) const {
-    if (!Slots.empty())
-      __builtin_prefetch(&Slots[slotOf(Key)]);
-  }
-
   /// Inserts \p Key -> \p Value if absent; returns true if inserted
   /// (false if the key was already present, leaving its value unchanged).
   bool tryInsert(uint64_t Key, uint64_t Value) {

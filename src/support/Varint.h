@@ -9,7 +9,7 @@
 /// mapping, used by sim::TraceBuffer to store recorded access streams as
 /// address *deltas*: consecutive accesses exhibit strong spatial
 /// locality, so most deltas fit in one or two bytes where a raw
-/// MemAccess costs sixteen.
+/// address/size record costs sixteen.
 ///
 /// Encoding appends to a byte vector; decoding advances a raw cursor.
 /// Both are branch-light loops over 7-bit groups (high bit = continue).
@@ -48,7 +48,7 @@ inline uint8_t *varintEncode(uint8_t *Out, uint64_t Value) {
 }
 
 /// Encoded length of \p Value as an unsigned LEB128 varint (1-10
-/// bytes), without writing it — used to size v2 trace block headers
+/// bytes), without writing it — used to size trace block headers
 /// exactly before flushing them.
 inline size_t varintLen(uint64_t Value) {
   size_t Len = 1;

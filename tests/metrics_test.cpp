@@ -19,7 +19,6 @@
 
 #include "obs/BenchReader.h"
 #include "obs/MetricsExport.h"
-#include "support/BuildInfo.h"
 #include "obs/PerfCounters.h"
 #include "obs/TraceReader.h"
 #include "support/Metrics.h"
@@ -164,8 +163,6 @@ TEST(MetricsExport, JsonlRoundTrip) {
   std::fclose(F);
   ASSERT_GT(Parsed, 0);
   EXPECT_FALSE(Doc.Binary.empty());
-  // The meta line stamps the decode kernel this process dispatched to.
-  EXPECT_EQ(Doc.Simd, simdKernel());
 
   uint64_t Value = counterValue(Doc.Data, "test.rt_counter");
   EXPECT_EQ(Value, 123456789012ULL);
@@ -303,10 +300,11 @@ TEST(TraceMeta, MetaLineCarriesProducerStamp) {
 }
 
 TEST(TraceMeta, MetaLineCarriesCodecStamp) {
-  // ccl-trace-v2 meta lines stamp the blocked-codec parameters and the
-  // decode kernel the producer dispatched to. Readers auto-detect the
-  // generation from these fields instead of gating on the schema
-  // string, so v1 dumps (no stamp) keep parsing with the fields empty.
+  // ccl-trace-v2 meta lines stamp the trace codec's records per block.
+  // Readers auto-detect the generation from it instead of gating on the
+  // schema string, so v1 dumps (no stamp) keep parsing with the field
+  // empty, and dumps that still carry the retired "simd" kernel stamp
+  // parse unchanged.
   obs::TraceRecord V2;
   ASSERT_TRUE(obs::parseTraceLine(
       R"({"kind":"meta","schema":"ccl-trace-v2","l1_block":32,)"
@@ -316,7 +314,6 @@ TEST(TraceMeta, MetaLineCarriesCodecStamp) {
       V2));
   ASSERT_EQ(V2.RecordKind, obs::TraceRecord::Kind::Meta);
   EXPECT_EQ(V2.Schema, "ccl-trace-v2");
-  EXPECT_EQ(V2.Simd, "avx2");
   EXPECT_EQ(V2.TraceBlock, 64u);
   EXPECT_EQ(V2.Config.L1BlockBytes, 32u); // v1 fields still read.
   EXPECT_EQ(V2.Config.L2Sets, 2048u);
@@ -325,30 +322,29 @@ TEST(TraceMeta, MetaLineCarriesCodecStamp) {
   ASSERT_TRUE(obs::parseTraceLine(
       R"({"kind":"meta","schema":"ccl-trace-v1","sample":16})", V1));
   EXPECT_EQ(V1.Schema, "ccl-trace-v1");
-  EXPECT_TRUE(V1.Simd.empty());
   EXPECT_EQ(V1.TraceBlock, 0u);
 
   obs::TraceRecord Bare; // pre-schema dumps: no stamp at all.
   ASSERT_TRUE(obs::parseTraceLine(R"({"kind":"meta","sample":1})", Bare));
   EXPECT_TRUE(Bare.Schema.empty());
-  EXPECT_TRUE(Bare.Simd.empty());
   EXPECT_EQ(Bare.TraceBlock, 0u);
 }
 
-TEST(BenchReaderTest, CarriesSimdStamp) {
-  // Post-stamp ccl-bench-v1 documents record the decode kernel in the
-  // header; pre-stamp documents parse with Simd empty.
+TEST(BenchReaderTest, SkipsRetiredSimdStamp) {
+  // Documents written while the header stamped the retired "simd"
+  // decode kernel still parse; the unknown key is skipped.
   obs::BenchDoc Stamped;
   ASSERT_TRUE(obs::parseBenchJson(
       R"({"schema":"ccl-bench-v1","bench":"sim","full":false,)"
       R"("build_type":"bench","simd":"ssse3","results":[]})",
       Stamped));
-  EXPECT_EQ(Stamped.Simd, "ssse3");
+  EXPECT_EQ(Stamped.Bench, "sim");
+  EXPECT_EQ(Stamped.BuildType, "bench");
 
   obs::BenchDoc Legacy;
   ASSERT_TRUE(obs::parseBenchJson(
       R"({"schema":"ccl-bench-v1","bench":"sim","results":[]})", Legacy));
-  EXPECT_TRUE(Legacy.Simd.empty());
+  EXPECT_TRUE(Legacy.BuildType.empty());
 }
 
 // Runs last (see file header): floods the counter table past

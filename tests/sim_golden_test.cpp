@@ -12,9 +12,8 @@
 // O(1) TLB LRU) change nothing observable.
 //
 // Also asserts that a SweepRunner grid produces statistics identical to a
-// serial run of the same grid, that the batched readTrace() entry point
-// matches per-call read()/write(), and that a TraceBuffer recording
-// replayed through the trace engine reproduces the same goldens.
+// serial run of the same grid, and that a TraceBuffer recording replayed
+// through the trace engine reproduces the same goldens.
 //
 //===----------------------------------------------------------------------===//
 
@@ -426,7 +425,7 @@ TraceBuffer recordOps(const std::vector<TraceOp> &Ops) {
 TEST(SimGolden, RecordedReplayMatchesGolden) {
   // The trace engine against the seed-implementation numbers: encoding
   // each golden trace into a TraceBuffer and replaying it through the
-  // software-pipelined decoder must reproduce every pinned statistic —
+  // block decoder must reproduce every pinned statistic —
   // so record-once/replay-many can never drift from live simulation
   // without this test (and the seed goldens) noticing.
   for (const GoldenCase &Case : GoldenCases) {
@@ -460,26 +459,6 @@ TEST(SimGolden, ShardedReplayMatchesGolden) {
     }
     expectEqual(Case.Expected, collect(M),
                 std::string("sharded/") + Case.Trace + "/" + Case.Preset);
-  }
-}
-
-TEST(SimGolden, BatchedReadTraceMatchesPerCallPath) {
-  // Read-only trace driven through read() one call at a time vs the
-  // batched readTrace() entry point must be indistinguishable.
-  std::vector<TraceOp> Ops = pointerChaseTrace();
-  for (const char *Preset : {"e5000", "rsim"}) {
-    MemoryHierarchy PerCall(presetByName(Preset, "pointer-chase"));
-    replay(PerCall, Ops);
-
-    std::vector<MemAccess> Batch;
-    Batch.reserve(Ops.size());
-    for (const TraceOp &Op : Ops)
-      Batch.push_back({Op.Addr, Op.Size, false});
-    MemoryHierarchy Batched(presetByName(Preset, "pointer-chase"));
-    Batched.readTrace(Batch);
-
-    expectEqual(collect(PerCall), collect(Batched),
-                std::string("batch/") + Preset);
   }
 }
 

@@ -12,7 +12,7 @@
 //     addresses, mixed sizes (power-of-two codes, explicit varint sizes,
 //     zero-size touches), all four record kinds — decode back exactly,
 //     including through prefix views and split cursors, while staying
-//     well under sizeof(MemAccess) per record.
+//     well under a 16-byte raw address/size record.
 //  3. Replay parity: MemoryHierarchy::replay of a recording produces
 //     statistics bit-identical to issuing the same
 //     read()/write()/prefetch()/tick() calls live, on both paper
@@ -110,6 +110,10 @@ TEST(Varint, ZigzagRoundTripsFullSignedRange) {
 // Layer 2: TraceBuffer round-trip.
 //===----------------------------------------------------------------------===//
 
+/// An uncompressed access record: 8-byte address plus 4-byte size and a
+/// kind, padded to 16. The compactness tests bound encoded bytes by it.
+constexpr size_t RawRecordBytes = 16;
+
 struct RawRecord {
   TraceRecord::Kind K;
   uint64_t Addr;
@@ -204,11 +208,12 @@ TEST(TraceBuffer, ArbitraryStreamsRoundTripExactly) {
   }
 }
 
-TEST(TraceBuffer, CompactnessBeatsRawMemAccess) {
+TEST(TraceBuffer, CompactnessBeatsRawRecords) {
   // A realistic pointer-chase recording (small deltas, common sizes)
-  // must be far smaller than an array of raw MemAccess; even the
-  // adversarial full-range stream above stays under it. Compactness is
-  // the property that makes whole-benchmark recordings affordable.
+  // must be far smaller than an array of raw 16-byte address/size
+  // records; even the adversarial full-range stream above stays under
+  // it. Compactness is the property that makes whole-benchmark
+  // recordings affordable.
   TraceBuffer Buf;
   Lcg Rng(0xC0FFEEULL);
   const uint64_t Base = 0x7f1200000000ULL;
@@ -221,7 +226,7 @@ TEST(TraceBuffer, CompactnessBeatsRawMemAccess) {
   }
   Buf.seal();
   EXPECT_EQ(Buf.records(), size_t(3) * N);
-  EXPECT_LT(Buf.bytes(), Buf.records() * sizeof(MemAccess));
+  EXPECT_LT(Buf.bytes(), Buf.records() * RawRecordBytes);
   // Typical records are 2-5 bytes; leave slack but pin the order.
   EXPECT_LT(Buf.bytes(), Buf.records() * 6);
 }

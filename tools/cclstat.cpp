@@ -7,9 +7,8 @@
 // cclstat: reconstructs a per-structure cache profile from a
 // ccl-trace-v1 or ccl-trace-v2 JSONL dump (as written by TraceSink /
 // `fig5_tree_microbenchmark --trace`), without re-running the
-// simulation. v2 meta lines additionally stamp the blocked trace
-// codec (records per block) and the producing process's decode
-// kernel; both are rendered in the text header and the --json
+// simulation. v2 meta lines additionally stamp the trace codec's
+// records per block, rendered in the text header and the --json
 // document's "trace_codec" object.
 //
 //   cclstat trace.jsonl                 # text report
@@ -120,10 +119,8 @@ int printBenchDivergence(const std::string &Path) {
                  Path.c_str());
     return 1;
   }
-  std::printf("%s: bench %s (%s%s%s%s), %zu results\n", Path.c_str(),
+  std::printf("%s: bench %s (%s%s), %zu results\n", Path.c_str(),
               Doc.Bench.c_str(), Doc.BuildType.c_str(),
-              Doc.Simd.empty() ? "" : ", simd ",
-              Doc.Simd.empty() ? "" : Doc.Simd.c_str(),
               Doc.Full ? ", full scale" : "", Doc.Results.size());
 
   // The "(hw)" meta record reports counter availability on the
@@ -403,8 +400,6 @@ int main(int Argc, char **Argv) {
       std::printf("%s: %ld metrics records", TracePath.c_str(), Parsed);
       if (!Doc.Binary.empty())
         std::printf(" from %s (%s)", Doc.Binary.c_str(), Doc.Git.c_str());
-      if (!Doc.Simd.empty())
-        std::printf(" [simd %s]", Doc.Simd.c_str());
       std::printf("\n\n");
       printMetricsReport(Doc, stdout);
     }
@@ -446,9 +441,9 @@ int main(int Argc, char **Argv) {
   // Dumps written before the sharded replay engine have no "shard"
   // lines; the summary then stays empty and is simply not rendered.
   ReplayShardingSummary Sharding;
-  // Codec stamps from the meta line: v2 dumps carry the schema string,
-  // the selected decode kernel, and the blocked-codec record count;
-  // v1 and pre-stamp dumps leave the fields empty and nothing renders.
+  // Codec stamps from the meta line: v2 dumps carry the schema string
+  // and the trace codec's records per block; v1 and pre-stamp dumps
+  // leave the fields empty and nothing renders.
   TraceCodecInfo Codec;
   auto localId = [&](uint32_t TraceId) {
     return TraceId < IdMap.size() ? IdMap[TraceId] : RegionRegistry::Unknown;
@@ -466,7 +461,6 @@ int main(int Argc, char **Argv) {
         Sink = std::make_unique<AttributionSink>(Registry, Record.Config);
       SampleInterval = Record.SampleInterval;
       Codec.Schema = Record.Schema;
-      Codec.Simd = Record.Simd;
       Codec.TraceBlock = Record.TraceBlock;
       break;
     case TraceRecord::Kind::Region: {
@@ -540,8 +534,6 @@ int main(int Argc, char **Argv) {
                                                : Codec.Schema.c_str());
       if (Codec.TraceBlock != 0)
         std::printf(", block %" PRIu64, Codec.TraceBlock);
-      if (!Codec.Simd.empty())
-        std::printf(", simd %s", Codec.Simd.c_str());
       std::printf("]");
     }
     std::printf("\n\n");
