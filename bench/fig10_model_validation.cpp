@@ -15,11 +15,16 @@
 // to a transparent C-tree on the E5000 memory model (the paper measured
 // wall time on the real E5000).
 //
+// Measurement structure: each (tree size x structure) cell's warmup and
+// window searches are recorded serially into one sim::TraceBuffer, then
+// every cell replays on its own SweepRunner cell through a cold
+// MemoryHierarchy — the warmup prefix, then the measured window,
+// through one bounded TraceCursor.
+//
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
 #include "model/CTreeModel.h"
-#include "obs/Export.h"
 #include "sim/AccessPolicy.h"
 #include "support/Random.h"
 #include "support/SweepRunner.h"
@@ -98,21 +103,17 @@ CellTrace recordCell(unsigned TreeBits, StructKind Kind, unsigned Warmup,
   return Trace;
 }
 
-/// Replays a recorded cell: warm the cache with the warmup prefix, then
-/// measure the steady-state window. The warmup mark is an index cut, so
-/// both phases run through replayParallel — sharded across the pool on
-/// multi-core hosts, a bit-identical serial walk otherwise.
+/// Replays a recorded cell through its own cold hierarchy: warm the
+/// cache with the warmup prefix, then measure the steady-state window.
+/// One bounded cursor carries both phases, so the window resumes
+/// exactly where the warmup stopped.
 uint64_t replayCell(const CellTrace &Trace,
-                    const sim::HierarchyConfig &Config,
-                    const SweepRunner &Pool,
-                    obs::ReplayShardingSummary &Sharding) {
-  sim::TraceShardIndex Index(Trace.Buf.view(), Config,
-                             {Trace.WarmupRecords}, Pool.threads());
-  size_t WarmCut = Index.cutForRecords(Trace.WarmupRecords);
+                    const sim::HierarchyConfig &Config) {
   sim::MemoryHierarchy M(Config);
-  Sharding.add(M.replayParallel(Index, 0, WarmCut, Pool));
+  sim::TraceCursor Cursor(Trace.Buf.view());
+  M.replay(Cursor, Trace.WarmupRecords);
   uint64_t Start = M.now();
-  Sharding.add(M.replayParallel(Index, WarmCut, Index.numCuts() - 1, Pool));
+  M.replay(Cursor, Cursor.remaining());
   return M.now() - Start;
 }
 
@@ -150,10 +151,9 @@ int main(int Argc, char **Argv) {
   // stream is recorded serially (deterministic allocation order, so the
   // captured addresses never depend on thread interleaving), then every
   // cell replays its warmup+window recording through its own cold
-  // hierarchy via replayParallel, which fans the cell's shard
-  // sub-streams across the SweepRunner pool. The merged statistics are
-  // bit-identical to the serial simulating sweep this replaced, at any
-  // thread count (single-core hosts take the serial fallback).
+  // hierarchy on its own SweepRunner cell. Replays of sealed buffers
+  // are independent, so the statistics are bit-identical to a serial
+  // simulating sweep at any thread count.
   std::vector<CellTrace> Traces;
   Traces.reserve(Bits.size() * NumStructKinds);
   for (size_t Cell = 0; Cell < Bits.size() * NumStructKinds; ++Cell)
@@ -162,9 +162,9 @@ int main(int Argc, char **Argv) {
                                 Window, Params));
   std::vector<uint64_t> Cycles(Traces.size());
   SweepRunner Runner;
-  obs::ReplayShardingSummary Sharding;
-  for (size_t Cell = 0; Cell < Traces.size(); ++Cell)
-    Cycles[Cell] = replayCell(Traces[Cell], Config, Runner, Sharding);
+  Runner.run(Traces.size(), [&](size_t Cell) {
+    Cycles[Cell] = replayCell(Traces[Cell], Config);
+  });
 
   bench::BenchJson Json("fig10", Full);
   TablePrinter Table({"tree keys", "D=log2(n+1)", "Rs(k=2)",
@@ -214,15 +214,6 @@ int main(int Argc, char **Argv) {
               "resident, so the prediction overshoots here where the\n"
               "paper's real-machine baseline (heavier TLB and memory "
               "system penalties) made it undershoot by ~15%%.\n");
-  Json.beginResult("replay_sharding");
-  Json.integer("replays", Sharding.Replays);
-  Json.integer("parallel_replays", Sharding.ParallelReplays);
-  Json.integer("records", Sharding.Records);
-  Json.integer("shards", Sharding.Shards);
-  Json.integer("workers", Sharding.Workers);
-  Json.num("max_imbalance", Sharding.MaxImbalance);
-  if (!Sharding.LastSerialReason.empty())
-    Json.str("serial_reason", Sharding.LastSerialReason);
   Json.writeIfRequested(bench::benchOutPath(Argc, Argv));
   return 0;
 }

@@ -21,10 +21,11 @@
 // Each tree organization is therefore traversed natively exactly once —
 // recording its largest-count access stream into a sim::TraceBuffer —
 // and every (organization x count) cell replays a prefix of that
-// recording through a fresh, cold MemoryHierarchy on a SweepRunner
-// worker. Replay preserves recorded order, so the canonical first-touch
-// address remap and all statistics are bit-identical to the serial
-// re-executing implementation this replaced.
+// recording through a fresh, cold MemoryHierarchy on its own SweepRunner
+// cell, largest counts first. Each replay is one serial walk; the cells
+// are the parallelism. Replay preserves recorded order, so the canonical
+// first-touch address remap and all statistics are bit-identical to a
+// serial re-executing sweep at any thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,8 +69,6 @@ struct SearchSeries {
   /// Hardware counters around each timed native window (--hw only;
   /// empty otherwise). Readings carry Available=false on denied hosts.
   std::vector<obs::PerfReading> Hw;
-  /// How the replay sweep sharded (replayParallel telemetry).
-  obs::ReplayShardingSummary Sharding;
 };
 
 /// Untimed native searches run per organization before its timed
@@ -103,11 +102,9 @@ SeriesDef makeSeries(std::string Name, SearchFn Search) {
 /// Runs the cold-start sweep for a set of tree organizations:
 ///  1. record each organization's largest-count access stream once
 ///     (native traversal, no simulation) with per-count prefix marks,
-///  2. build one TraceShardIndex per organization (the sweep counts are
-///     its cuts) and replay every (organization x count) prefix through
-///     a fresh hierarchy with replayParallel, which fans the per-shard
-///     sub-streams across SweepRunner workers — and falls back to a
-///     bit-identical serial walk on single-core hosts,
+///  2. replay every (organization x count) prefix through its own fresh
+///     hierarchy, one SweepRunner cell each, largest counts first so the
+///     longest replays never start last,
 ///  3. measure native wall time serially (timing must not run under
 ///     parallel load), after an untimed warm-up pass per organization.
 std::vector<SearchSeries>
@@ -140,12 +137,10 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
     });
   }
 
-  // Replay prefixes: one shard index per organization, every sweep
-  // count a cut. Each (organization x count) cell replays its prefix
-  // through a fresh cold hierarchy with replayParallel — the shard
-  // sub-streams fan across the pool, and the merged statistics are
-  // bit-identical to the serial re-executing sweep this replaced (the
-  // fallback on single-core hosts literally is that serial walk).
+  // Replay prefixes: each (organization x count) cell replays its
+  // prefix through a fresh cold hierarchy. Cells are independent and
+  // the sealed recordings are read-only, so they fan across the pool;
+  // every cell writes only its own result slots.
   std::vector<SearchSeries> Series(Defs.size());
   for (size_t S = 0; S < Defs.size(); ++S) {
     Series[S].Name = Defs[S].Name;
@@ -157,21 +152,17 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
   }
   {
     metrics::ScopedSpan ReplaySpan("fig5.replay");
-    for (size_t S = 0; S < Defs.size(); ++S) {
-      sim::TraceShardIndex Index(Traces[S].view(), Config, Prefixes[S],
-                                 Runner.threads());
-      for (size_t C = 0; C < Counts; ++C) {
-        sim::MemoryHierarchy M(Config);
-        obs::ReplayShardingEvent Event = M.replayParallel(
-            Index, 0, Index.cutForRecords(Prefixes[S][C]), Runner);
-        Series[S].Sharding.add(Event);
-        Series[S].CyclesPerSearch[C] =
-            double(M.now()) / double(SearchCounts[C]);
-        Series[S].SimL1Misses[C] = M.stats().L1Misses;
-        Series[S].SimL2Misses[C] = M.stats().L2Misses;
-        Series[S].SimTlbMisses[C] = M.stats().TlbMisses;
-      }
-    }
+    Runner.run(Defs.size() * Counts, [&](size_t Cell) {
+      size_t S = Cell % Defs.size();
+      size_t C = Counts - 1 - Cell / Defs.size();
+      sim::MemoryHierarchy M(Config);
+      M.replay(Traces[S].prefix(Prefixes[S][C]));
+      Series[S].CyclesPerSearch[C] =
+          double(M.now()) / double(SearchCounts[C]);
+      Series[S].SimL1Misses[C] = M.stats().L1Misses;
+      Series[S].SimL2Misses[C] = M.stats().L2Misses;
+      Series[S].SimTlbMisses[C] = M.stats().TlbMisses;
+    });
   }
 
   // Native wall time over the same key sequence; accumulate the hit
@@ -626,16 +617,6 @@ int main(int Argc, char **Argv) {
           Json.integer("hw_time_running_ns", R.TimeRunningNs);
         }
       }
-      Json.beginResult(S.Name);
-      Json.str("section", Section);
-      Json.str("metric", "replay_sharding");
-      Json.integer("replays", S.Sharding.Replays);
-      Json.integer("parallel_replays", S.Sharding.ParallelReplays);
-      Json.integer("shards", S.Sharding.Shards);
-      Json.integer("workers", S.Sharding.Workers);
-      Json.num("max_imbalance", S.Sharding.MaxImbalance);
-      if (!S.Sharding.LastSerialReason.empty())
-        Json.str("serial_reason", S.Sharding.LastSerialReason);
     }
   };
   AddSeries("64bit", Series);

@@ -16,13 +16,10 @@
 #include "bench/MicroBenchMain.h"
 #include "sim/MemoryHierarchy.h"
 #include "sim/TraceBuffer.h"
-#include "sim/TraceShardIndex.h"
-#include "support/SweepRunner.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -150,43 +147,6 @@ void SimTraceDecodeOnly(benchmark::State &State) {
                           int64_t(Buf.records()));
 }
 
-// Sharded replay scaling: the pointer-chase recording is indexed once
-// (per-shard sub-streams keyed by the nested L1/L2 set-index window),
-// then every iteration replays it through replayParallel on a pool of
-// Arg(N) workers. Arg(1) is the serial-fallback baseline — the index
-// declines to shard for a single worker — so items/sec at Arg(N) over
-// Arg(1) is the replay engine's parallel speedup, and the label reports
-// the shard geometry (shards, groups ≈ 4 per worker) plus the measured
-// load imbalance. On a single-core host every arg takes the fallback
-// and the column degenerates to the serial replay cost (no regression).
-void SimReplayShardedScaling(benchmark::State &State) {
-  const unsigned Workers = unsigned(State.range(0));
-  const std::vector<uint64_t> Addrs =
-      makeTrace(TraceKind::PointerChase, 1 << 20);
-  TraceBuffer Buf;
-  for (uint64_t Addr : Addrs)
-    Buf.recordRead(Addr, 8);
-  Buf.seal();
-  const HierarchyConfig Config = HierarchyConfig::ultraSparcE5000();
-  const ccl::SweepRunner Pool(Workers);
-  const TraceShardIndex Index(Buf.view(), Config, {}, Workers);
-  ccl::obs::ReplayShardingEvent Last;
-  for (auto _ : State) {
-    MemoryHierarchy M(Config);
-    Last = M.replayParallel(Index, Pool);
-    benchmark::DoNotOptimize(M.stats().L2Misses);
-  }
-  State.SetItemsProcessed(
-      int64_t(State.iterations()) *
-      int64_t(Index.blockAccessesBetween(0, Index.numCuts() - 1)));
-  char Label[96];
-  std::snprintf(Label, sizeof(Label),
-                "e5000 workers=%u shards=%u groups=%u %s imb=%.2f",
-                Workers, Last.Shards, Last.Groups,
-                Last.Parallel ? "parallel" : "serial", Last.imbalance());
-  State.SetLabel(Label);
-}
-
 void SimStreaming(benchmark::State &State) {
   runTrace(State, TraceKind::Streaming);
 }
@@ -225,14 +185,6 @@ void SimPointerChaseObserved(benchmark::State &State) {
 BENCHMARK(SimPointerChase)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseReplay)->Arg(0)->Arg(1);
 BENCHMARK(SimTraceDecodeOnly)->Arg(2);
-// UseRealTime: the replay work runs on pool threads, so main-thread CPU
-// time (the default basis for items/sec) would overstate throughput.
-BENCHMARK(SimReplayShardedScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
 BENCHMARK(SimStreaming)->Arg(0)->Arg(1);
 BENCHMARK(SimRandom)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseObserved)->Arg(0)->Arg(1);

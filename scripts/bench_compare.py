@@ -20,6 +20,10 @@ Direction is inferred per metric: *_per_second / speedup / gain /
 items_per_second count as higher-is-better; time / nanos / cycles / _ns
 / _ms as lower-is-better. Other fields (checksums, miss counts, bytes)
 are informational and not gated.
+
+When both documents are google-benchmark runs whose context.num_cpus
+differ, one HOST MISMATCH line names both values: the deltas may then
+come from the host rather than the code. The exit status is unchanged.
 """
 
 import argparse
@@ -44,6 +48,12 @@ def direction(metric):
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+def host_cpus(doc):
+    """context.num_cpus of a google-benchmark document, or None."""
+    context = doc.get("context")
+    return context.get("num_cpus") if isinstance(context, dict) else None
 
 
 def rows_google(doc):
@@ -106,8 +116,14 @@ def main():
                         "regenerating every reference in the same change)")
     args = parser.parse_args()
 
-    ref = extract(load(args.reference), args.reference)
-    new = extract(load(args.fresh), args.fresh)
+    ref_doc = load(args.reference)
+    new_doc = load(args.fresh)
+    ref = extract(ref_doc, args.reference)
+    new = extract(new_doc, args.fresh)
+    ref_cpus, new_cpus = host_cpus(ref_doc), host_cpus(new_doc)
+    if ref_cpus is not None and new_cpus is not None and ref_cpus != new_cpus:
+        print("HOST MISMATCH num_cpus: reference %s, fresh %s -- deltas "
+              "may come from the host, not the code" % (ref_cpus, new_cpus))
 
     compared = 0
     regressions = []

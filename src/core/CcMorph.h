@@ -126,9 +126,8 @@ struct MorphStats {
 };
 
 /// Telemetry from the last reorganizeParallel/reorganizeForestParallel
-/// call (mirrors sim::ReplayShardingEvent): whether the copy actually
-/// fanned out, how it was segmented, and — on the serial fallback — a
-/// static string saying why.
+/// call: whether the copy actually fanned out, how it was segmented,
+/// and — on the serial fallback — a static string saying why.
 struct MorphParallelEvent {
   uint64_t Nodes = 0;
   uint64_t EdgeCount = 0;
@@ -249,8 +248,7 @@ public:
   /// pool cannot help (already inside a sweep worker, single thread,
   /// single-core host, structure below Options.ParallelMinNodes), the
   /// pass gracefully falls back to the serial copy and
-  /// lastParallelEvent().Reason says why — mirroring
-  /// MemoryHierarchy::replayParallel.
+  /// lastParallelEvent().Reason says why.
   std::vector<Node *>
   reorganizeForestParallel(const std::vector<Node *> &Roots,
                            const SweepRunner &Pool,
@@ -365,7 +363,7 @@ private:
   static constexpr size_t RootPrefetchDist = 6;
   /// Copy/fixup segments per pool thread: enough slack for the chunked
   /// self-scheduler to rebalance, few enough that per-segment overhead
-  /// stays negligible (mirrors replayParallel's groups-per-worker).
+  /// stays negligible.
   static constexpr size_t SegmentsPerWorker = 4;
 
   /// Groups the forest's nodes into clusters of at most NodesPerBlock,

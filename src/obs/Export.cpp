@@ -12,7 +12,6 @@
 #include "support/BuildInfo.h"
 #include "support/TablePrinter.h"
 
-#include <algorithm>
 #include <cinttypes>
 
 using namespace ccl;
@@ -137,33 +136,6 @@ void TraceSink::onPrefetch(const PrefetchEvent &Event) {
   ++Lines;
 }
 
-void TraceSink::onReplaySharding(const ReplayShardingEvent &Event) {
-  // Never sampled: one line per replayParallel call is already rare, and
-  // dropping one would skew the replay count cclstat reports.
-  std::fprintf(Out,
-               "{\"kind\":\"shard\",\"shards\":%" PRIu32
-               ",\"groups\":%" PRIu32 ",\"workers\":%" PRIu32
-               ",\"records\":%" PRIu64 ",\"min\":%" PRIu64
-               ",\"max\":%" PRIu64 ",\"parallel\":%d,\"reason\":\"%s\"}\n",
-               Event.Shards, Event.Groups, Event.Workers, Event.Records,
-               Event.MinShardRecords, Event.MaxShardRecords,
-               Event.Parallel ? 1 : 0,
-               jsonEscape(Event.Reason).c_str());
-  ++Lines;
-}
-
-void ReplayShardingSummary::add(const ReplayShardingEvent &Event) {
-  ++Replays;
-  if (Event.Parallel)
-    ++ParallelReplays;
-  Records += Event.Records;
-  Shards = std::max(Shards, Event.Shards);
-  Workers = std::max(Workers, Event.Workers);
-  MaxImbalance = std::max(MaxImbalance, Event.imbalance());
-  if (!Event.Parallel && Event.Reason[0] != '\0')
-    LastSerialReason = Event.Reason;
-}
-
 namespace {
 
 void writeRegionJson(std::FILE *Out, const RegionInfo &Info,
@@ -189,7 +161,6 @@ void writeRegionJson(std::FILE *Out, const RegionInfo &Info,
 } // namespace
 
 void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
-                                const ReplayShardingSummary *Sharding,
                                 const TraceCodecInfo *Codec) {
   const AttributionConfig &Config = Sink.config();
   std::fprintf(Out,
@@ -228,16 +199,6 @@ void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
   }
   std::fprintf(Out, "]");
 
-  if (Sharding && Sharding->any())
-    std::fprintf(Out,
-                 ",\"replay_sharding\":{\"replays\":%" PRIu64
-                 ",\"parallel\":%" PRIu64 ",\"records\":%" PRIu64
-                 ",\"shards\":%" PRIu32 ",\"workers\":%" PRIu32
-                 ",\"max_imbalance\":%.4f,\"serial_reason\":\"%s\"}",
-                 Sharding->Replays, Sharding->ParallelReplays,
-                 Sharding->Records, Sharding->Shards, Sharding->Workers,
-                 Sharding->MaxImbalance,
-                 jsonEscape(Sharding->LastSerialReason).c_str());
   if (Codec && Codec->any()) {
     std::fprintf(Out, ",\"trace_codec\":{\"schema\":\"%s\"",
                  jsonEscape(Codec->Schema).c_str());

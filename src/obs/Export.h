@@ -25,17 +25,14 @@
 ///    "tlb":0,"cyc":70,"r":3}
 ///   {"kind":"e","now":..,"lvl":2,"pa":..,"wb":1}
 ///   {"kind":"p","now":..,"va":..,"pa":..,"sw":1}
-///   {"kind":"shard","shards":..,"groups":..,"workers":..,"records":..,
-///    "min":..,"max":..,"parallel":0,"reason":"..."}
 ///
-/// The "shard" line (replayParallel telemetry) was added after the
-/// first ccl-trace-v1 dumps shipped; readers skip unknown kinds, so old
-/// dumps parse unchanged and old readers ignore the new line. The v2
-/// meta field "trace_block" (records per block of the in-memory trace
-/// codec, sim/TraceBuffer.h) follows the same rule: readers never gate
-/// on the schema string and skip unknown keys, so v1 dumps, and v2
-/// dumps that still carry the retired "simd" kernel stamp, keep
-/// parsing.
+/// Readers skip unknown kinds and keys and never gate on the schema
+/// string. Dumps from the retired set-sharded replay engine carry
+/// legacy {"kind":"shard",...} lines; nothing writes them any more and
+/// readers skip them like any unknown kind. The v2 meta field
+/// "trace_block" (records per block of the in-memory trace codec,
+/// sim/TraceBuffer.h) follows the same rule, so v1 dumps, and v2 dumps
+/// that still carry the retired "simd" kernel stamp, keep parsing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +76,6 @@ public:
   void onAccess(const AccessEvent &Event) override;
   void onEvict(const EvictEvent &Event) override;
   void onPrefetch(const PrefetchEvent &Event) override;
-  void onReplaySharding(const ReplayShardingEvent &Event) override;
 
   uint64_t linesWritten() const { return Lines; }
   uint64_t accessEventsSeen() const { return AccessSeen; }
@@ -98,22 +94,6 @@ private:
   uint64_t PrefetchSeen = 0;
 };
 
-/// Aggregate of the "shard" telemetry lines in a trace dump (or of the
-/// ReplayShardingEvents a live run produced): how often replayParallel
-/// ran, how it sharded, and the worst load skew it saw.
-struct ReplayShardingSummary {
-  uint64_t Replays = 0;
-  uint64_t ParallelReplays = 0;
-  uint64_t Records = 0;
-  uint32_t Shards = 0;
-  uint32_t Workers = 0;
-  double MaxImbalance = 0.0;
-  std::string LastSerialReason;
-
-  void add(const ReplayShardingEvent &Event);
-  bool any() const { return Replays != 0; }
-};
-
 /// Codec identification from a trace dump's meta line: the schema
 /// string and (v2) the trace codec's records-per-block. All-empty for
 /// dumps written before the stamps existed.
@@ -126,12 +106,10 @@ struct TraceCodecInfo {
 
 /// Writes an AttributionSink's results as one JSON document
 /// (schema "ccl-profile-v1"): per-region profiles, totals, and the
-/// nonzero entries of the L2 set-conflict histogram. When \p Sharding
-/// is non-null and saw any replays, a "replay_sharding" object is
-/// appended to the document; when \p Codec carries any meta-line codec
-/// fields, a "trace_codec" object is appended too.
+/// nonzero entries of the L2 set-conflict histogram. When \p Codec
+/// carries any meta-line codec fields, a "trace_codec" object is
+/// appended to the document.
 void writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
-                      const ReplayShardingSummary *Sharding = nullptr,
                       const TraceCodecInfo *Codec = nullptr);
 
 /// Writes the per-region profile table as CSV (header + one row per

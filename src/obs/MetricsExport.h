@@ -13,7 +13,7 @@
 ///   {"kind":"meta","schema":"ccl-metrics-v1","binary":"fig5_...",
 ///    "git":"a382da8","clock_ns":123456}
 ///   {"kind":"c","name":"ccmalloc.alloc_fast","v":123}
-///   {"kind":"h","name":"replay.group_ns","count":8,"sum":91833,
+///   {"kind":"h","name":"ccmorph.pass_nodes","count":8,"sum":91833,
 ///    "b":[[13,2],[14,6]]}            // sparse [bucket,count] pairs;
 ///                                    // bucket B holds bit_width==B
 ///   {"kind":"s","name":"fig5.replay","t0":1000,"dur":52000,"tid":0}

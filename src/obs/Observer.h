@@ -113,36 +113,6 @@ struct PrefetchEvent {
   uint64_t Now = 0;
 };
 
-/// One MemoryHierarchy::replayParallel invocation: how the recording was
-/// sharded (or why it was not) and how balanced the shards were. Also
-/// the struct replayParallel returns, so unobserved callers (the figure
-/// benches) get the same telemetry.
-struct ReplayShardingEvent {
-  /// Sub-streams the trace index split the recording into (1 = unsplit).
-  uint32_t Shards = 1;
-  /// Contiguous shard groups actually scheduled (each is one sweep cell).
-  uint32_t Groups = 1;
-  /// Workers the replay ran on (1 for a serial walk).
-  uint32_t Workers = 1;
-  /// Per-L1-block accesses replayed in the window.
-  uint64_t Records = 0;
-  /// Block accesses in the lightest / heaviest shard (load skew).
-  uint64_t MinShardRecords = 0;
-  uint64_t MaxShardRecords = 0;
-  /// False when the replay fell back to a serial walk (see Reason).
-  bool Parallel = false;
-  /// Why the replay ran serially; "" when Parallel.
-  const char *Reason = "";
-
-  /// Heaviest shard's share relative to a perfect split (1.0 = perfectly
-  /// balanced; the parallel speedup ceiling is Shards / imbalance).
-  double imbalance() const {
-    if (Records == 0 || Shards == 0)
-      return 1.0;
-    return double(MaxShardRecords) * double(Shards) / double(Records);
-  }
-};
-
 /// Abstract sink for simulator events. Implementations must not touch
 /// the MemoryHierarchy that is delivering the event (re-entrancy is not
 /// supported); reading configuration is fine.
@@ -153,14 +123,6 @@ public:
   virtual void onAccess(const AccessEvent &Event) = 0;
   virtual void onEvict(const EvictEvent &Event) { (void)Event; }
   virtual void onPrefetch(const PrefetchEvent &Event) { (void)Event; }
-  /// Sharding/imbalance telemetry for each replayParallel call. Observed
-  /// hierarchies replay serially (per-access events don't have a stable
-  /// global order under sharding), so observers always see
-  /// Event.Parallel == false — the event still reports the shard count
-  /// and skew the index measured.
-  virtual void onReplaySharding(const ReplayShardingEvent &Event) {
-    (void)Event;
-  }
 };
 
 /// Fans events out to several observers in attach order (e.g. an
@@ -187,10 +149,6 @@ public:
   void onPrefetch(const PrefetchEvent &Event) override {
     for (SimObserver *Sink : Sinks)
       Sink->onPrefetch(Event);
-  }
-  void onReplaySharding(const ReplayShardingEvent &Event) override {
-    for (SimObserver *Sink : Sinks)
-      Sink->onReplaySharding(Event);
   }
 
 private:

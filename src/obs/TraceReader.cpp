@@ -157,29 +157,6 @@ bool ccl::obs::parseTraceLine(const std::string &Line, TraceRecord &Out) {
     return true;
   }
 
-  if (Kind == "shard") {
-    Out.RecordKind = TraceRecord::Kind::Shard;
-    ReplayShardingEvent E;
-    if (getU64(Line, "shards", U))
-      E.Shards = uint32_t(U);
-    if (getU64(Line, "groups", U))
-      E.Groups = uint32_t(U);
-    if (getU64(Line, "workers", U))
-      E.Workers = uint32_t(U);
-    if (getU64(Line, "records", U))
-      E.Records = U;
-    if (getU64(Line, "min", U))
-      E.MinShardRecords = U;
-    if (getU64(Line, "max", U))
-      E.MaxShardRecords = U;
-    if (getU64(Line, "parallel", U))
-      E.Parallel = U != 0;
-    getString(Line, "reason", Out.SerialReason);
-    E.Reason = Out.SerialReason.c_str();
-    Out.Sharding = E;
-    return true;
-  }
-
   if (Kind == "p") {
     Out.RecordKind = TraceRecord::Kind::Prefetch;
     PrefetchEvent E;

@@ -26,7 +26,7 @@ namespace ccl::obs {
 
 /// One parsed trace line.
 struct TraceRecord {
-  enum class Kind { Meta, Region, Access, Evict, Prefetch, Shard } RecordKind;
+  enum class Kind { Meta, Region, Access, Evict, Prefetch } RecordKind;
 
   // Kind::Meta
   AttributionConfig Config;
@@ -53,22 +53,17 @@ struct TraceRecord {
 
   // Kind::Prefetch
   PrefetchEvent Prefetch;
-
-  // Kind::Shard (replayParallel telemetry; absent from dumps written
-  // before the sharded replay engine — readers must not require it).
-  // Sharding.Reason points into SerialReason, which owns the text.
-  ReplayShardingEvent Sharding;
-  std::string SerialReason;
 };
 
 /// Parses one JSONL line. Returns false (leaving \p Out unspecified) for
-/// blank lines or lines of an unknown kind — callers should skip those
-/// rather than abort, so future schema additions stay forward-compatible.
+/// blank lines or lines of an unknown kind — including the legacy
+/// "shard" lines of older dumps. Callers should skip those rather than
+/// abort, so schema additions and retirements stay compatible.
 bool parseTraceLine(const std::string &Line, TraceRecord &Out);
 
 /// Reads an entire dump, invoking \p Callback for each parsed record in
-/// file order. Returns the number of parsed records, or -1 if the file
-/// cannot be read.
+/// file order. Returns the number of parsed records, never negative:
+/// skipped lines are not counted, and a read error ends the dump early.
 template <typename Fn> long readTraceFile(std::FILE *In, Fn &&Callback) {
   std::string Line;
   long Parsed = 0;

@@ -50,122 +50,6 @@ public:
 
   const CacheConfig &config() const { return Config; }
 
-  /// A borrowed, mutable view of the cache's SoA state for one replay
-  /// shard. The sharded replay engine hands each worker a slice; a
-  /// worker may only access addresses whose set index belongs to its
-  /// shard, so concurrent slices of the same cache never touch the same
-  /// set's tags, timestamps, dirty bits, or MRU hint.
-  ///
-  /// LRU equivalence: replacement compares timestamps only within a set,
-  /// and every access to a set comes from the same shard, so a per-slice
-  /// clock that increases by one per access preserves each set's recency
-  /// order exactly as the serial global clock does. absorb() then
-  /// advances the parent clock by the total access count, restoring the
-  /// exact serial UseClock value (all stored timestamps stay below it).
-  class ShardSlice {
-  public:
-    ShardSlice() = default;
-
-    /// Replays one access; identical bookkeeping to Cache::access().
-    CacheAccessResult access(uint64_t Addr, bool IsWrite) {
-      uint64_t Block = Addr >> BlockShift;
-      uint64_t SetIdx = Block & SetMask;
-      uint64_t Base = SetIdx * Assoc;
-      const uint64_t *TagSet = &Tags[Base];
-      ++Clock;
-      ++Accesses;
-
-      uint32_t MruWay = Mru[SetIdx];
-      if (TagSet[MruWay] == Block) {
-        LastUse[Base + MruWay] = Clock;
-        DirtyBits[Base + MruWay] |= uint8_t(IsWrite);
-        ++Hits;
-        return {/*Hit=*/true, false, 0, false};
-      }
-      for (uint32_t Way = 0; Way < Assoc; ++Way) {
-        if (TagSet[Way] == Block) {
-          LastUse[Base + Way] = Clock;
-          DirtyBits[Base + Way] |= uint8_t(IsWrite);
-          Mru[SetIdx] = Way;
-          ++Hits;
-          return {/*Hit=*/true, false, 0, false};
-        }
-      }
-
-      ++Misses;
-      uint32_t Victim = 0;
-      for (uint32_t Way = 0; Way < Assoc; ++Way) {
-        if (TagSet[Way] == EmptyTag) {
-          Victim = Way;
-          break;
-        }
-        if (LastUse[Base + Way] < LastUse[Base + Victim])
-          Victim = Way;
-      }
-
-      CacheAccessResult Result;
-      Result.Hit = false;
-      uint64_t Idx = Base + Victim;
-      if (Tags[Idx] != EmptyTag) {
-        Result.Evicted = true;
-        Result.VictimBlock = Tags[Idx];
-        if (DirtyBits[Idx]) {
-          Result.WritebackVictim = true;
-          ++Writebacks;
-        }
-        ++Evictions;
-      }
-      Tags[Idx] = Block;
-      DirtyBits[Idx] = uint8_t(IsWrite);
-      LastUse[Idx] = Clock;
-      Mru[SetIdx] = Victim;
-      return Result;
-    }
-
-    uint64_t hits() const { return Hits; }
-    uint64_t misses() const { return Misses; }
-    uint64_t accesses() const { return Accesses; }
-
-  private:
-    friend class Cache;
-    explicit ShardSlice(Cache &Parent)
-        : Tags(Parent.Tags.data()), LastUse(Parent.LastUse.data()),
-          DirtyBits(Parent.DirtyBits.data()), Mru(Parent.Mru.data()),
-          SetMask(Parent.SetMask), BlockShift(Parent.BlockShift),
-          Assoc(Parent.Assoc), Clock(Parent.UseClock) {}
-
-    uint64_t *Tags = nullptr;
-    uint64_t *LastUse = nullptr;
-    uint8_t *DirtyBits = nullptr;
-    uint32_t *Mru = nullptr;
-    uint64_t SetMask = 0;
-    uint32_t BlockShift = 0;
-    uint32_t Assoc = 1;
-    /// Slice-local recency clock, seeded from the parent's UseClock.
-    uint64_t Clock = 0;
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t Evictions = 0;
-    uint64_t Writebacks = 0;
-    uint64_t Accesses = 0;
-  };
-
-  /// Creates a slice view for one replay shard. The caller is
-  /// responsible for the set-disjointness contract documented on
-  /// ShardSlice; the parent cache must not be accessed directly while
-  /// slices are live.
-  ShardSlice slice() { return ShardSlice(*this); }
-
-  /// Folds a finished slice's counters back into the cache and advances
-  /// the global clock past every timestamp the slice wrote.
-  void absorb(const ShardSlice &Slice) {
-    Hits += Slice.Hits;
-    Misses += Slice.Misses;
-    Evictions += Slice.Evictions;
-    Writebacks += Slice.Writebacks;
-    UseClock += Slice.Accesses;
-  }
-
   /// Looks up \p Addr; on miss, installs the block (evicting LRU).
   /// \p IsWrite marks the block dirty on hit or install.
   CacheAccessResult access(uint64_t Addr, bool IsWrite);

@@ -38,14 +38,9 @@
 #include "sim/SimStats.h"
 #include "sim/Tlb.h"
 #include "sim/TraceBuffer.h"
-#include "sim/TraceShardIndex.h"
 #include "support/FlatMap.h"
 
 #include <cstdint>
-
-namespace ccl {
-class SweepRunner;
-} // namespace ccl
 
 namespace ccl::sim {
 
@@ -93,6 +88,11 @@ public:
   /// one native recording. Because replay preserves the recorded order, the
   /// canonical first-touch address remap resolves identically to a live
   /// run (locked down by tests/trace_test.cpp and sim_golden_test).
+  ///
+  /// One replay is one serial walk. Parallelism comes from running many
+  /// of them at once: a sealed buffer is read-only, so the benches give
+  /// each sweep cell its own hierarchy and cursor on a SweepRunner
+  /// worker (tests/trace_v2_test.cpp checks concurrent cells).
   void replay(TraceView View) {
     TraceCursor Cursor(View);
     replay(Cursor, View.records());
@@ -102,37 +102,6 @@ public:
   /// Lets one recording be consumed in phases (warmup, then a measured
   /// window) with now()/stats() snapshots between them.
   void replay(TraceCursor &Cursor, size_t MaxRecords);
-
-  /// Replays the cut span [\p CutA, \p CutB) of an indexed recording,
-  /// fanning the index's per-shard sub-streams across \p Pool's workers.
-  /// Each worker owns a disjoint slice of L1/L2 set state
-  /// (Cache::ShardSlice); the page-granular TLB — whose state does not
-  /// partition by set — runs as its own serial pass over the original
-  /// stream. The merged result is bit-identical to a serial replay of
-  /// the same span: SimStats, cache and TLB counters, now(), and all
-  /// state that subsequent accesses can observe (locked down by
-  /// sim_golden_test and tests/shard_replay_test.cpp).
-  ///
-  /// Falls back to a serial walk — still through the index's resume
-  /// cursors, still bit-identical — when the index is not sharded
-  /// (non-nested geometry, software prefetches, or a single-worker
-  /// hint), when an observer is attached, when the pool has one thread,
-  /// when called from inside a SweepRunner worker, or when the
-  /// hierarchy's translation state does not match the index at \p CutA
-  /// (i.e. anything other than cuts 0..CutA of this index was replayed
-  /// into it since the last reset).
-  ///
-  /// Returns the sharding telemetry (also delivered to an attached
-  /// observer via onReplaySharding).
-  obs::ReplayShardingEvent replayParallel(const TraceShardIndex &Index,
-                                          size_t CutA, size_t CutB,
-                                          const SweepRunner &Pool);
-
-  /// Replays the whole indexed recording.
-  obs::ReplayShardingEvent replayParallel(const TraceShardIndex &Index,
-                                          const SweepRunner &Pool) {
-    return replayParallel(Index, 0, Index.numCuts() - 1, Pool);
-  }
 
   /// Issues a software prefetch for the L2 block containing \p Addr.
   void prefetch(uint64_t Addr);

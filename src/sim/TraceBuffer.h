@@ -44,11 +44,11 @@
 /// with its own cursor and hierarchy. Prefix views cost nothing beyond a
 /// record count: because a view always decodes from the start, replaying
 /// "the first N searches" of fig5's seeded key stream needs no
-/// per-record index. Mid-stream positions (TraceShardIndex cut points)
-/// are captured as TraceResume values: the containing block plus an
-/// in-block offset. Encode/decode round-trips exactly — including
-/// size-0 touches and full-range addresses — locked down by
-/// tests/trace_test.cpp and tests/trace_v2_test.cpp.
+/// per-record index, and a phase boundary inside one recording (fig10's
+/// warmup, then its window) is a bounded replay through one cursor.
+/// Encode/decode round-trips exactly — including size-0 touches and
+/// full-range addresses — locked down by tests/trace_test.cpp and
+/// tests/trace_v2_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,20 +99,8 @@ struct TraceView {
   bool empty() const { return NumRecords == 0; }
 };
 
-/// A resumable mid-stream decode position, captured from a decoding
-/// cursor (TraceCursor::resume) or a recording buffer
-/// (TraceBuffer::resumeState). The delta chain makes an encoded stream
-/// position-dependent, so ChainAddr must come from the same decode or
-/// recording; ByteOffset addresses the containing block's header and
-/// InBlock counts records already consumed inside it.
-struct TraceResume {
-  size_t ByteOffset = 0;
-  uint32_t InBlock = 0;
-  uint64_t ChainAddr = 0;
-};
-
 /// A decoding position inside a view. next() streams records in order;
-/// nextBatch() hands out up to a block at a time (the replay loops'
+/// nextBatch() hands out up to a block at a time (the replay loop's
 /// consumption path); MemoryHierarchy::replay(cursor, n) consumes a
 /// bounded number, so one recording can be replayed in phases (e.g.
 /// fig10's warmup, then its measured window) with cycle snapshots taken
@@ -123,38 +111,8 @@ public:
   explicit TraceCursor(TraceView View)
       : Pos(View.Data), RecordsLeft(View.NumRecords) {}
 
-  /// Resumes decoding at a position captured after the same number of
-  /// records (TraceShardIndex records these at its cut points).
-  /// \p RecordsLeft bounds the resumed decode.
-  TraceCursor(TraceView View, const TraceResume &R, size_t RecordsLeft)
-      : Pos(View.Data + R.ByteOffset), RecordsLeft(RecordsLeft),
-        PrevAddr(R.ChainAddr) {
-    if (R.InBlock != 0 && RecordsLeft != 0) {
-      openBlock();
-      assert(R.InBlock <= BlockLen && "resume offset beyond its block");
-      // Skip the records before the cut without touching the chain:
-      // R.ChainAddr is already the post-cut value. Only their
-      // explicit-size varints occupy the extra lane.
-      for (uint32_t I = 0; I < R.InBlock; ++I)
-        if ((Ctrl[I] & 0x3) <= 1 && ((Ctrl[I] >> 2) & 0x7) == 0)
-          varintDecode(Extra);
-      BlockIdx = R.InBlock;
-    }
-  }
-
   size_t remaining() const { return RecordsLeft; }
   bool done() const { return RecordsLeft == 0; }
-
-  /// Current value of the shared previous-address delta chain.
-  uint64_t chainAddr() const { return PrevAddr; }
-
-  /// Captures the current position for later resumption; \p Base must be
-  /// the view's Data pointer.
-  TraceResume resume(const uint8_t *Base) const {
-    if (BlockIdx < BlockLen)
-      return {size_t(BlockPos - Base), BlockIdx, PrevAddr};
-    return {size_t(Pos - Base), 0, PrevAddr};
-  }
 
   /// Decodes the next record into \p Out; returns false when exhausted.
   bool next(TraceRecord &Out) {
@@ -194,7 +152,6 @@ private:
   /// the low 1 << w of them, step by 1 << w. Loads past the last payload
   /// read the extra lane, the next block, or seal()'s tail padding.
   void openBlock() {
-    BlockPos = Pos;
     const uint8_t *P = Pos;
     uint64_t N = varintDecode(P);
     uint64_t DataBytes = varintDecode(P);
@@ -247,7 +204,6 @@ private:
   size_t RecordsLeft = 0;
   uint64_t PrevAddr = 0;
   // The open block.
-  const uint8_t *BlockPos = nullptr; ///< Header byte (resume anchor).
   const uint8_t *Ctrl = nullptr;     ///< Control lane.
   const uint8_t *Extra = nullptr;    ///< Extra-lane read position.
   uint32_t BlockLen = 0;
@@ -322,12 +278,6 @@ public:
     assert(Sealed && "seal() the buffer before taking views");
     return {Data.data(), Records};
   }
-
-  /// Position at which recording will continue: the state a cursor needs
-  /// to resume decoding right here once the buffer is sealed.
-  /// TraceShardIndex captures these for its cut points while the shard
-  /// sub-streams are still being written.
-  TraceResume resumeState() const { return {Used, PendingCount, PrevAddr}; }
 
   void clear() {
     Data.clear();

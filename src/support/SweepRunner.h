@@ -69,7 +69,7 @@ public:
 
   /// True while the calling thread is executing a sweep cell. Used to
   /// keep parallelism single-level: code that can fan out internally
-  /// (MemoryHierarchy::replayParallel) runs serially when it is already
+  /// (CcMorph::reorganizeParallel) runs serially when it is already
   /// inside a worker, instead of oversubscribing the machine.
   static bool inWorker();
 

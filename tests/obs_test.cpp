@@ -399,8 +399,6 @@ TEST(TraceExport, JsonlRoundTripRebuildsIdenticalProfile) {
     case TraceRecord::Kind::Prefetch:
       Replayed->onPrefetch(Record.Prefetch);
       break;
-    case TraceRecord::Kind::Shard:
-      break; // No replayParallel calls in this run.
     }
   });
   std::fclose(F);
@@ -465,70 +463,78 @@ TEST(ProfileExport, JsonAndCsvCarrySchemaAndRegions) {
   EXPECT_NE(CsvText.find("btree,hot,1,0,1,1,"), std::string::npos);
 }
 
-TEST(TraceExport, ShardTelemetryRoundTripsThroughDumpAndProfile) {
-  AttributionConfig Config;
+TEST(TraceExport, LegacyShardLinesAreSkipped) {
+  // A dump written while the set-sharded replay engine existed: its
+  // "shard" telemetry line sits between ordinary events. Every other
+  // line must still parse, the shard line must be skipped, and the
+  // rebuilt profile must carry no replay_sharding key.
+  const char *Dump =
+      "{\"kind\":\"meta\",\"schema\":\"ccl-trace-v2\",\"l1_block\":16,"
+      "\"l1_sets\":1024,\"l2_block\":64,\"l2_sets\":16384,\"hot_sets\":64,"
+      "\"sample\":1,\"trace_block\":64,\"binary\":\"fig5\",\"git\":\"x\"}\n"
+      "{\"kind\":\"region\",\"id\":1,\"name\":\"ctree\",\"color\":\"hot\"}\n"
+      "{\"kind\":\"a\",\"now\":71,\"va\":4096,\"pa\":1048576,\"sz\":8,"
+      "\"w\":0,\"lvl\":\"mem\",\"tlb\":0,\"cyc\":70,\"r\":1}\n"
+      "{\"kind\":\"shard\",\"shards\":256,\"groups\":16,\"workers\":4,"
+      "\"records\":100000,\"min\":300,\"max\":500,\"parallel\":1,"
+      "\"reason\":\"\"}\n"
+      "{\"kind\":\"e\",\"now\":72,\"lvl\":2,\"pa\":1048576,\"wb\":0}\n"
+      "{\"kind\":\"p\",\"now\":73,\"va\":8192,\"pa\":1052672,\"sw\":1}\n";
   std::FILE *F = std::tmpfile();
   ASSERT_NE(F, nullptr);
-  TraceSink Trace(F, Config);
-
-  ReplayShardingEvent Parallel;
-  Parallel.Shards = 256;
-  Parallel.Groups = 16;
-  Parallel.Workers = 5;
-  Parallel.Records = 100000;
-  Parallel.MinShardRecords = 300;
-  Parallel.MaxShardRecords = 500;
-  Parallel.Parallel = true;
-  Trace.onReplaySharding(Parallel);
-
-  ReplayShardingEvent Serial;
-  Serial.Shards = 256;
-  Serial.Records = 2000;
-  Serial.Reason = "single-thread pool";
-  Trace.onReplaySharding(Serial);
-
+  std::fputs(Dump, F);
   std::rewind(F);
-  ReplayShardingSummary Summary;
-  uint64_t ShardLines = 0;
+
+  RegionRegistry Registry;
+  std::unique_ptr<AttributionSink> Sink;
+  TraceCodecInfo Codec;
+  uint32_t Local = RegionRegistry::Unknown;
+  std::vector<TraceRecord::Kind> Kinds;
   long Parsed = readTraceFile(F, [&](const TraceRecord &Record) {
-    if (Record.RecordKind != TraceRecord::Kind::Shard)
-      return;
-    ++ShardLines;
-    Summary.add(Record.Sharding);
+    Kinds.push_back(Record.RecordKind);
+    switch (Record.RecordKind) {
+    case TraceRecord::Kind::Meta:
+      Sink = std::make_unique<AttributionSink>(Registry, Record.Config);
+      Codec.Schema = Record.Schema;
+      Codec.TraceBlock = Record.TraceBlock;
+      break;
+    case TraceRecord::Kind::Region:
+      Local = Registry.define(Record.Region);
+      break;
+    case TraceRecord::Kind::Access:
+      ASSERT_NE(Sink, nullptr);
+      Sink->record(Record.Access, Local);
+      break;
+    case TraceRecord::Kind::Evict:
+      Sink->recordEvict(Record.Evict);
+      break;
+    case TraceRecord::Kind::Prefetch:
+      Sink->onPrefetch(Record.Prefetch);
+      break;
+    }
   });
   std::fclose(F);
-  EXPECT_EQ(uint64_t(Parsed), Trace.linesWritten());
-  ASSERT_EQ(ShardLines, 2u);
-  EXPECT_EQ(Summary.Replays, 2u);
-  EXPECT_EQ(Summary.ParallelReplays, 1u);
-  EXPECT_EQ(Summary.Records, 102000u);
-  EXPECT_EQ(Summary.Shards, 256u);
-  EXPECT_EQ(Summary.Workers, 5u);
-  EXPECT_NEAR(Summary.MaxImbalance, 500.0 * 256 / 100000, 1e-9);
-  EXPECT_EQ(Summary.LastSerialReason, "single-thread pool");
+  EXPECT_EQ(Parsed, 5);
+  EXPECT_EQ(Kinds, (std::vector<TraceRecord::Kind>{
+                       TraceRecord::Kind::Meta, TraceRecord::Kind::Region,
+                       TraceRecord::Kind::Access, TraceRecord::Kind::Evict,
+                       TraceRecord::Kind::Prefetch}));
+  ASSERT_NE(Sink, nullptr);
+  Sink->finalize();
+  EXPECT_EQ(Sink->accessEvents(), 1u);
+  EXPECT_EQ(Sink->swPrefetches(), 1u);
+  EXPECT_EQ(Sink->regions()[Local].L2Misses, 1u);
 
-  // The summary rides along in the profile JSON — and only when it saw
-  // replays, so pre-sharding dumps keep producing byte-stable output.
-  RegionRegistry Registry;
-  AttributionSink Sink(Registry, Config);
-  Sink.finalize();
   std::FILE *Json = std::tmpfile();
   ASSERT_NE(Json, nullptr);
-  writeProfileJson(Sink, Json, &Summary);
-  std::string WithShards = slurp(Json);
+  writeProfileJson(*Sink, Json, &Codec);
+  std::string Text = slurp(Json);
   std::fclose(Json);
-  EXPECT_NE(WithShards.find("\"replay_sharding\":{\"replays\":2"),
+  EXPECT_NE(Text.find("\"schema\":\"ccl-profile-v1\""), std::string::npos);
+  EXPECT_NE(Text.find("\"name\":\"ctree\""), std::string::npos);
+  EXPECT_NE(Text.find("\"trace_codec\":{\"schema\":\"ccl-trace-v2\""),
             std::string::npos);
-  EXPECT_NE(WithShards.find("\"serial_reason\":\"single-thread pool\""),
-            std::string::npos);
-
-  ReplayShardingSummary Empty;
-  Json = std::tmpfile();
-  ASSERT_NE(Json, nullptr);
-  writeProfileJson(Sink, Json, &Empty);
-  std::string WithoutShards = slurp(Json);
-  std::fclose(Json);
-  EXPECT_EQ(WithoutShards.find("replay_sharding"), std::string::npos);
+  EXPECT_EQ(Text.find("replay_sharding"), std::string::npos);
 }
 
 TEST(MultiObserver, FansOutInAttachOrder) {

@@ -437,31 +437,6 @@ TEST(SimGolden, RecordedReplayMatchesGolden) {
   }
 }
 
-TEST(SimGolden, ShardedReplayMatchesGolden) {
-  // The set-sharded parallel replay engine against the same seed
-  // goldens: splitting each recording into per-set-shard sub-streams
-  // and merging per-shard stats must land on every pinned number, with
-  // the prefetch traces (cycle-coupled across sets) taking the
-  // bit-identical serial fallback instead.
-  SweepRunner Pool(4);
-  for (const GoldenCase &Case : GoldenCases) {
-    TraceBuffer Buf = recordOps(traceByName(Case.Trace));
-    HierarchyConfig Config = presetByName(Case.Preset, Case.Trace);
-    TraceShardIndex Index(Buf.view(), Config, {}, Pool.threads());
-    MemoryHierarchy M(Config);
-    obs::ReplayShardingEvent Event = M.replayParallel(Index, Pool);
-    bool IsPrefetchTrace = std::string(Case.Trace) == "prefetch";
-    EXPECT_EQ(Event.Parallel, !IsPrefetchTrace)
-        << Case.Trace << "/" << Case.Preset << ": " << Event.Reason;
-    if (Event.Parallel) {
-      EXPECT_GT(Event.Shards, 1u);
-      EXPECT_EQ(Event.Records, M.stats().memoryReferences());
-    }
-    expectEqual(Case.Expected, collect(M),
-                std::string("sharded/") + Case.Trace + "/" + Case.Preset);
-  }
-}
-
 TEST(SimGolden, MixedSizeAccessesSpanBlocks) {
   // A 40-byte access spanning three 16-byte L1 blocks touches each block
   // once; the fast path must bail out to the range path for these.

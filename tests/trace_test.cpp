@@ -23,7 +23,6 @@
 #include "sim/AccessPolicy.h"
 #include "sim/MemoryHierarchy.h"
 #include "sim/TraceBuffer.h"
-#include "sim/TraceShardIndex.h"
 #include "support/Varint.h"
 
 #include <gtest/gtest.h>
@@ -31,7 +30,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 using namespace ccl;
@@ -477,270 +475,6 @@ TEST(TraceReplay, RecordAccessPolicyMatchesSimAccess) {
   MemoryHierarchy Replayed(Config);
   Replayed.replay(Buf.view());
   expectSameObservableState(Live, Replayed, "policy parity");
-}
-
-//===----------------------------------------------------------------------===//
-// Layer 4: TraceShardIndex sub-stream splitting.
-//===----------------------------------------------------------------------===//
-
-/// Independent reference splitter: decodes nothing from the index —
-/// walks the raw ops, expands each read/write into L1-block accesses,
-/// redoes the first-touch translation with a plain hash map, and
-/// buckets by the shard key. The index's sub-streams must agree with it
-/// record for record.
-struct ReferenceSplit {
-  std::vector<std::vector<RawRecord>> PerShard;
-  uint64_t TotalBlockAccesses = 0;
-};
-
-ReferenceSplit referenceSplit(const std::vector<RawRecord> &Ops,
-                              const HierarchyConfig &Config) {
-  ShardKeySpec Spec = ShardKeySpec::fromConfig(Config);
-  EXPECT_TRUE(Spec.shardable());
-  const uint64_t UnitBytes =
-      std::max<uint64_t>({Config.L2.CapacityBytes, Config.L1.CapacityBytes,
-                          uint64_t(Config.Tlb.PageBytes)});
-  const uint32_t UnitShift = log2Exact(UnitBytes);
-  const uint32_t BlockShift = log2Exact(Config.L1.BlockBytes);
-  std::unordered_map<uint64_t, uint64_t> Units;
-  uint64_t NextUnit = 1;
-
-  ReferenceSplit Ref;
-  Ref.PerShard.resize(Spec.numShards());
-  for (const RawRecord &R : Ops) {
-    if (R.K != TraceRecord::Kind::Read && R.K != TraceRecord::Kind::Write)
-      continue;
-    uint64_t Size = R.Arg ? R.Arg : 1;
-    for (uint64_t Block = R.Addr >> BlockShift;
-         Block <= (R.Addr + Size - 1) >> BlockShift; ++Block) {
-      uint64_t Base = Block << BlockShift;
-      auto [It, Fresh] = Units.try_emplace(Base >> UnitShift, NextUnit);
-      if (Fresh)
-        ++NextUnit;
-      uint64_t Mapped = (It->second << UnitShift) | (Base & (UnitBytes - 1));
-      Ref.PerShard[Spec.shardOf(Mapped)].push_back({R.K, Mapped, 1});
-      ++Ref.TotalBlockAccesses;
-    }
-  }
-  return Ref;
-}
-
-/// Decodes shard \p Shard's sub-stream between two cuts through the
-/// index's own resume cursors.
-std::vector<RawRecord> decodeShard(const TraceShardIndex &Index,
-                                   uint32_t Shard, size_t CutA,
-                                   size_t CutB) {
-  std::vector<RawRecord> Out;
-  TraceCursor Cursor = Index.shardCursorAt(Shard, CutA);
-  uint64_t Left = Index.shardAccessesBetween(Shard, CutA, CutB);
-  TraceRecord Record;
-  while (Left-- != 0) {
-    EXPECT_TRUE(Cursor.next(Record));
-    Out.push_back({Record.K, Record.Addr, Record.Arg});
-  }
-  return Out;
-}
-
-/// Random mixed streams whose sizes hit every varint/encoder boundary:
-/// zero (touch), every one-byte size code, the 63/64/65 straddle,
-/// non-powers-of-two, and multi-block spans.
-std::vector<RawRecord> shardTortureStream(uint64_t Seed, size_t Records) {
-  const uint64_t Sizes[] = {0,  1,  2,   7,   8,   15,  16, 63,
-                            64, 65, 100, 127, 128, 129, 1000};
-  Lcg Rng(Seed * 0xA24BAED4963EE407ULL + 0x9E3779B9ULL);
-  std::vector<RawRecord> Ops;
-  Ops.reserve(Records);
-  for (size_t I = 0; I < Records; ++I) {
-    uint64_t Roll = Rng.next() % 100;
-    // 40 bits of address: stresses the first-touch remap without risking
-    // end-of-address-space wraparound in the block expansion.
-    uint64_t Addr = Rng.full() & ((1ULL << 40) - 1);
-    uint64_t Size = Sizes[Rng.next() % (sizeof(Sizes) / sizeof(Sizes[0]))];
-    if (Roll < 8)
-      Ops.push_back({TraceRecord::Kind::Tick, 0, 1 + Rng.next() % 50});
-    else if (Roll < 30)
-      Ops.push_back({TraceRecord::Kind::Write, Addr, Size});
-    else
-      Ops.push_back({TraceRecord::Kind::Read, Addr, Size});
-  }
-  return Ops;
-}
-
-// The central property: the per-shard sub-streams are a disjoint exact
-// cover of the original stream's block accesses. Every sub-record
-// round-trips (kind + translated address), order is preserved within a
-// shard, every address hashes to its own shard, and the shard totals
-// tile the whole without overlap or loss.
-TEST(TraceShard, SubStreamsAreADisjointExactCover) {
-  for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-    std::vector<RawRecord> Ops = shardTortureStream(Seed, 600);
-    TraceBuffer Buf;
-    for (const RawRecord &R : Ops)
-      record(Buf, R);
-    Buf.seal();
-    for (const char *Preset : {"e5000", "rsim"}) {
-      SCOPED_TRACE("seed " + std::to_string(Seed) + "/" + Preset);
-      HierarchyConfig Config = presetByName(Preset, "plain");
-      TraceShardIndex Index(Buf.view(), Config);
-      ASSERT_TRUE(Index.sharded());
-      ReferenceSplit Ref = referenceSplit(Ops, Config);
-      ASSERT_EQ(size_t(Index.numShards()), Ref.PerShard.size());
-      EXPECT_EQ(Index.blockAccessesBetween(0, Index.numCuts() - 1),
-                Ref.TotalBlockAccesses);
-
-      uint64_t Covered = 0;
-      for (uint32_t S = 0; S < Index.numShards(); ++S) {
-        std::vector<RawRecord> Got =
-            decodeShard(Index, S, 0, Index.numCuts() - 1);
-        const std::vector<RawRecord> &Want = Ref.PerShard[S];
-        ASSERT_EQ(Got.size(), Want.size()) << "shard " << S;
-        Covered += Got.size();
-        for (size_t I = 0; I < Got.size(); ++I) {
-          ASSERT_EQ(Got[I].K, Want[I].K) << "shard " << S << " rec " << I;
-          ASSERT_EQ(Got[I].Addr, Want[I].Addr)
-              << "shard " << S << " rec " << I;
-          ASSERT_EQ(Index.spec().shardOf(Got[I].Addr), S)
-              << "sub-record filed in a foreign shard";
-        }
-      }
-      EXPECT_EQ(Covered, Ref.TotalBlockAccesses);
-    }
-  }
-}
-
-// Interior marks must carve each sub-stream into segments that
-// concatenate back to the full sub-stream: resuming a shard cursor at
-// any cut yields exactly the records between that cut and the next, and
-// the per-segment counts telescope to the whole.
-TEST(TraceShard, CutSegmentsTileEachSubStream) {
-  std::vector<RawRecord> Ops = shardTortureStream(77, 900);
-  TraceBuffer Buf;
-  for (const RawRecord &R : Ops)
-    record(Buf, R);
-  Buf.seal();
-  HierarchyConfig Config = HierarchyConfig::ultraSparcE5000();
-  // Duplicated and boundary marks on purpose: the index must dedupe.
-  std::vector<size_t> Marks = {0,
-                               1,
-                               Ops.size() / 3,
-                               Ops.size() / 3,
-                               Ops.size() / 2,
-                               Ops.size() - 1,
-                               Ops.size()};
-  TraceShardIndex Index(Buf.view(), Config, Marks);
-  ASSERT_TRUE(Index.sharded());
-  ASSERT_EQ(Index.numCuts(), 6u); // 0, 1, N/3, N/2, N-1, N.
-  const size_t LastCut = Index.numCuts() - 1;
-
-  uint64_t SegmentSum = 0;
-  for (size_t Cut = 0; Cut < LastCut; ++Cut)
-    SegmentSum += Index.blockAccessesBetween(Cut, Cut + 1);
-  EXPECT_EQ(SegmentSum, Index.blockAccessesBetween(0, LastCut));
-  EXPECT_LE(Index.minShardAccessesBetween(0, LastCut),
-            Index.maxShardAccessesBetween(0, LastCut));
-
-  for (uint32_t S = 0; S < Index.numShards(); ++S) {
-    std::vector<RawRecord> Full = decodeShard(Index, S, 0, LastCut);
-    size_t Offset = 0;
-    for (size_t Cut = 0; Cut < LastCut; ++Cut) {
-      std::vector<RawRecord> Segment = decodeShard(Index, S, Cut, Cut + 1);
-      ASSERT_LE(Offset + Segment.size(), Full.size());
-      for (size_t I = 0; I < Segment.size(); ++I) {
-        ASSERT_EQ(Segment[I].K, Full[Offset + I].K);
-        ASSERT_EQ(Segment[I].Addr, Full[Offset + I].Addr);
-      }
-      Offset += Segment.size();
-    }
-    ASSERT_EQ(Offset, Full.size()) << "shard " << S;
-  }
-}
-
-TEST(TraceShard, EmptyAndOneRecordEdges) {
-  HierarchyConfig Config = HierarchyConfig::ultraSparcE5000();
-  const uint64_t UnitBytes =
-      std::max<uint64_t>({Config.L2.CapacityBytes, Config.L1.CapacityBytes,
-                          uint64_t(Config.Tlb.PageBytes)});
-  const uint32_t UnitShift = log2Exact(UnitBytes);
-
-  { // Empty recording: two implied cuts, nothing in any shard.
-    TraceBuffer Buf;
-    Buf.seal();
-    TraceShardIndex Index(Buf.view(), Config);
-    EXPECT_EQ(Index.numCuts(), 2u);
-    EXPECT_EQ(Index.blockAccessesBetween(0, 1), 0u);
-    EXPECT_EQ(Index.unitsAt(1), 0u);
-    ASSERT_TRUE(Index.sharded());
-    for (uint32_t S = 0; S < Index.numShards(); ++S) {
-      EXPECT_EQ(Index.shardAccessesBetween(S, 0, 1), 0u);
-      TraceCursor Cursor = Index.shardCursorAt(S, 0);
-      TraceRecord Record;
-      EXPECT_FALSE(Cursor.next(Record));
-    }
-    TraceCursor Original = Index.originalCursorAt(0);
-    TraceRecord Record;
-    EXPECT_FALSE(Original.next(Record));
-  }
-
-  { // One small read lands as exactly one sub-record whose mapped
-    // address keeps the intra-unit offset (unit 1 is the first touch).
-    const uint64_t Addr = 0xDEADBEEF08ULL;
-    TraceBuffer Buf;
-    Buf.recordRead(Addr, 4);
-    Buf.seal();
-    TraceShardIndex Index(Buf.view(), Config);
-    ASSERT_TRUE(Index.sharded());
-    EXPECT_EQ(Index.blockAccessesBetween(0, 1), 1u);
-    EXPECT_EQ(Index.unitsAt(1), 1u);
-    EXPECT_EQ(Index.unitAt(0), Addr >> UnitShift);
-
-    const uint64_t BlockBase = Addr & ~uint64_t(Config.L1.BlockBytes - 1);
-    const uint64_t Mapped =
-        (1ULL << UnitShift) | (BlockBase & (UnitBytes - 1));
-    uint32_t Hits = 0;
-    for (uint32_t S = 0; S < Index.numShards(); ++S) {
-      uint64_t Count = Index.shardAccessesBetween(S, 0, 1);
-      if (Count == 0)
-        continue;
-      ++Hits;
-      ASSERT_EQ(Count, 1u);
-      std::vector<RawRecord> Got = decodeShard(Index, S, 0, 1);
-      ASSERT_EQ(Got.size(), 1u);
-      EXPECT_EQ(Got[0].K, TraceRecord::Kind::Read);
-      EXPECT_EQ(Got[0].Addr, Mapped);
-      EXPECT_EQ(Index.spec().shardOf(Mapped), S);
-    }
-    EXPECT_EQ(Hits, 1u);
-  }
-
-  { // A lone tick produces cut bookkeeping but no block accesses.
-    TraceBuffer Buf;
-    Buf.recordTick(42);
-    Buf.seal();
-    TraceShardIndex Index(Buf.view(), Config);
-    EXPECT_EQ(Index.blockAccessesBetween(0, 1), 0u);
-    for (uint32_t S = 0; S < Index.numShards(); ++S)
-      EXPECT_EQ(Index.shardAccessesBetween(S, 0, 1), 0u);
-  }
-
-  { // One read spanning several blocks: E5000's 16-byte L1 blocks split
-    // a 64-byte aligned read into four sub-records, all in one shard
-    // (they share the 64-byte L2 block the key is derived from).
-    const uint64_t Base = 0x40000ULL; // Block- and shard-aligned.
-    TraceBuffer Buf;
-    Buf.recordRead(Base, 64);
-    Buf.seal();
-    TraceShardIndex Index(Buf.view(), Config);
-    ASSERT_TRUE(Index.sharded());
-    EXPECT_EQ(Index.blockAccessesBetween(0, 1), 4u);
-    ReferenceSplit Ref = referenceSplit({{TraceRecord::Kind::Read, Base, 64}},
-                                        Config);
-    for (uint32_t S = 0; S < Index.numShards(); ++S) {
-      std::vector<RawRecord> Got = decodeShard(Index, S, 0, 1);
-      ASSERT_EQ(Got.size(), Ref.PerShard[S].size()) << "shard " << S;
-      for (size_t I = 0; I < Got.size(); ++I)
-        EXPECT_EQ(Got[I].Addr, Ref.PerShard[S][I].Addr);
-    }
-  }
 }
 
 } // namespace

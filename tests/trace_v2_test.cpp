@@ -7,17 +7,17 @@
 // The blocked trace codec's contract: every record stream round-trips
 // exactly, whatever mix of payload widths it holds and wherever its
 // blocks end; the block decode's 8-byte loads stay inside the sealed
-// buffer; mid-block resume positions continue the stream exactly; and
-// replay — serial, prefix, phased, or sharded at any worker count — is
-// bit-identical to issuing the same stream live through
-// read()/write()/tick(). This suite locks each of those properties down
-// with randomized streams and adversarial block-boundary lengths.
+// buffer; batched decode matches single stepping; and replay — serial,
+// prefix, phased, or many concurrent cells sharing one buffer at any
+// worker count — is bit-identical to issuing the same stream live
+// through read()/write()/tick(). This suite locks each of those
+// properties down with randomized streams and adversarial
+// block-boundary lengths.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/MemoryHierarchy.h"
 #include "sim/TraceBuffer.h"
-#include "sim/TraceShardIndex.h"
 #include "support/SweepRunner.h"
 #include "support/Varint.h"
 
@@ -306,41 +306,8 @@ TEST(TraceV2, CompactnessHoldsOnPointerChase) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mid-block resume: the shard-cut mechanism.
+// Batched decode.
 //===----------------------------------------------------------------------===//
-
-TEST(TraceV2, ResumeContinuesExactlyAtAnyCut) {
-  // Decode K records, capture resume(), and check a resumed cursor
-  // replays the remainder identically — for cuts at block boundaries,
-  // mid-block, and just before/after explicit-size records.
-  std::vector<RawRecord> Stream = randomStream(0x5EED, 400);
-  TraceBuffer Buf = recordAll(Stream);
-  TraceView View = Buf.view();
-
-  for (size_t Cut : {size_t(0), size_t(1), size_t(37), size_t(63),
-                     size_t(64), size_t(65), size_t(100), size_t(200),
-                     size_t(399), size_t(400)}) {
-    SCOPED_TRACE("cut " + std::to_string(Cut));
-    TraceCursor Cursor(View);
-    TraceRecord Out;
-    for (size_t I = 0; I < Cut; ++I)
-      ASSERT_TRUE(Cursor.next(Out));
-    TraceResume R = Cursor.resume(View.Data);
-
-    TraceCursor Resumed(View, R, Stream.size() - Cut);
-    EXPECT_EQ(Resumed.chainAddr(), Cursor.chainAddr());
-    for (size_t I = Cut; I < Stream.size(); ++I) {
-      SCOPED_TRACE("record " + std::to_string(I));
-      ASSERT_TRUE(Resumed.next(Out));
-      EXPECT_EQ(Out.K, Stream[I].K);
-      if (Stream[I].K != TraceRecord::Kind::Tick) {
-        EXPECT_EQ(Out.Addr, Stream[I].Addr);
-      }
-      EXPECT_EQ(Out.Arg, Stream[I].Arg);
-    }
-    EXPECT_TRUE(Resumed.done());
-  }
-}
 
 TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
   // nextBatch must produce the same stream as next(), and a batch never
@@ -377,8 +344,7 @@ TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
 
 namespace {
 
-/// Every externally observable number a hierarchy exposes (the
-/// shard_replay_test snapshot).
+/// Every externally observable number a hierarchy exposes.
 using Snapshot = std::array<uint64_t, 24>;
 
 Snapshot snap(const MemoryHierarchy &M) {
@@ -404,8 +370,8 @@ void expectSame(const Snapshot &A, const Snapshot &B,
     EXPECT_EQ(A[I], B[I]) << "counter " << I;
 }
 
-/// A mixed simulation stream (the shard_replay_test generator): pointer
-/// chases and random touches of assorted sizes, with ticks between.
+/// A mixed simulation stream: pointer chases and random touches of
+/// assorted sizes, with ticks between.
 std::vector<RawRecord> mixedStream(uint64_t Seed, size_t Records) {
   std::vector<RawRecord> Stream;
   Lcg Rng(Seed);
@@ -505,39 +471,58 @@ TEST(TraceV2Replay, PrefixAndPhasedReplaysMatchLive) {
   expectSame(snap(Live), snap(Replayed), "phased tail");
 }
 
-TEST(TraceV2Replay, ShardedParityAcrossWorkerCounts) {
-  // The acceptance bar: sharded replay produces byte-identical stats to
-  // the live call sequence, at every worker count.
+TEST(TraceV2Replay, ConcurrentCellsMatchLiveAcrossWorkerCounts) {
+  // The sharing the figure benches rely on: many SweepRunner cells
+  // replay one sealed buffer at once, each into its own hierarchy —
+  // different prefixes of it (fig5) and a warmup/window split through
+  // one bounded cursor (fig10). Every cell must land on the live
+  // read()/write()/tick() reference for its prefix, at every worker
+  // count.
   std::vector<RawRecord> Stream = mixedStream(0x51AB5, 100000);
   TraceBuffer Buf = recordAll(Stream);
   HierarchyConfig Config = HierarchyConfig::ultraSparcE5000();
+  const size_t N = Buf.records();
+  const std::vector<size_t> Prefixes = {1,     63,    64,    65,
+                                        N / 10, N / 3, N / 2, N};
+  const size_t Warmup = N / 4;
 
+  std::vector<Snapshot> Want(Prefixes.size());
+  for (size_t P = 0; P < Prefixes.size(); ++P) {
+    MemoryHierarchy Live(Config);
+    issueLive(Live, Stream, 0, Prefixes[P]);
+    Want[P] = snap(Live);
+  }
   MemoryHierarchy Live(Config);
-  issueLive(Live, Stream, 0, Stream.size());
-  Snapshot Want = snap(Live);
+  issueLive(Live, Stream, 0, Warmup);
+  const Snapshot WantWarm = snap(Live);
+  issueLive(Live, Stream, Warmup, N - Warmup);
+  const Snapshot WantWindow = snap(Live);
 
-  unsigned ParallelRuns = 0;
   for (unsigned Workers : {1u, 2u, 4u, 8u}) {
     SweepRunner Pool(Workers);
-    TraceShardIndex Index(Buf.view(), Config, {}, Workers);
-    MemoryHierarchy M(Config);
-    obs::ReplayShardingEvent Event = M.replayParallel(Index, Pool);
-    ParallelRuns += Event.Parallel;
-    expectSame(Want, snap(M),
-               "workers " + std::to_string(Workers) +
-                   (Event.Parallel ? " (parallel)" : " (serial)"));
+    std::vector<Snapshot> Got(Prefixes.size());
+    Snapshot GotWarm{}, GotWindow{};
+    // Cells 0..P-1 replay prefixes, longest first as fig5 schedules
+    // them; the last cell replays the warmup/window split.
+    Pool.run(Prefixes.size() + 1, [&](size_t Cell) {
+      MemoryHierarchy M(Config);
+      if (Cell == Prefixes.size()) {
+        TraceCursor Cursor(Buf.view());
+        M.replay(Cursor, Warmup);
+        GotWarm = snap(M);
+        M.replay(Cursor, Cursor.remaining());
+        GotWindow = snap(M);
+        return;
+      }
+      size_t P = Prefixes.size() - 1 - Cell;
+      M.replay(Buf.prefix(Prefixes[P]));
+      Got[P] = snap(M);
+    });
+    std::string Label = "workers " + std::to_string(Workers);
+    for (size_t P = 0; P < Prefixes.size(); ++P)
+      expectSame(Want[P], Got[P],
+                 Label + " prefix " + std::to_string(Prefixes[P]));
+    expectSame(WantWarm, GotWarm, Label + " warmup");
+    expectSame(WantWindow, GotWindow, Label + " window");
   }
-  // Multi-worker runs must actually take the sharded path (the index
-  // shards both presets; only Workers=1 declines).
-  EXPECT_GE(ParallelRuns, 3u);
-
-  // And the index's own cut cursors (the mid-block resume path) cover
-  // phased spans exactly.
-  TraceShardIndex Phased(Buf.view(), Config,
-                         {Buf.records() / 4, Buf.records() / 2}, 4);
-  SweepRunner Pool(4);
-  MemoryHierarchy M(Config);
-  for (size_t Cut = 1; Cut < Phased.numCuts(); ++Cut)
-    M.replayParallel(Phased, Cut - 1, Cut, Pool);
-  expectSame(Want, snap(M), "phased cuts");
 }

@@ -438,9 +438,6 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<AttributionSink> Sink;
   std::vector<uint32_t> IdMap = {RegionRegistry::Unknown};
   uint64_t SampleInterval = 1;
-  // Dumps written before the sharded replay engine have no "shard"
-  // lines; the summary then stays empty and is simply not rendered.
-  ReplayShardingSummary Sharding;
   // Codec stamps from the meta line: v2 dumps carry the schema string
   // and the trace codec's records per block; v1 and pre-stamp dumps
   // leave the fields empty and nothing renders.
@@ -495,9 +492,6 @@ int main(int Argc, char **Argv) {
       if (Chrome)
         Chrome->prefetch(Record.Prefetch);
       break;
-    case TraceRecord::Kind::Shard:
-      Sharding.add(Record.Sharding);
-      break;
     }
   };
   long Parsed = 0;
@@ -538,22 +532,10 @@ int main(int Argc, char **Argv) {
     }
     std::printf("\n\n");
     Sink->printReport();
-    if (Sharding.any()) {
-      std::printf("\nreplay sharding: %" PRIu64 " replay(s), %" PRIu64
-                  " parallel, %" PRIu64 " block accesses\n",
-                  Sharding.Replays, Sharding.ParallelReplays,
-                  Sharding.Records);
-      std::printf("  shards %" PRIu32 ", workers %" PRIu32
-                  ", worst imbalance %.2fx\n",
-                  Sharding.Shards, Sharding.Workers, Sharding.MaxImbalance);
-      if (!Sharding.LastSerialReason.empty())
-        std::printf("  last serial fallback: %s\n",
-                    Sharding.LastSerialReason.c_str());
-    }
   }
   if (!JsonPath.empty()) {
     if (std::FILE *Out = openOut(JsonPath)) {
-      writeProfileJson(*Sink, Out, &Sharding, &Codec);
+      writeProfileJson(*Sink, Out, &Codec);
       closeOut(Out);
     } else {
       return 1;
