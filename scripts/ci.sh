@@ -77,8 +77,6 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
     --out "$ART/BENCH_allocator_throughput.json"
   build-bench/bench/micro_morph_throughput \
     --out "$ART/BENCH_morph_throughput.json"
-  build-bench/bench/micro_morph_parallel \
-    --out "$ART/BENCH_morph_parallel.json"
   build-bench/bench/table1_simulation_params \
     --out "$ART/BENCH_table1.json" > /dev/null
   build-bench/bench/table2_benchmark_characteristics \

@@ -123,13 +123,13 @@ public:
     return unsigned(ShardAllocs.size()) + 1;
   }
 
-  /// The shard allocator for worker \p Tid (e.g. SweepRunner::workerId()
-  /// or a sweep cell index), mapped modulo the shard count. Each shard
-  /// is itself a CcAllocator, so existing construction code works
-  /// unchanged — hand every worker thread its own shard and it may
-  /// allocate/free concurrently with the others. A shard must be driven
-  /// by at most one thread at a time; a worker that adopts a shard
-  /// should call rebindMetricsToCurrentThread() on it first.
+  /// The shard allocator for worker \p Tid (e.g. a sweep cell index),
+  /// mapped modulo the shard count. Each shard is itself a CcAllocator,
+  /// so existing construction code works unchanged — hand every worker
+  /// thread its own shard and it may allocate/free concurrently with the
+  /// others. A shard must be driven by at most one thread at a time; a
+  /// worker that adopts a shard should call
+  /// rebindMetricsToCurrentThread() on it first.
   CcAllocator &shardFor(unsigned Tid) {
     unsigned Index = Tid % shardCount();
     return Index == 0 ? *this : *ShardAllocs[Index - 1];

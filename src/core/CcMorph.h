@@ -55,7 +55,6 @@
 #include "support/FlatMap.h"
 #include "support/Metrics.h"
 #include "support/Random.h"
-#include "support/SweepRunner.h"
 
 #include <algorithm>
 #include <cstring>
@@ -106,10 +105,6 @@ struct MorphOptions {
   uint64_t Seed = 0x5eedULL;
   /// Rewrite parent pointers too (requires Adapter::HasParent).
   bool UpdateParents = false;
-  /// reorganizeParallel only: structures with fewer nodes than this run
-  /// the serial copy instead (thread fan-out would cost more than the
-  /// memcpy saves). 0 removes the threshold entirely.
-  uint64_t ParallelMinNodes = 4096;
 };
 
 /// Statistics from the last reorganization.
@@ -125,23 +120,6 @@ struct MorphStats {
   uint64_t FrontierPeak = 0;
 };
 
-/// Telemetry from the last reorganizeParallel/reorganizeForestParallel
-/// call: whether the copy actually fanned out, how it was segmented,
-/// and — on the serial fallback — a static string saying why.
-struct MorphParallelEvent {
-  uint64_t Nodes = 0;
-  uint64_t EdgeCount = 0;
-  /// Cluster-aligned node-copy segments distributed over the workers.
-  uint32_t CopySegments = 0;
-  /// Contiguous edge-list segments of the pointer-forwarding sweep.
-  uint32_t FixupSegments = 0;
-  /// Workers that could participate: min(pool threads, copy segments).
-  uint32_t Workers = 1;
-  bool Parallel = false;
-  /// Fallback reason (static string); empty when Parallel.
-  const char *Reason = "";
-};
-
 namespace morph_detail {
 /// Process-wide morph metrics (support/Metrics.h), registered once.
 struct MorphMetrics {
@@ -149,12 +127,6 @@ struct MorphMetrics {
   metrics::Counter Nodes = metrics::counter("ccmorph.nodes");
   metrics::Counter Clusters = metrics::counter("ccmorph.clusters");
   metrics::Counter HotNodes = metrics::counter("ccmorph.hot_nodes");
-  metrics::Counter ParallelPasses =
-      metrics::counter("ccmorph.parallel_passes");
-  metrics::Counter ParallelFallbacks =
-      metrics::counter("ccmorph.parallel_fallbacks");
-  metrics::Counter ParallelSegments =
-      metrics::counter("ccmorph.parallel_segments");
   metrics::Histogram PassNodes = metrics::histogram("ccmorph.pass_nodes");
   metrics::Histogram FrontierPeak =
       metrics::histogram("ccmorph.frontier_peak");
@@ -214,128 +186,12 @@ public:
                    const Profile *Counts = nullptr) {
     metrics::ScopedSpan PassSpan("ccmorph.pass");
     auto Fresh = planForest(Roots, Options, Counts);
-    copyNodes(0, NewNodes.size());
-    forwardEdges(0, Edges.size(), Options.UpdateParents);
-    return finishForest(Roots, std::move(Fresh));
-  }
-
-  /// Parallel reorganize: the serial address plan of reorganize() plus a
-  /// copy/fixup fanned out over \p Pool. Returns the new root; the
-  /// layout and stats are byte-identical to reorganize() at any worker
-  /// count (see reorganizeForestParallel).
-  Node *reorganizeParallel(Node *Root, const SweepRunner &Pool,
-                           const MorphOptions &Options = MorphOptions()) {
-    std::vector<Node *> Roots{Root};
-    return reorganizeForestParallel(Roots, Pool, Options)[0];
-  }
-
-  /// Parallel variant of reorganizeForest. The address *plan* stays
-  /// serial — the traversal, hot assignment, and per-cluster arena
-  /// placement are cheap and fully determine the layout — then the bulk
-  /// of the pass (memcpy of the scattered source nodes, pointer
-  /// forwarding over the recorded edge list) fans out over \p Pool:
-  ///
-  ///  * the copy is segmented at subtree-cluster granularity, so no two
-  ///    workers ever write into the same cache block (a cluster never
-  ///    straddles a block boundary);
-  ///  * the fixup splits the edge list into contiguous per-worker
-  ///    segments; every edge writes a distinct (parent, slot) — and,
-  ///    with UpdateParents, a distinct kid — so the segments merge
-  ///    deterministically regardless of execution order.
-  ///
-  /// The resulting layout, stats(), and arena contents are therefore
-  /// byte-identical to the serial path at any worker count. When the
-  /// pool cannot help (already inside a sweep worker, single thread,
-  /// single-core host, structure below Options.ParallelMinNodes), the
-  /// pass gracefully falls back to the serial copy and
-  /// lastParallelEvent().Reason says why.
-  std::vector<Node *>
-  reorganizeForestParallel(const std::vector<Node *> &Roots,
-                           const SweepRunner &Pool,
-                           const MorphOptions &Options = MorphOptions(),
-                           const Profile *Counts = nullptr) {
-    metrics::ScopedSpan PassSpan("ccmorph.pass");
-    const char *Reason = nullptr;
-    if (SweepRunner::inWorker())
-      Reason = "already inside a sweep worker";
-    else if (Pool.threads() <= 1)
-      Reason = "single-thread pool";
-    else if (SweepRunner::defaultThreads() <= 1)
-      // One hardware thread: the fan-out is pure overhead (the copy is
-      // memory-bound; time-slicing it across threads adds wake-ups and
-      // barrier latency for zero concurrency). CCL_SWEEP_THREADS
-      // overrides, as everywhere.
-      Reason = "single-core host";
-    auto Fresh = planForest(Roots, Options, Counts);
-    if (!Reason && Options.ParallelMinNodes &&
-        Stats.NodeCount < Options.ParallelMinNodes)
-      Reason = "below the parallel node threshold";
-
-    LastParallel = MorphParallelEvent();
-    LastParallel.Nodes = Stats.NodeCount;
-    LastParallel.EdgeCount = Edges.size();
-    const morph_detail::MorphMetrics &MM = morph_detail::morphMetrics();
-    if (Reason) {
-      LastParallel.Reason = Reason;
-      metrics::add(MM.ParallelFallbacks);
-      copyNodes(0, NewNodes.size());
-      forwardEdges(0, Edges.size(), Options.UpdateParents);
-      return finishForest(Roots, std::move(Fresh));
-    }
-
-    // Cluster-aligned copy segments, ~SegmentsPerWorker per thread so
-    // the chunked self-scheduling can rebalance skewed segment costs.
-    size_t NumClusters = ClusterEnds.size();
-    size_t CopySegments =
-        std::min<size_t>(NumClusters, size_t(Pool.threads()) *
-                                          SegmentsPerWorker);
-    SegmentBuf.clear();
-    for (size_t S = 0; S < CopySegments; ++S) {
-      size_t FirstCluster = S * NumClusters / CopySegments;
-      size_t LastCluster = (S + 1) * NumClusters / CopySegments;
-      SegmentBuf.push_back(
-          {clusterBegin(FirstCluster), ClusterEnds[LastCluster - 1]});
-    }
-    // The fixup reads NewNodes copies only through setKid/setParent
-    // destinations, never the copied payloads, so it could overlap the
-    // copy — but the determinism argument above needs a barrier: every
-    // copy completes before any forwarding touches its bytes. runPhases
-    // provides exactly that with a single thread spawn (an internal
-    // barrier instead of a second spawn/join round).
-    size_t NumEdges = Edges.size();
-    size_t FixupSegments = std::min<size_t>(
-        std::max<size_t>(NumEdges, 1),
-        size_t(Pool.threads()) * SegmentsPerWorker);
-    bool UpdateParents = Options.UpdateParents;
-    Pool.runPhases(
-        SegmentBuf.size(),
-        [this](size_t S) {
-          copyNodes(SegmentBuf[S].first, SegmentBuf[S].second);
-        },
-        FixupSegments,
-        [this, NumEdges, FixupSegments, UpdateParents](size_t S) {
-          forwardEdges(S * NumEdges / FixupSegments,
-                       (S + 1) * NumEdges / FixupSegments, UpdateParents);
-        },
-        1);
-
-    LastParallel.Parallel = true;
-    LastParallel.CopySegments = uint32_t(CopySegments);
-    LastParallel.FixupSegments = uint32_t(FixupSegments);
-    LastParallel.Workers =
-        std::min<uint32_t>(Pool.threads(), uint32_t(CopySegments));
-    metrics::add(MM.ParallelPasses);
-    metrics::add(MM.ParallelSegments, CopySegments + FixupSegments);
+    copyNodes();
+    forwardEdges(Options.UpdateParents);
     return finishForest(Roots, std::move(Fresh));
   }
 
   const MorphStats &stats() const { return Stats; }
-
-  /// Telemetry from the last reorganizeParallel call (untouched by the
-  /// serial entry points).
-  const MorphParallelEvent &lastParallelEvent() const {
-    return LastParallel;
-  }
   const ColoredArena *arena() const { return Current.get(); }
   const CacheParams &params() const { return Params; }
 
@@ -361,10 +217,6 @@ private:
   static constexpr size_t CopyPrefetchDist = 8;
   /// How many clusters ahead the subtree traversal pulls cluster roots.
   static constexpr size_t RootPrefetchDist = 6;
-  /// Copy/fixup segments per pool thread: enough slack for the chunked
-  /// self-scheduler to rebalance, few enough that per-segment overhead
-  /// stays negligible.
-  static constexpr size_t SegmentsPerWorker = 4;
 
   /// Groups the forest's nodes into clusters of at most NodesPerBlock,
   /// ordered root-outward so early clusters are the hot ones. Results
@@ -534,14 +386,13 @@ private:
     return I == 0 ? size_t(0) : ClusterEnds[I - 1];
   }
 
-  /// The serial address plan: one traversal (cluster formation), the
-  /// hot/cold decision, and per-cluster placement into a fresh arena.
-  /// After it returns, NewNodes[I] is the destination address of
-  /// ClusterNodes[I] — every byte of the final layout is determined,
-  /// but nothing has been copied yet. This split is what makes the
-  /// parallel copy trivially byte-identical to the serial one: both
-  /// execute the exact same allocation sequence here, and the copy
-  /// phase only fills in already-assigned addresses.
+  /// The address plan: one traversal (cluster formation), the hot/cold
+  /// decision, and per-cluster placement into a fresh arena. After it
+  /// returns, NewNodes[I] is the destination address of ClusterNodes[I]
+  /// — every byte of the final layout is determined, but nothing has
+  /// been copied yet. The fixup needs exactly this: an edge's kid may be
+  /// placed after its parent, so forwarding can start only once every
+  /// destination is known.
   std::unique_ptr<ColoredArena> planForest(const std::vector<Node *> &Roots,
                                            const MorphOptions &Options,
                                            const Profile *Counts) {
@@ -607,8 +458,8 @@ private:
     // Placement: assign each cluster its arena address and record the
     // destination of every node. NewNodes[I] is where ClusterNodes[I]
     // will be copied, so the traversal's recorded edges forward by
-    // index. The DAG check lives here (not in the copy) so both the
-    // serial and the parallel execution paths are covered.
+    // index. The DAG check rides along: a node reachable twice would
+    // get two destinations.
 #ifndef NDEBUG
     Remap.clear();
     Remap.reserve(Stats.NodeCount);
@@ -658,31 +509,27 @@ private:
     return Fresh;
   }
 
-  /// Copy phase over [First, Last) of the planned nodes: pure memcpy
-  /// into already-assigned destinations. Safe to run concurrently on
-  /// disjoint ranges; cluster-aligned ranges additionally never share a
-  /// destination cache block.
-  void copyNodes(size_t First, size_t Last) {
-    for (size_t At = First; At < Last; ++At) {
+  /// Copy phase: pure memcpy of every planned node into its
+  /// already-assigned destination.
+  void copyNodes() {
+    size_t Count = NewNodes.size();
+    for (size_t At = 0; At < Count; ++At) {
       // The sources are scattered (that is why ccmorph exists); pull
       // them in ahead of the copy.
-      if (At + CopyPrefetchDist < Last)
+      if (At + CopyPrefetchDist < Count)
         __builtin_prefetch(ClusterNodes[At + CopyPrefetchDist]);
       std::memcpy(static_cast<void *>(NewNodes[At]),
                   static_cast<const void *>(ClusterNodes[At]), sizeof(Node));
     }
   }
 
-  /// Fixup sweep over [First, Last) of the recorded edges: rewrite
-  /// child (and optionally parent) pointers. Every edge names the
-  /// parent's and child's placement indices, so the sweep is one linear
-  /// walk over a flat array — no per-edge address lookup. Null kid
-  /// slots keep the null copied from the source. Disjoint edge ranges
-  /// write disjoint (parent, slot) destinations, so concurrent segments
-  /// are race-free.
-  void forwardEdges(size_t First, size_t Last, bool UpdateParents) {
-    for (size_t I = First; I < Last; ++I) {
-      const Edge &E = Edges[I];
+  /// Fixup sweep over the recorded edges: rewrite child (and
+  /// optionally parent) pointers. Every edge names the parent's and
+  /// child's placement indices, so the sweep is one linear walk over a
+  /// flat array — no per-edge address lookup. Null kid slots keep the
+  /// null copied from the source.
+  void forwardEdges(bool UpdateParents) {
+    for (const Edge &E : Edges) {
       Node *Parent = NewNodes[E.Parent];
       Node *Kid = NewNodes[E.Kid];
       A.setKid(Parent, E.Slot, Kid);
@@ -721,7 +568,6 @@ private:
   Adapter A;
   std::unique_ptr<ColoredArena> Current;
   MorphStats Stats;
-  MorphParallelEvent LastParallel;
   /// Scratch state reused across reorganizations (capacity persists).
   std::vector<Node *> ClusterNodes; ///< All nodes, cluster by cluster.
   std::vector<size_t> ClusterEnds;  ///< Exclusive end of each cluster.
@@ -733,8 +579,6 @@ private:
   std::vector<uint32_t> IndexBuf;      ///< Random-scheme permutation.
   std::vector<uint32_t> InvBuf;        ///< ... and its inverse.
   std::vector<Node *> PermBuf;
-  /// Parallel copy segments as [first, last) node ranges.
-  std::vector<std::pair<size_t, size_t>> SegmentBuf;
 #ifndef NDEBUG
   FlatMap64 Remap; ///< Debug-build DAG check (old -> new address).
 #endif

@@ -36,13 +36,11 @@ namespace ccl {
 /// gaps page-multiple (`hotBytesPerFrame()` reports whether the chosen
 /// `p` satisfies that).
 ///
-/// Concurrency contract (ccmorph's serial-plan/parallel-copy split):
-/// allocate*() calls are serial-only — the bump cursors and the frame
-/// vector are unsynchronized, and the allocation *sequence* is what
-/// makes a layout deterministic. Once handed out, an allocation's bytes
-/// are never touched by the arena again, so any number of threads may
-/// fill disjoint allocations concurrently after the serial plan phase
-/// ends (CcMorph::reorganizeForestParallel relies on exactly this).
+/// Not thread-safe: the bump cursors and the frame vector are
+/// unsynchronized, and the allocation *sequence* is what makes a layout
+/// deterministic. Each CcMorph owns its arena, so concurrent morphs
+/// never share one. Once handed out, an allocation's bytes are never
+/// touched by the arena again.
 class ColoredArena {
 public:
   explicit ColoredArena(const CacheParams &Params);

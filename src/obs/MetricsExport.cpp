@@ -250,39 +250,6 @@ void ccl::obs::printMetricsReport(const MetricsDoc &Doc, std::FILE *Out) {
                  "buffer filled)\n",
                  Doc.Data.SpansDropped);
 
-  // Parallel layout-tool summary: rendered when the dump shows the
-  // ccmorph parallel copy or the sharded ccmalloc slab source actually
-  // ran (the counters exist as zeros in every dump; absence of traffic
-  // is not worth a section).
-  auto counterValue = [&Doc](const char *Name) -> uint64_t {
-    for (const metrics::CounterSnapshot &C : Doc.Data.Counters)
-      if (C.Name == Name)
-        return C.Value;
-    return 0;
-  };
-  uint64_t MorphParallel = counterValue("ccmorph.parallel_passes");
-  uint64_t MorphFallback = counterValue("ccmorph.parallel_fallbacks");
-  uint64_t MorphSegments = counterValue("ccmorph.parallel_segments");
-  uint64_t SlabAcquires = counterValue("ccmalloc.slab_acquires");
-  if (MorphParallel || MorphFallback || SlabAcquires) {
-    std::fprintf(Out, "\nparallel layout tools:\n");
-    if (MorphParallel || MorphFallback) {
-      std::fprintf(Out,
-                   "  ccmorph: %" PRIu64 " parallel pass(es), %" PRIu64
-                   " serial fallback(s)",
-                   MorphParallel, MorphFallback);
-      if (MorphParallel)
-        std::fprintf(Out, ", %.1f segments/pass",
-                     double(MorphSegments) / double(MorphParallel));
-      std::fprintf(Out, "\n");
-    }
-    if (SlabAcquires)
-      std::fprintf(Out,
-                   "  ccmalloc: %" PRIu64 " slab acquisition(s) through "
-                   "the slab source\n",
-                   SlabAcquires);
-  }
-
   std::fprintf(Out, "\ncounters:\n");
   size_t Width = 8;
   for (const metrics::CounterSnapshot &C : Doc.Data.Counters)

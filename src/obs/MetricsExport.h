@@ -60,9 +60,7 @@ bool parseMetricsLine(const std::string &Line, MetricsDoc &Doc);
 long readMetricsFile(std::FILE *In, MetricsDoc &Doc);
 
 /// Human-readable report: counter table, histogram distributions
-/// (power-of-two buckets), span list. Dumps whose counters show
-/// parallel layout-tool activity (ccmorph.parallel_*,
-/// ccmalloc.slab_acquires) get a dedicated summary section.
+/// (power-of-two buckets), span list.
 void printMetricsReport(const MetricsDoc &Doc, std::FILE *Out);
 
 /// Re-render as one aggregated JSON document

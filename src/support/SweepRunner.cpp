@@ -11,8 +11,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -20,32 +21,18 @@
 using namespace ccl;
 
 namespace {
-/// Grid-level counters; per-claim increments land on the claiming
-/// worker's metrics shard, so the claim counter doubles as a
-/// work-stealing census (claims beyond one per worker are steals).
+/// Grid-level counters.
 struct SweepMetrics {
   metrics::Counter Runs = metrics::counter("sweep.runs");
   metrics::Counter SerialRuns = metrics::counter("sweep.serial_runs");
   metrics::Counter Cells = metrics::counter("sweep.cells");
-  metrics::Counter Claims = metrics::counter("sweep.chunk_claims");
   metrics::Histogram RunCells = metrics::histogram("sweep.run_cells");
-  metrics::Histogram QueueDepth = metrics::histogram("sweep.queue_depth");
 };
 
 const SweepMetrics &sweepMetrics() {
   static SweepMetrics M;
   return M;
 }
-
-/// Depth of sweep-cell nesting on this thread (0 = not in a worker).
-thread_local unsigned SweepCellDepth = 0;
-/// Worker handle within the current run (0 = caller thread / no run).
-thread_local unsigned CurrentWorkerId = 0;
-
-struct CellDepthScope {
-  CellDepthScope() { ++SweepCellDepth; }
-  ~CellDepthScope() { --SweepCellDepth; }
-};
 
 /// First-exception capture shared by the workers of one run. The Armed
 /// flag is the workers' cheap should-I-stop probe; the exception_ptr
@@ -78,15 +65,15 @@ private:
 };
 } // namespace
 
-bool SweepRunner::inWorker() { return SweepCellDepth != 0; }
-
-unsigned SweepRunner::workerId() { return CurrentWorkerId; }
-
 unsigned SweepRunner::defaultThreads() {
   if (const char *Env = std::getenv("CCL_SWEEP_THREADS")) {
-    long Value = std::strtol(Env, nullptr, 10);
-    if (Value > 0)
-      return unsigned(Value);
+    // from_chars takes no sign, whitespace or overflow; the whole string
+    // must be consumed.
+    const char *End = Env + std::strlen(Env);
+    unsigned Value = 0;
+    auto [Ptr, Ec] = std::from_chars(Env, End, Value);
+    if (Ec == std::errc() && Ptr == End && Value > 0)
+      return Value;
   }
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw == 0 ? 1 : Hw;
@@ -96,43 +83,33 @@ SweepRunner::SweepRunner(unsigned Threads)
     : NumThreads(Threads == 0 ? defaultThreads() : Threads) {}
 
 void SweepRunner::run(size_t Cells,
-                      const std::function<void(size_t)> &Cell,
-                      size_t Chunk) const {
-  if (Chunk == 0)
-    Chunk = 1;
+                      const std::function<void(size_t)> &Cell) const {
   const SweepMetrics &M = sweepMetrics();
   metrics::add(M.Runs);
   metrics::add(M.Cells, Cells);
   metrics::record(M.RunCells, Cells);
-  unsigned Workers =
-      unsigned(std::min<size_t>(NumThreads, (Cells + Chunk - 1) / Chunk));
+  unsigned Workers = unsigned(std::min<size_t>(NumThreads, Cells));
   if (Workers <= 1) {
-    // Allocation-free serial path (also taken for a one-chunk grid).
+    // Allocation-free serial path (also taken for a one-cell grid).
     metrics::add(M.SerialRuns);
-    CellDepthScope InCell;
     for (size_t I = 0; I < Cells; ++I)
       Cell(I);
     return;
   }
 
-  // Chunked self-scheduling over an atomic cursor: cells vary wildly in
-  // cost (bigger caches simulate slower), so static partitioning would
-  // leave workers idle; dynamic claiming keeps everyone busy until the
-  // grid drains.
+  // Self-scheduling over an atomic cursor: cells vary wildly in cost
+  // (bigger caches simulate slower), so static partitioning would leave
+  // workers idle; dynamic claiming keeps everyone busy until the grid
+  // drains.
   std::atomic<size_t> NextCell{0};
   ErrorSlot Error;
   auto Worker = [&] {
-    CellDepthScope InCell;
     for (;;) {
-      size_t First = NextCell.fetch_add(Chunk, std::memory_order_relaxed);
-      if (First >= Cells || Error.armed())
+      size_t I = NextCell.fetch_add(1, std::memory_order_relaxed);
+      if (I >= Cells || Error.armed())
         return;
-      metrics::add(M.Claims);
-      metrics::record(M.QueueDepth, Cells - First);
-      size_t Last = std::min(Cells, First + Chunk);
       try {
-        for (size_t I = First; I < Last; ++I)
-          Cell(I);
+        Cell(I);
       } catch (...) {
         Error.capture();
         return;
@@ -143,80 +120,7 @@ void SweepRunner::run(size_t Cells,
   std::vector<std::thread> Pool;
   Pool.reserve(Workers - 1);
   for (unsigned T = 1; T < Workers; ++T)
-    Pool.emplace_back([&Worker, T] {
-      CurrentWorkerId = T;
-      Worker();
-    });
-  Worker();
-  for (std::thread &T : Pool)
-    T.join();
-  Error.rethrow();
-}
-
-void SweepRunner::runPhases(size_t Cells1,
-                            const std::function<void(size_t)> &Phase1,
-                            size_t Cells2,
-                            const std::function<void(size_t)> &Phase2,
-                            size_t Chunk) const {
-  if (Chunk == 0)
-    Chunk = 1;
-  const SweepMetrics &M = sweepMetrics();
-  metrics::add(M.Runs, 2);
-  metrics::add(M.Cells, Cells1 + Cells2);
-  metrics::record(M.RunCells, Cells1);
-  metrics::record(M.RunCells, Cells2);
-  size_t MaxCells = std::max(Cells1, Cells2);
-  unsigned Workers =
-      unsigned(std::min<size_t>(NumThreads, (MaxCells + Chunk - 1) / Chunk));
-  if (Workers <= 1) {
-    metrics::add(M.SerialRuns, 2);
-    CellDepthScope InCell;
-    for (size_t I = 0; I < Cells1; ++I)
-      Phase1(I);
-    for (size_t I = 0; I < Cells2; ++I)
-      Phase2(I);
-    return;
-  }
-
-  std::atomic<size_t> Cursor1{0}, Cursor2{0};
-  ErrorSlot Error;
-  auto Drain = [&](std::atomic<size_t> &Cursor, size_t Cells,
-                   const std::function<void(size_t)> &Cell) {
-    for (;;) {
-      size_t First = Cursor.fetch_add(Chunk, std::memory_order_relaxed);
-      if (First >= Cells || Error.armed())
-        return;
-      metrics::add(M.Claims);
-      metrics::record(M.QueueDepth, Cells - First);
-      size_t Last = std::min(Cells, First + Chunk);
-      try {
-        for (size_t I = First; I < Last; ++I)
-          Cell(I);
-      } catch (...) {
-        Error.capture();
-        return;
-      }
-    }
-  };
-  // The inter-phase barrier: a worker arrives only after the phase-1
-  // cursor is drained AND its own last cell returned, so when all
-  // Workers have arrived every phase-1 cell has completed. A worker
-  // that hit an error still arrives — the others must not deadlock.
-  std::barrier<> PhaseGate(Workers);
-  auto Worker = [&] {
-    CellDepthScope InCell;
-    Drain(Cursor1, Cells1, Phase1);
-    PhaseGate.arrive_and_wait();
-    Drain(Cursor2, Cells2, Phase2);
-  };
-
-  std::vector<std::thread> Pool;
-  Pool.reserve(Workers - 1);
-  for (unsigned T = 1; T < Workers; ++T)
-    Pool.emplace_back([&Worker, T] {
-      CurrentWorkerId = T;
-      Worker();
-    });
+    Pool.emplace_back(Worker);
   Worker();
   for (std::thread &T : Pool)
     T.join();

@@ -7,17 +7,17 @@
 #include "core/CcMorph.h"
 
 #include "sim/AccessPolicy.h"
+#include "support/SweepRunner.h"
 #include "support/Zipf.h"
 #include "trees/BinaryTree.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -681,272 +681,84 @@ TEST(CcMorphParity, ScratchReuseKeepsPlacementsStable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel reorganization: byte-identical to serial at any worker count
+// Concurrent morphs sharing one source
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Pins CCL_SWEEP_THREADS for a test's duration: the parallel tests
-/// must exercise the real fan-out even on a single-core CI host, where
-/// reorganizeParallel would otherwise decline with "single-core host".
-struct ScopedSweepThreads {
-  explicit ScopedSweepThreads(const char *Value) {
-    if (const char *Old = getenv("CCL_SWEEP_THREADS")) {
-      Had = true;
-      Saved = Old;
-    }
-    setenv("CCL_SWEEP_THREADS", Value, 1);
+/// Every node of the tree in preorder, by value.
+std::vector<BstNode> snapshotTree(const BstNode *Root) {
+  std::vector<BstNode> Nodes;
+  std::vector<const BstNode *> Stack{Root};
+  while (!Stack.empty()) {
+    const BstNode *N = Stack.back();
+    Stack.pop_back();
+    if (!N)
+      continue;
+    Nodes.push_back(*N);
+    Stack.push_back(N->Right);
+    Stack.push_back(N->Left);
   }
-  ~ScopedSweepThreads() {
-    if (Had)
-      setenv("CCL_SWEEP_THREADS", Saved.c_str(), 1);
-    else
-      unsetenv("CCL_SWEEP_THREADS");
-  }
-  bool Had = false;
-  std::string Saved;
-};
-
-/// Reorganizes one source tree twice — serially and through a pool of
-/// \p Workers threads — and demands identical placements (same frame,
-/// same offset, same hot/cold region), identical payloads, and
-/// identical stats. ParallelMinNodes is zeroed so test-sized trees
-/// exercise the actual fan-out.
-void expectParallelMatchesSerial(uint64_t NumNodes, LayoutScheme Scheme,
-                                 unsigned Workers, uint64_t Seed = 0x5eedULL) {
-  ScopedSweepThreads ForceParallel("8");
-  auto Tree = BinarySearchTree::build(NumNodes, LayoutScheme::Random, Seed);
-  MorphOptions Options;
-  Options.Scheme = Scheme;
-  Options.ParallelMinNodes = 0;
-
-  CcMorph<BstNode, BstAdapter> Serial(smallParams());
-  BstNode *SerialRoot = Serial.reorganize(Tree.root(), Options);
-
-  CcMorph<BstNode, BstAdapter> Parallel(smallParams());
-  SweepRunner Pool(Workers);
-  BstNode *ParallelRoot =
-      Parallel.reorganizeParallel(Tree.root(), Pool, Options);
-
-  // Workers > 1 must actually take the parallel path (no silent serial).
-  const MorphParallelEvent &Event = Parallel.lastParallelEvent();
-  EXPECT_EQ(Event.Parallel, Workers > 1)
-      << "reason: " << Event.Reason << " workers " << Workers;
-  EXPECT_EQ(Event.Nodes, NumNodes);
-
-  std::vector<std::pair<BstNode *, BstNode *>> Pairs;
-  seedref::pairNodes<BstNode, BstAdapter>(SerialRoot, ParallelRoot, Pairs);
-  ASSERT_EQ(Pairs.size(), NumNodes)
-      << layoutSchemeName(Scheme) << " workers " << Workers;
-  for (const auto &[S, P] : Pairs) {
-    seedref::Placement A = seedref::placementOf(*Serial.arena(), S);
-    seedref::Placement B = seedref::placementOf(*Parallel.arena(), P);
-    ASSERT_TRUE(A == B) << layoutSchemeName(Scheme) << " workers "
-                        << Workers << ": frame " << A.Frame << "/"
-                        << B.Frame << " offset " << A.Offset << "/"
-                        << B.Offset;
-    EXPECT_EQ(S->Key, P->Key);
-  }
-
-  const MorphStats &X = Serial.stats();
-  const MorphStats &Y = Parallel.stats();
-  EXPECT_EQ(X.NodeCount, Y.NodeCount);
-  EXPECT_EQ(X.ClusterCount, Y.ClusterCount);
-  EXPECT_EQ(X.HotNodes, Y.HotNodes);
-  EXPECT_EQ(X.ColdNodes, Y.ColdNodes);
-  EXPECT_EQ(X.NodesPerBlock, Y.NodesPerBlock);
-  EXPECT_EQ(X.ArenaFrames, Y.ArenaFrames);
-  EXPECT_EQ(X.FrontierPeak, Y.FrontierPeak);
+  return Nodes;
 }
 
 } // namespace
 
-TEST(CcMorphParallel, ByteIdenticalAcrossWorkerCounts) {
-  for (unsigned Workers : {1u, 2u, 4u, 8u})
-    for (LayoutScheme Scheme :
-         {LayoutScheme::Subtree, LayoutScheme::DepthFirst, LayoutScheme::Bfs,
-          LayoutScheme::Random})
-      expectParallelMatchesSerial(1023, Scheme, Workers);
-}
-
-TEST(CcMorphParallel, ByteIdenticalAcrossRandomShapes) {
-  // Randomized shapes: sizes that do not divide evenly into segments,
-  // each built with its own seed so the tree topologies differ.
-  for (unsigned Workers : {2u, 4u, 8u})
-    for (uint64_t NumNodes : {1u, 7u, 100u, 257u, 1500u, 4097u})
-      expectParallelMatchesSerial(NumNodes, LayoutScheme::Subtree, Workers,
-                                  /*Seed=*/NumNodes * 31 + Workers);
-}
-
-TEST(CcMorphParallel, ForestWithParentFixupMatchesSerial) {
-  // Forest of linked lists with parent back-pointers: the fixup's
-  // setParent writes must also land identically.
-  auto BuildLists = [](std::vector<std::vector<Cell>> &Backing) {
-    std::vector<Cell *> Roots;
-    uint32_t Id = 0;
-    for (auto &List : Backing) {
-      List.resize(97);
-      for (size_t I = 0; I < List.size(); ++I) {
-        List[I].Id = Id++;
-        List[I].Next = I + 1 < List.size() ? &List[I + 1] : nullptr;
-        List[I].Prev = I > 0 ? &List[I - 1] : nullptr;
-      }
-      Roots.push_back(&List[0]);
-    }
-    return Roots;
+TEST(CcMorphConcurrent, SharedSourceMatchesSerialMorphs) {
+  // The source is only ever read, so morphs on several threads may share
+  // it: every cell owns its CcMorph, must place each node exactly where
+  // a serial reorganize() does, and must leave the source's bytes alone.
+  // Cells 0-3 run the four schemes colored, cells 4-7 uncolored.
+  constexpr LayoutScheme Schemes[] = {LayoutScheme::Subtree,
+                                      LayoutScheme::DepthFirst,
+                                      LayoutScheme::Bfs, LayoutScheme::Random};
+  constexpr size_t Cells = 8;
+  constexpr uint64_t NumNodes = 16383;
+  auto Tree = BinarySearchTree::build(NumNodes, LayoutScheme::Random);
+  BstNode *Source = Tree.root();
+  const std::vector<BstNode> Before = snapshotTree(Source);
+  auto OptionsFor = [&](size_t Cell) {
+    MorphOptions Options;
+    Options.Scheme = Schemes[Cell % 4];
+    Options.Color = Cell < 4;
+    return Options;
   };
-  std::vector<std::vector<Cell>> Backing(5);
-  std::vector<Cell *> Roots = BuildLists(Backing);
 
-  ScopedSweepThreads ForceParallel("8");
-  MorphOptions Options;
-  Options.UpdateParents = true;
-  Options.ParallelMinNodes = 0;
-
-  CcMorph<Cell, CellAdapter> Serial(smallParams());
-  std::vector<Cell *> SerialRoots = Serial.reorganizeForest(Roots, Options);
-
-  CcMorph<Cell, CellAdapter> Parallel(smallParams());
+  using Morph = CcMorph<BstNode, BstAdapter>;
+  std::vector<std::unique_ptr<Morph>> Concurrent(Cells);
+  std::vector<BstNode *> Roots(Cells);
   SweepRunner Pool(4);
-  std::vector<Cell *> ParallelRoots =
-      Parallel.reorganizeForestParallel(Roots, Pool, Options);
-  EXPECT_TRUE(Parallel.lastParallelEvent().Parallel)
-      << Parallel.lastParallelEvent().Reason;
-
-  ASSERT_EQ(SerialRoots.size(), ParallelRoots.size());
-  for (size_t R = 0; R < SerialRoots.size(); ++R) {
-    Cell *S = SerialRoots[R];
-    Cell *P = ParallelRoots[R];
-    Cell *PrevS = nullptr;
-    Cell *PrevP = nullptr;
-    while (S || P) {
-      ASSERT_EQ(S == nullptr, P == nullptr);
-      EXPECT_EQ(S->Id, P->Id);
-      EXPECT_EQ(S->Prev, PrevS);
-      EXPECT_EQ(P->Prev, PrevP); // Parent fixup identical.
-      seedref::Placement A = seedref::placementOf(*Serial.arena(), S);
-      seedref::Placement B = seedref::placementOf(*Parallel.arena(), P);
-      EXPECT_TRUE(A == B);
-      PrevS = S;
-      PrevP = P;
-      S = S->Next;
-      P = P->Next;
-    }
-  }
-}
-
-TEST(CcMorphParallel, ProfiledColoringMatchesSerial) {
-  // Profile-guided hot assignment flows through the same serial plan,
-  // so the parallel copy must reproduce it too.
-  auto Workload = BinarySearchTree::build(2047, LayoutScheme::Random);
-  CcMorph<BstNode, BstAdapter>::Profile Counts;
-  sim::NativeAccess A;
-  Xoshiro256 Rng(0x90F11EULL);
-  for (unsigned I = 0; I < 3000; ++I)
-    bstSearchProfiled(Workload.root(),
-                      BinarySearchTree::keyAt(Rng.nextBounded(64)), A, Counts);
-
-  ScopedSweepThreads ForceParallel("8");
-  MorphOptions Options;
-  Options.ParallelMinNodes = 0;
-  std::vector<BstNode *> Roots{const_cast<BstNode *>(Workload.root())};
-
-  CcMorph<BstNode, BstAdapter> Serial(smallParams());
-  std::vector<BstNode *> SerialRoots =
-      Serial.reorganizeForest(Roots, Options, &Counts);
-
-  CcMorph<BstNode, BstAdapter> Parallel(smallParams());
-  SweepRunner Pool(4);
-  std::vector<BstNode *> ParallelRoots =
-      Parallel.reorganizeForestParallel(Roots, Pool, Options, &Counts);
-  EXPECT_TRUE(Parallel.lastParallelEvent().Parallel);
-
-  std::vector<std::pair<BstNode *, BstNode *>> Pairs;
-  seedref::pairNodes<BstNode, BstAdapter>(SerialRoots[0], ParallelRoots[0],
-                                          Pairs);
-  for (const auto &[S, P] : Pairs) {
-    seedref::Placement X = seedref::placementOf(*Serial.arena(), S);
-    seedref::Placement Y = seedref::placementOf(*Parallel.arena(), P);
-    EXPECT_TRUE(X == Y);
-  }
-  EXPECT_EQ(Serial.stats().HotNodes, Parallel.stats().HotNodes);
-}
-
-TEST(CcMorphParallel, SmallTreeFallsBackBelowThreshold) {
-  ScopedSweepThreads ForceParallel("8");
-  auto Tree = BinarySearchTree::build(255, LayoutScheme::Random);
-  CcMorph<BstNode, BstAdapter> Morph(smallParams());
-  SweepRunner Pool(4);
-  BstNode *Root =
-      Morph.reorganizeParallel(Tree.root(), Pool); // Default threshold.
-  EXPECT_TRUE(verifyBst(Root, 255));
-  const MorphParallelEvent &Event = Morph.lastParallelEvent();
-  EXPECT_FALSE(Event.Parallel);
-  EXPECT_STREQ(Event.Reason, "below the parallel node threshold");
-  EXPECT_EQ(Event.Nodes, 255u);
-}
-
-TEST(CcMorphParallel, SingleThreadPoolFallsBackSerial) {
-  auto Tree = BinarySearchTree::build(1023, LayoutScheme::Random);
-  CcMorph<BstNode, BstAdapter> Morph(smallParams());
-  MorphOptions Options;
-  Options.ParallelMinNodes = 0;
-  SweepRunner Pool(1);
-  BstNode *Root = Morph.reorganizeParallel(Tree.root(), Pool, Options);
-  EXPECT_TRUE(verifyBst(Root, 1023));
-  EXPECT_FALSE(Morph.lastParallelEvent().Parallel);
-  EXPECT_STREQ(Morph.lastParallelEvent().Reason, "single-thread pool");
-}
-
-TEST(CcMorphParallel, NestedInsideWorkerFallsBackSerial) {
-  // Parallelism stays single-level: a morph issued from inside a sweep
-  // cell must not spawn a second tier of threads.
-  auto Tree = BinarySearchTree::build(1023, LayoutScheme::Random);
-  CcMorph<BstNode, BstAdapter> Morph(smallParams());
-  MorphOptions Options;
-  Options.ParallelMinNodes = 0;
-  SweepRunner Inner(4);
-  SweepRunner Outer(1);
-  const char *Reason = nullptr;
-  bool WasParallel = true;
-  Outer.run(1, [&](size_t) {
-    Morph.reorganizeParallel(Tree.root(), Inner, Options);
-    Reason = Morph.lastParallelEvent().Reason;
-    WasParallel = Morph.lastParallelEvent().Parallel;
+  Pool.run(Cells, [&](size_t Cell) {
+    Concurrent[Cell] = std::make_unique<Morph>(smallParams());
+    Roots[Cell] = Concurrent[Cell]->reorganize(Source, OptionsFor(Cell));
   });
-  EXPECT_FALSE(WasParallel);
-  EXPECT_STREQ(Reason, "already inside a sweep worker");
-}
 
-TEST(CcMorphParallel, SingleCoreHostFallsBackSerial) {
-  // With one hardware thread (pinned via the env override) the fan-out
-  // cannot help, whatever pool the caller hands in.
-  ScopedSweepThreads OneCore("1");
-  auto Tree = BinarySearchTree::build(1023, LayoutScheme::Random);
-  CcMorph<BstNode, BstAdapter> Morph(smallParams());
-  MorphOptions Options;
-  Options.ParallelMinNodes = 0;
-  SweepRunner Pool(4);
-  BstNode *Root = Morph.reorganizeParallel(Tree.root(), Pool, Options);
-  EXPECT_TRUE(verifyBst(Root, 1023));
-  EXPECT_FALSE(Morph.lastParallelEvent().Parallel);
-  EXPECT_STREQ(Morph.lastParallelEvent().Reason, "single-core host");
-}
+  const std::vector<BstNode> After = snapshotTree(Source);
+  ASSERT_EQ(Before.size(), After.size());
+  EXPECT_EQ(std::memcmp(Before.data(), After.data(),
+                        Before.size() * sizeof(BstNode)),
+            0)
+      << "a concurrent morph wrote to its source";
 
-TEST(CcMorphParallel, EventReportsSegmentation) {
-  ScopedSweepThreads ForceParallel("8");
-  auto Tree = BinarySearchTree::build(8191, LayoutScheme::Random);
-  CcMorph<BstNode, BstAdapter> Morph(smallParams());
-  SweepRunner Pool(4);
-  Morph.reorganizeParallel(Tree.root(), Pool); // Above default threshold.
-  const MorphParallelEvent &Event = Morph.lastParallelEvent();
-  EXPECT_TRUE(Event.Parallel);
-  EXPECT_STREQ(Event.Reason, "");
-  EXPECT_EQ(Event.Nodes, 8191u);
-  EXPECT_EQ(Event.EdgeCount, 8190u); // N-1 edges in a tree.
-  EXPECT_GE(Event.CopySegments, 1u);
-  EXPECT_LE(Event.CopySegments, 16u); // threads * SegmentsPerWorker.
-  EXPECT_GE(Event.FixupSegments, 1u);
-  EXPECT_LE(Event.FixupSegments, 16u);
-  EXPECT_EQ(Event.Workers, std::min(4u, Event.CopySegments));
+  for (size_t Cell = 0; Cell < Cells; ++Cell) {
+    Morph Serial(smallParams());
+    BstNode *SerialRoot = Serial.reorganize(Source, OptionsFor(Cell));
+    std::vector<std::pair<BstNode *, BstNode *>> Pairs;
+    seedref::pairNodes<BstNode, BstAdapter>(SerialRoot, Roots[Cell], Pairs);
+    ASSERT_EQ(Pairs.size(), NumNodes) << "cell " << Cell;
+    for (const auto &[S, C] : Pairs) {
+      seedref::Placement A = seedref::placementOf(*Serial.arena(), S);
+      seedref::Placement B =
+          seedref::placementOf(*Concurrent[Cell]->arena(), C);
+      ASSERT_TRUE(A == B) << "cell " << Cell << ": frame " << A.Frame << "/"
+                          << B.Frame << " offset " << A.Offset << "/"
+                          << B.Offset;
+      EXPECT_EQ(S->Key, C->Key);
+    }
+    EXPECT_EQ(Serial.stats().ClusterCount,
+              Concurrent[Cell]->stats().ClusterCount);
+    EXPECT_EQ(Serial.stats().HotNodes, Concurrent[Cell]->stats().HotNodes);
+    EXPECT_EQ(Serial.stats().FrontierPeak,
+              Concurrent[Cell]->stats().FrontierPeak);
+  }
 }

@@ -207,6 +207,31 @@ TEST(MetricsExport, DumpProcessMetricsEmptyPathIsNoop) {
   EXPECT_TRUE(obs::dumpProcessMetrics(""));
 }
 
+TEST(MetricsExport, ReportListsSlabAcquiresInCounterTable) {
+  // Every ccmalloc run acquires slabs, sharded or not, so the counter is
+  // an ordinary row of the counters table with no section of its own.
+  obs::MetricsDoc Doc;
+  ASSERT_TRUE(obs::parseMetricsLine(
+      R"({"kind":"c","name":"ccmalloc.slab_acquires","v":7})", Doc));
+  std::FILE *F = std::tmpfile();
+  ASSERT_NE(F, nullptr);
+  obs::printMetricsReport(Doc, F);
+  std::rewind(F);
+  std::string Report;
+  for (int C; (C = std::fgetc(F)) != EOF;)
+    Report += char(C);
+  std::fclose(F);
+
+  size_t Table = Report.find("\ncounters:\n");
+  ASSERT_NE(Table, std::string::npos) << Report;
+  size_t Row = Report.find("  ccmalloc.slab_acquires ", Table);
+  ASSERT_NE(Row, std::string::npos) << Report;
+  std::string RowLine = Report.substr(Row, Report.find('\n', Row) - Row);
+  EXPECT_EQ(RowLine.substr(RowLine.find_last_of(' ') + 1), "7") << Report;
+  EXPECT_EQ(Report.find("parallel layout tools"), std::string::npos)
+      << Report;
+}
+
 TEST(PerfCountersTest, EnvDisableForcesUnavailable) {
   ::setenv("CCL_PERF_DISABLE", "1", 1);
   obs::PerfCounters Counters;

@@ -25,8 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace ccl;
@@ -494,38 +497,6 @@ TEST(SweepRunner, RunsEveryCellExactlyOnce) {
     EXPECT_EQ(Counts[I].load(), 1u) << "cell " << I;
 }
 
-TEST(SweepRunner, ChunkedRunsEveryCellExactlyOnce) {
-  // Chunked self-scheduling must still be an exact cover of the grid,
-  // including chunk sizes that do not divide the cell count.
-  for (size_t Chunk : {1, 3, 7, 64, 1000, 5000}) {
-    constexpr size_t Cells = 1000;
-    std::vector<std::atomic<uint32_t>> Counts(Cells);
-    SweepRunner Runner(8);
-    Runner.run(
-        Cells,
-        [&](size_t I) { Counts[I].fetch_add(1, std::memory_order_relaxed); },
-        Chunk);
-    for (size_t I = 0; I < Cells; ++I)
-      ASSERT_EQ(Counts[I].load(), 1u) << "chunk " << Chunk << " cell " << I;
-  }
-}
-
-TEST(SweepRunner, InWorkerGuardsNestedParallelism) {
-  // Cells observe inWorker() == true (on both the serial and the pooled
-  // path); outside a run the flag is clear again.
-  EXPECT_FALSE(SweepRunner::inWorker());
-  for (unsigned Threads : {1u, 4u}) {
-    SweepRunner Runner(Threads);
-    std::atomic<uint32_t> InsideCount{0};
-    Runner.run(16, [&](size_t) {
-      if (SweepRunner::inWorker())
-        InsideCount.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(InsideCount.load(), 16u) << Threads << " threads";
-  }
-  EXPECT_FALSE(SweepRunner::inWorker());
-}
-
 TEST(SweepRunner, PropagatesExceptions) {
   SweepRunner Runner(4);
   EXPECT_THROW(Runner.run(100,
@@ -543,79 +514,31 @@ TEST(SweepRunner, ZeroCellsIsANoop) {
   EXPECT_FALSE(Ran);
 }
 
-TEST(SweepRunner, RunPhasesCoversBothPhasesExactlyOnce) {
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    constexpr size_t Cells1 = 100, Cells2 = 333;
-    std::vector<std::atomic<uint32_t>> A(Cells1), B(Cells2);
-    SweepRunner Runner(Threads);
-    Runner.runPhases(
-        Cells1,
-        [&](size_t I) { A[I].fetch_add(1, std::memory_order_relaxed); },
-        Cells2,
-        [&](size_t I) { B[I].fetch_add(1, std::memory_order_relaxed); });
-    for (size_t I = 0; I < Cells1; ++I)
-      ASSERT_EQ(A[I].load(), 1u) << Threads << " threads, phase-1 cell " << I;
-    for (size_t I = 0; I < Cells2; ++I)
-      ASSERT_EQ(B[I].load(), 1u) << Threads << " threads, phase-2 cell " << I;
+TEST(SweepRunner, DefaultThreadsTakesOnlyAWholePositiveCount) {
+  // CCL_SWEEP_THREADS overrides the hardware count only when it is a
+  // whole decimal in [1, UINT_MAX]; anything else falls back. The
+  // variable is saved and restored (CI pins it for the tsan run).
+  const char *Env = std::getenv("CCL_SWEEP_THREADS");
+  std::optional<std::string> Saved;
+  if (Env)
+    Saved = Env;
+  unsetenv("CCL_SWEEP_THREADS");
+  const unsigned Hardware = SweepRunner::defaultThreads();
+  EXPECT_GE(Hardware, 1u);
+
+  const std::pair<const char *, unsigned> Cases[] = {
+      {"3", 3u},       {"4x", Hardware}, {"4294967296", Hardware},
+      {"0", Hardware}, {"-3", Hardware}, {"junk", Hardware}};
+  for (const auto &[Value, Expected] : Cases) {
+    setenv("CCL_SWEEP_THREADS", Value, 1);
+    EXPECT_EQ(SweepRunner::defaultThreads(), Expected)
+        << "CCL_SWEEP_THREADS=" << Value;
+    EXPECT_EQ(SweepRunner().threads(), Expected)
+        << "CCL_SWEEP_THREADS=" << Value;
   }
-}
 
-TEST(SweepRunner, RunPhasesBarrierOrdersPhases) {
-  // Every phase-2 cell must observe every phase-1 write: the internal
-  // barrier makes runPhases equivalent to two back-to-back run() calls.
-  for (unsigned Threads : {2u, 4u, 8u}) {
-    constexpr size_t Cells = 256;
-    std::vector<uint32_t> Values(Cells, 0); // Plain writes: the barrier
-                                            // is the synchronization.
-    std::atomic<uint32_t> Violations{0};
-    SweepRunner Runner(Threads);
-    Runner.runPhases(
-        Cells, [&](size_t I) { Values[I] = uint32_t(I) + 1; }, Cells,
-        [&](size_t I) {
-          // Read a scattered other cell, not just our own.
-          size_t Other = (I * 97 + 13) % Cells;
-          if (Values[Other] != uint32_t(Other) + 1)
-            Violations.fetch_add(1, std::memory_order_relaxed);
-        });
-    EXPECT_EQ(Violations.load(), 0u) << Threads << " threads";
-  }
-}
-
-TEST(SweepRunner, RunPhasesUnevenPhaseSizes) {
-  // More workers than phase-1 cells: idle workers must still arrive at
-  // the barrier (no deadlock) and help with the larger phase 2.
-  std::atomic<uint32_t> Phase1{0}, Phase2{0};
-  SweepRunner Runner(8);
-  Runner.runPhases(
-      2, [&](size_t) { Phase1.fetch_add(1, std::memory_order_relaxed); },
-      500, [&](size_t) { Phase2.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(Phase1.load(), 2u);
-  EXPECT_EQ(Phase2.load(), 500u);
-
-  // And an empty phase on either side.
-  Phase1 = 0;
-  Runner.runPhases(
-      0, [&](size_t) { Phase1.fetch_add(1, std::memory_order_relaxed); },
-      100, [&](size_t) { Phase2.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(Phase1.load(), 0u);
-  EXPECT_EQ(Phase2.load(), 600u);
-}
-
-TEST(SweepRunner, RunPhasesPropagatesExceptions) {
-  SweepRunner Runner(4);
-  EXPECT_THROW(Runner.runPhases(
-                   100,
-                   [](size_t I) {
-                     if (I == 42)
-                       throw std::runtime_error("phase-1 cell failed");
-                   },
-                   100, [](size_t) {}),
-               std::runtime_error);
-  EXPECT_THROW(Runner.runPhases(100, [](size_t) {}, 100,
-                                [](size_t I) {
-                                  if (I == 7)
-                                    throw std::runtime_error(
-                                        "phase-2 cell failed");
-                                }),
-               std::runtime_error);
+  if (Saved)
+    setenv("CCL_SWEEP_THREADS", Saved->c_str(), 1);
+  else
+    unsetenv("CCL_SWEEP_THREADS");
 }
