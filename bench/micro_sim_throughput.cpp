@@ -157,8 +157,9 @@ void SimRandom(benchmark::State &State) {
 
 // The observed path: same pointer chase with a minimal counting observer
 // attached. The gap to SimPointerChase is the full price of telemetry
-// (slow-path routing + event construction + one virtual call per block);
-// the unobserved runs above are the witness that detached costs nothing.
+// (the out-of-line observed loop + event construction + one virtual call
+// per block); the unobserved runs above are the witness that detached
+// costs nothing.
 struct CountingObserver final : ccl::obs::SimObserver {
   uint64_t Accesses = 0;
   void onAccess(const ccl::obs::AccessEvent &Event) override {

@@ -5,8 +5,9 @@
 #
 # Builds the release and asan presets and runs the full test suite on
 # both, then builds the tsan preset and runs the thread-sensitive tests
-# (the SweepRunner/simulator suite) under ThreadSanitizer. Any failure
-# aborts the script.
+# (the SweepRunner/simulator suite) under ThreadSanitizer, runs the
+# layout lint, and runs each perfbench workload briefly to check that
+# replay still equals live simulation. Any failure aborts the script.
 #
 # Usage: scripts/ci.sh [--advisory] [jobs]
 #
@@ -55,6 +56,22 @@ echo "=== [lint] ccl-lint --check ==="
 build-release/tools/ccllint --check > /dev/null
 echo "=== [lint] clang-tidy (scripts/lint.sh) ==="
 scripts/lint.sh
+
+# End-to-end correctness: every perfbench op checks that trace replay
+# equals live simulation bit for bit and that native checksums match.
+# One short run per workload; its timings are not checked here.
+for workload in tree-replay health-churn morph-search; do
+  echo "=== [perfbench] $workload correctness ==="
+  result="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 1 | tail -n 1)"
+  if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"
+  then
+    echo "FAIL: perfbench $workload: $result"
+    exit 1
+  fi
+done
 
 # Machine-readable benchmark artifacts (schema ccl-bench-v1 /
 # google-benchmark JSON), opt-in because the figure benches add minutes:

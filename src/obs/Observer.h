@@ -14,11 +14,11 @@
 /// Contract with the simulator (see sim/MemoryHierarchy.h):
 ///
 ///  * Disabled is free: with no observer attached, the only cost is a
-///    single always-false pointer compare on the inline fast path; no
-///    event structs are built and no virtual calls happen.
+///    single always-false pointer compare per read()/write(); no event
+///    structs are built and no virtual calls happen.
 ///  * Enabled is bit-identical: attaching an observer routes every
-///    access through the out-of-line slow path, whose bookkeeping is
-///    identical to the fast path, so all SimStats/cache/TLB counters are
+///    access through an observed twin of the access loop that runs the
+///    same per-block simulation, so all SimStats/cache/TLB counters are
 ///    exactly the numbers an unobserved run produces
 ///    (tests/sim_golden_test.cpp locks this down).
 ///  * Events carry both the program's virtual address (for attribution

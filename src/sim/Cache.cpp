@@ -6,150 +6,30 @@
 
 #include "sim/Cache.h"
 
+#include <algorithm>
+
 using namespace ccl::sim;
 
 Cache::Cache(const CacheConfig &Config)
     : Config(Config), SetMask(Config.numSets() - 1),
       BlockShift(log2Exact(Config.BlockBytes)),
+      AssocShift(log2Exact(Config.Associativity)),
       Assoc(Config.Associativity),
-      Tags(Config.numSets() * Config.Associativity, EmptyTag),
-      LastUse(Tags.size(), 0), DirtyBits(Tags.size(), 0),
-      Mru(Config.numSets(), 0) {
+      Ways(Config.numSets() * Config.Associativity, EmptyWay) {
   assert(Config.isValid() && "invalid cache configuration");
   assert(isPowerOf2(Config.numSets()) && "set count must be a power of two");
 }
 
-CacheAccessResult Cache::access(uint64_t Addr, bool IsWrite) {
-  uint64_t Block = Addr >> BlockShift;
-  uint64_t SetIdx = Block & SetMask;
-  uint64_t Base = SetIdx * Assoc;
-  const uint64_t *TagSet = &Tags[Base];
-  ++UseClock;
-
-  // MRU way first: pointer chasing and scans hit the same way repeatedly.
-  uint32_t MruWay = Mru[SetIdx];
-  if (TagSet[MruWay] == Block) {
-    LastUse[Base + MruWay] = UseClock;
-    DirtyBits[Base + MruWay] |= uint8_t(IsWrite);
-    ++Hits;
-    return {/*Hit=*/true, false, 0, false};
-  }
-  for (uint32_t Way = 0; Way < Assoc; ++Way) {
-    if (TagSet[Way] == Block) {
-      LastUse[Base + Way] = UseClock;
-      DirtyBits[Base + Way] |= uint8_t(IsWrite);
-      Mru[SetIdx] = Way;
-      ++Hits;
-      return {/*Hit=*/true, false, 0, false};
-    }
-  }
-
-  ++Misses;
-
-  // Fill in place (the scan above already proved the block is absent, so
-  // no second lookup): pick the first invalid way, else the LRU way.
-  uint32_t Victim = 0;
-  for (uint32_t Way = 0; Way < Assoc; ++Way) {
-    if (TagSet[Way] == EmptyTag) {
-      Victim = Way;
-      break;
-    }
-    if (LastUse[Base + Way] < LastUse[Base + Victim])
-      Victim = Way;
-  }
-
-  CacheAccessResult Result;
-  Result.Hit = false;
-  uint64_t Idx = Base + Victim;
-  if (Tags[Idx] != EmptyTag) {
-    Result.Evicted = true;
-    Result.VictimBlock = Tags[Idx];
-    if (DirtyBits[Idx]) {
-      Result.WritebackVictim = true;
-      ++Writebacks;
-    }
-    ++Evictions;
-  }
-  Tags[Idx] = Block;
-  DirtyBits[Idx] = uint8_t(IsWrite);
-  LastUse[Idx] = UseClock;
-  Mru[SetIdx] = Victim;
-  return Result;
-}
-
 bool Cache::contains(uint64_t Addr) const {
   uint64_t Block = Addr >> BlockShift;
-  const uint64_t *TagSet = &Tags[(Block & SetMask) * Assoc];
-  for (uint32_t Way = 0; Way < Assoc; ++Way)
-    if (TagSet[Way] == Block)
+  const uint64_t *Set = &Ways[(Block & SetMask) << AssocShift];
+  for (uint32_t Pos = 0; Pos < Assoc; ++Pos)
+    if ((Set[Pos] ^ (Block << 1)) <= 1)
       return true;
   return false;
 }
 
-CacheAccessResult Cache::install(uint64_t Addr, bool Dirty) {
-  uint64_t Block = Addr >> BlockShift;
-  uint64_t SetIdx = Block & SetMask;
-  uint64_t Base = SetIdx * Assoc;
-  const uint64_t *TagSet = &Tags[Base];
-  ++UseClock;
-
-  // Reuse the line if already present (install is idempotent).
-  for (uint32_t Way = 0; Way < Assoc; ++Way) {
-    if (TagSet[Way] == Block) {
-      LastUse[Base + Way] = UseClock;
-      DirtyBits[Base + Way] |= uint8_t(Dirty);
-      Mru[SetIdx] = Way;
-      return {/*Hit=*/true, false, 0, false};
-    }
-  }
-
-  // Pick an invalid way, else the LRU way.
-  uint32_t Victim = 0;
-  for (uint32_t Way = 0; Way < Assoc; ++Way) {
-    if (TagSet[Way] == EmptyTag) {
-      Victim = Way;
-      break;
-    }
-    if (LastUse[Base + Way] < LastUse[Base + Victim])
-      Victim = Way;
-  }
-
-  CacheAccessResult Result;
-  uint64_t Idx = Base + Victim;
-  if (Tags[Idx] != EmptyTag) {
-    Result.Evicted = true;
-    Result.VictimBlock = Tags[Idx];
-    if (DirtyBits[Idx]) {
-      Result.WritebackVictim = true;
-      ++Writebacks;
-    }
-    ++Evictions;
-  }
-  Tags[Idx] = Block;
-  DirtyBits[Idx] = uint8_t(Dirty);
-  LastUse[Idx] = UseClock;
-  Mru[SetIdx] = Victim;
-  return Result;
-}
-
-bool Cache::invalidate(uint64_t Addr) {
-  uint64_t Block = Addr >> BlockShift;
-  uint64_t SetIdx = Block & SetMask;
-  uint64_t Base = SetIdx * Assoc;
-  for (uint32_t Way = 0; Way < Assoc; ++Way) {
-    if (Tags[Base + Way] == Block) {
-      Tags[Base + Way] = EmptyTag;
-      return DirtyBits[Base + Way] != 0;
-    }
-  }
-  return false;
-}
-
 void Cache::reset() {
-  std::fill(Tags.begin(), Tags.end(), EmptyTag);
-  std::fill(LastUse.begin(), LastUse.end(), 0);
-  std::fill(DirtyBits.begin(), DirtyBits.end(), 0);
-  std::fill(Mru.begin(), Mru.end(), 0);
-  UseClock = 0;
+  std::fill(Ways.begin(), Ways.end(), EmptyWay);
   Hits = Misses = Evictions = Writebacks = 0;
 }

@@ -36,12 +36,6 @@ struct CacheConfig {
 
   uint64_t numBlocks() const { return CapacityBytes / BlockBytes; }
 
-  uint64_t blockAddr(uint64_t Addr) const { return Addr / BlockBytes; }
-
-  uint64_t setIndex(uint64_t Addr) const {
-    return blockAddr(Addr) % numSets();
-  }
-
   bool isValid() const {
     return CapacityBytes > 0 && isPowerOf2(CapacityBytes) &&
            isPowerOf2(BlockBytes) && isPowerOf2(Associativity) &&

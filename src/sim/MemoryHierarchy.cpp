@@ -25,12 +25,13 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &Config)
   UnitShift = log2Exact(TranslationUnitBytes);
   UnitMask = TranslationUnitBytes - 1;
   L1BlockShift = log2Exact(Config.L1.BlockBytes);
+  L2BlockShift = log2Exact(Config.L2.BlockBytes);
 }
 
 void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
   if (Obs != nullptr) [[unlikely]] {
-    // Observed replays route per record through the same slow paths a
-    // live observed run takes, so telemetry and statistics stay
+    // Observed replays route per record through the same observed twin
+    // a live observed run takes, so telemetry and statistics stay
     // bit-identical to the equivalent read()/write() call sequence.
     TraceRecord R;
     while (MaxRecords != 0 && Cursor.next(R)) {
@@ -62,12 +63,10 @@ void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
       const TraceRecord &R = Batch[I];
       switch (R.K) {
       case TraceRecord::Kind::Read:
-        if (!tryAccessFast(R.Addr, R.Arg, false))
-          accessRange(R.Addr, R.Arg, false);
+        accessRange(R.Addr, R.Arg, false);
         break;
       case TraceRecord::Kind::Write:
-        if (!tryAccessFast(R.Addr, R.Arg, true))
-          accessRange(R.Addr, R.Arg, true);
+        accessRange(R.Addr, R.Arg, true);
         break;
       case TraceRecord::Kind::Prefetch:
         prefetch(R.Addr);
@@ -82,26 +81,14 @@ void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
 
 uint64_t MemoryHierarchy::translateSlow(uint64_t Addr) {
   uint64_t Unit = Addr >> UnitShift;
-  if (uint64_t *Mapped = UnitMap.find(Unit)) {
-    LastUnit = Unit;
-    LastMapped = *Mapped;
-  } else {
-    UnitMap.tryInsert(Unit, NextUnit);
-    LastUnit = Unit;
-    LastMapped = NextUnit;
+  // Mapped units are handed out in increasing order, so a value equal to
+  // NextUnit was inserted just now.
+  uint64_t Mapped = UnitMap.findOrInsert(Unit, NextUnit);
+  if (Mapped == NextUnit)
     ++NextUnit;
-  }
-  return (LastMapped << UnitShift) | (Addr & UnitMask);
-}
-
-void MemoryHierarchy::accessRange(uint64_t Addr, uint64_t Size,
-                                  bool IsWrite) {
-  if (Size == 0)
-    Size = 1;
-  uint64_t First = Addr >> L1BlockShift;
-  uint64_t Last = (Addr + Size - 1) >> L1BlockShift;
-  for (uint64_t Block = First; Block <= Last; ++Block)
-    accessBlock(translate(Block << L1BlockShift), IsWrite);
+  UnitMemoEntry &Memo = UnitMemo[Unit % UnitMemoSlots];
+  Memo = {Unit, Mapped << UnitShift};
+  return Memo.MappedBase | (Addr & UnitMask);
 }
 
 void MemoryHierarchy::accessRangeObserved(uint64_t Addr, uint64_t Size,
@@ -137,57 +124,7 @@ void MemoryHierarchy::accessRangeObserved(uint64_t Addr, uint64_t Size,
   }
 }
 
-MemoryHierarchy::BlockOutcome MemoryHierarchy::accessBlock(uint64_t Addr,
-                                                           bool IsWrite) {
-  BlockOutcome Out;
-  if (IsWrite)
-    ++Stats.Writes;
-  else
-    ++Stats.Reads;
-
-  if (Config.Tlb.Enabled && !TlbModel.access(Addr)) {
-    Out.TlbMiss = true;
-    ++Stats.TlbMisses;
-    Stats.TlbStallCycles += Config.Tlb.MissLatency;
-    Cycle += Config.Tlb.MissLatency;
-  }
-
-  // The L1 hit latency is charged on every access as pipeline busy time.
-  Stats.BusyCycles += Config.L1.HitLatency;
-  Cycle += Config.L1.HitLatency;
-
-  CacheAccessResult L1Result = L1.access(Addr, IsWrite);
-  if (L1Result.Hit) {
-    ++Stats.L1Hits;
-    return Out;
-  }
-  ++Stats.L1Misses;
-  Stats.L1StallCycles += Config.L2.HitLatency;
-  Cycle += Config.L2.HitLatency;
-  Out.L1Evicted = L1Result.Evicted;
-  Out.L1Writeback = L1Result.WritebackVictim;
-  Out.L1Victim = L1Result.VictimBlock * Config.L1.BlockBytes;
-
-  CacheAccessResult L2Result = L2.access(Addr, IsWrite);
-  if (L2Result.Hit) {
-    ++Stats.L2Hits;
-    Out.Level = obs::AccessLevel::L2Hit;
-    return Out;
-  }
-  if (L2Result.WritebackVictim)
-    ++Stats.Writebacks;
-  Out.L2Evicted = L2Result.Evicted;
-  Out.L2Writeback = L2Result.WritebackVictim;
-  Out.L2Victim = L2Result.VictimBlock * Config.L2.BlockBytes;
-  Out.Level = handleL2Miss(Addr, IsWrite);
-  return Out;
-}
-
-ccl::obs::AccessLevel MemoryHierarchy::handleL2Miss(uint64_t Addr,
-                                                    bool IsWrite) {
-  (void)IsWrite;
-  uint64_t Block = Config.L2.blockAddr(Addr);
-
+ccl::obs::AccessLevel MemoryHierarchy::handleL2Miss(uint64_t Block) {
   if (uint64_t *ReadyAt = InFlight.find(Block)) {
     uint64_t Ready = *ReadyAt;
     InFlight.erase(Block);
@@ -213,7 +150,7 @@ ccl::obs::AccessLevel MemoryHierarchy::handleL2Miss(uint64_t Addr,
   // Hardware next-line prefetcher: on a demand L2 miss, schedule the next
   // NextLineDegree sequential blocks as in-flight fills.
   for (uint32_t I = 1; I <= Config.Prefetch.NextLineDegree; ++I) {
-    uint64_t NextAddr = (Block + I) * Config.L2.BlockBytes;
+    uint64_t NextAddr = (Block + I) << L2BlockShift;
     if (L2.contains(NextAddr))
       continue;
     if (InFlight.tryInsert(Block + I, Cycle + Config.MemoryLatency)) {
@@ -253,8 +190,7 @@ void MemoryHierarchy::prefetch(uint64_t Addr) {
 
   if (L1.contains(Addr) || L2.contains(Addr))
     return;
-  uint64_t Block = Config.L2.blockAddr(Addr);
-  if (!InFlight.tryInsert(Block, Cycle + Config.MemoryLatency))
+  if (!InFlight.tryInsert(Addr >> L2BlockShift, Cycle + Config.MemoryLatency))
     return;
   sweepInFlight();
 }
@@ -271,12 +207,12 @@ void MemoryHierarchy::sweepInFlight() {
   });
   for (uint64_t Block : Completed) {
     InFlight.erase(Block);
-    installBoth(Block * Config.L2.BlockBytes, false);
+    installBoth(Block << L2BlockShift, false);
   }
 }
 
 void MemoryHierarchy::reset() {
-  LastUnit = ~0ULL;
+  std::fill(std::begin(UnitMemo), std::end(UnitMemo), UnitMemoEntry());
   L1.reset();
   L2.reset();
   TlbModel.reset();

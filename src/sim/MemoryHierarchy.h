@@ -13,19 +13,18 @@
 /// layout decisions made by ccmalloc/ccmorph translate directly into set
 /// indices and miss counts.
 ///
-/// Hot path: read()/write() first try an inline fast path that covers the
-/// overwhelmingly common case — a single-block access on the cached
-/// translation unit, hitting the most-recently-used TLB entry and the L1
-/// set's MRU way — using only shifts, masks, and compares. Everything
-/// else (multi-block ranges, unit changes, TLB misses, L1 misses) falls
-/// back to the full out-of-line path. The fast path performs bookkeeping
-/// identical to the slow path, so all statistics are bit-exact either
-/// way; tests/sim_golden_test.cpp locks this down.
+/// Hot path: read(), write() and replay() share one inline access body
+/// (accessRange -> accessBlock). Each L1 block is translated through a
+/// 16-entry memo of the first-touch unit map, then probes the TLB's
+/// most-recently-used page, L1 and, on an L1 miss, L2; each cache probe
+/// is an inline scan of one set's tag words. Only translation-memo
+/// misses, TLB misses and L2 misses leave the header.
+/// tests/sim_golden_test.cpp locks the statistics down.
 ///
 /// Telemetry: attachObserver() hooks an obs::SimObserver into the
-/// hierarchy. Observed runs bypass the fast path (keeping statistics
-/// bit-identical, since the slow path's bookkeeping is the same) and
-/// emit per-access, eviction, and prefetch events; unobserved runs pay
+/// hierarchy. Observed runs take a twin of accessRange that runs the
+/// same accessBlock and also emits per-access, eviction, and prefetch
+/// events, so their statistics are bit-identical; unobserved runs pay
 /// only a null compare. See src/obs/ for the sinks.
 ///
 //===----------------------------------------------------------------------===//
@@ -69,16 +68,14 @@ public:
   void read(uint64_t Addr, uint64_t Size) {
     if (Obs != nullptr) [[unlikely]]
       return accessRangeObserved(Addr, Size, false);
-    if (!tryAccessFast(Addr, Size, false))
-      accessRange(Addr, Size, false);
+    accessRange(Addr, Size, false);
   }
 
   /// Simulates a data write of \p Size bytes at \p Addr (write-allocate).
   void write(uint64_t Addr, uint64_t Size) {
     if (Obs != nullptr) [[unlikely]]
       return accessRangeObserved(Addr, Size, true);
-    if (!tryAccessFast(Addr, Size, true))
-      accessRange(Addr, Size, true);
+    accessRange(Addr, Size, true);
   }
 
   /// Replays a recorded trace (or prefix view of one): bit-identical to
@@ -117,11 +114,11 @@ public:
   /// Attaches (or, with null, detaches) a telemetry observer.
   ///
   /// Contract: while an observer is attached, every access is routed
-  /// through the out-of-line slow path — whose bookkeeping is identical
-  /// to the inline fast path — so all statistics remain bit-identical to
-  /// an unobserved run (locked down by tests/sim_golden_test.cpp). With
-  /// no observer attached the only cost is one predictable null compare
-  /// per read()/write() call. The observer survives reset().
+  /// through accessRangeObserved, which runs the same accessBlock as an
+  /// unobserved access, so all statistics remain bit-identical to an
+  /// unobserved run (locked down by tests/sim_golden_test.cpp). With no
+  /// observer attached the only cost is one predictable null compare per
+  /// read()/write() call. The observer survives reset().
   void attachObserver(obs::SimObserver *Observer) { Obs = Observer; }
   obs::SimObserver *observer() const { return Obs; }
 
@@ -143,52 +140,76 @@ private:
     uint64_t L2Victim = 0;
   };
 
-  void accessRange(uint64_t Addr, uint64_t Size, bool IsWrite);
+  /// Touches each L1 block of [Addr, Addr + Size) once; a zero size
+  /// touches one block.
+  void accessRange(uint64_t Addr, uint64_t Size, bool IsWrite) {
+    uint64_t First = Addr >> L1BlockShift;
+    uint64_t Last = (Addr + (Size != 0 ? Size : 1) - 1) >> L1BlockShift;
+    for (uint64_t Block = First; Block <= Last; ++Block)
+      accessBlock(translate(Block << L1BlockShift), IsWrite);
+  }
+
   /// Observer-enabled twin of accessRange: same simulation, but emits an
   /// AccessEvent (with the per-block virtual byte span) and eviction
   /// events for every block touched.
   void accessRangeObserved(uint64_t Addr, uint64_t Size, bool IsWrite);
-  BlockOutcome accessBlock(uint64_t Addr, bool IsWrite);
-  /// Handles an access that missed both caches; charges residual latency
-  /// if the block is in flight, otherwise a full memory stall, and asks
-  /// the hardware prefetcher to act. Returns how the latency was
-  /// (partially) hidden.
-  obs::AccessLevel handleL2Miss(uint64_t Addr, bool IsWrite);
-  void installBoth(uint64_t Addr, bool Dirty);
-  /// Prevents the in-flight map from growing without bound when software
-  /// prefetches are issued but never consumed.
-  void sweepInFlight();
 
-  /// Inline fast path covering a single-block access on the cached
-  /// translation unit that hits the MRU TLB entry and the L1 MRU way.
-  /// Returns true if the access was fully handled (with bookkeeping
-  /// identical to the slow path); false with no state changed otherwise.
-  bool tryAccessFast(uint64_t Addr, uint64_t Size, bool IsWrite) {
-    uint64_t First = Addr >> L1BlockShift;
-    if ((Addr + (Size ? Size : 1) - 1) >> L1BlockShift != First)
-      return false;
-    if (Addr >> UnitShift != LastUnit)
-      return false;
-    uint64_t Aligned = First << L1BlockShift;
-    uint64_t Mapped = (LastMapped << UnitShift) | (Aligned & UnitMask);
-    // Probe both fast predicates before committing either: a failed
-    // probe must leave every structure untouched for the slow path.
-    if (Config.Tlb.Enabled && !TlbModel.fastPathMatches(Mapped))
-      return false;
-    if (!L1.mruMatches(Mapped))
-      return false;
+  /// Simulates one access to the L1 block at mapped address \p Addr.
+  BlockOutcome accessBlock(uint64_t Addr, bool IsWrite) {
+    BlockOutcome Out;
     if (IsWrite)
       ++Stats.Writes;
     else
       ++Stats.Reads;
-    if (Config.Tlb.Enabled)
-      TlbModel.commitFastHit();
+
+    if (Config.Tlb.Enabled && !TlbModel.access(Addr)) {
+      Out.TlbMiss = true;
+      ++Stats.TlbMisses;
+      Stats.TlbStallCycles += Config.Tlb.MissLatency;
+      Cycle += Config.Tlb.MissLatency;
+    }
+
+    // The L1 hit latency is charged on every access as pipeline busy
+    // time.
     Stats.BusyCycles += Config.L1.HitLatency;
     Cycle += Config.L1.HitLatency;
-    L1.commitMruHit(Mapped, IsWrite);
-    ++Stats.L1Hits;
-    return true;
+
+    CacheAccessResult L1Result = L1.access(Addr, IsWrite);
+    if (L1Result.Hit) {
+      ++Stats.L1Hits;
+      return Out;
+    }
+    ++Stats.L1Misses;
+    Stats.L1StallCycles += Config.L2.HitLatency;
+    Cycle += Config.L2.HitLatency;
+    Out.L1Evicted = L1Result.Evicted;
+    Out.L1Writeback = L1Result.WritebackVictim;
+    Out.L1Victim = L1Result.VictimBlock << L1BlockShift;
+
+    CacheAccessResult L2Result = L2.access(Addr, IsWrite);
+    if (L2Result.Hit) {
+      ++Stats.L2Hits;
+      Out.Level = obs::AccessLevel::L2Hit;
+      return Out;
+    }
+    if (L2Result.WritebackVictim)
+      ++Stats.Writebacks;
+    Out.L2Evicted = L2Result.Evicted;
+    Out.L2Writeback = L2Result.WritebackVictim;
+    Out.L2Victim = L2Result.VictimBlock << L2BlockShift;
+    Out.Level = handleL2Miss(Addr >> L2BlockShift);
+    return Out;
   }
+
+  /// Handles an access to L2 block \p Block that missed both caches;
+  /// charges residual latency if the block is in flight, otherwise a
+  /// full memory stall, and asks the hardware prefetcher to act. Returns
+  /// how the latency was (partially) hidden.
+  obs::AccessLevel handleL2Miss(uint64_t Block);
+  void installBoth(uint64_t Addr, bool Dirty);
+  /// Prevents the in-flight map from growing without bound when software
+  /// prefetches are issued but never consumed.
+  void sweepInFlight();
 
   /// Deterministic virtual-to-simulated-physical translation: real
   /// process addresses vary run to run (ASLR, allocator), which would
@@ -198,11 +219,15 @@ private:
   /// coloring (frames are capacity-aligned) are untouched while results
   /// become exactly reproducible.
   uint64_t translate(uint64_t Addr) {
-    if (Addr >> UnitShift == LastUnit)
-      return (LastMapped << UnitShift) | (Addr & UnitMask);
+    uint64_t Unit = Addr >> UnitShift;
+    const UnitMemoEntry &Memo = UnitMemo[Unit % UnitMemoSlots];
+    if (Memo.Unit == Unit) [[likely]]
+      return Memo.MappedBase | (Addr & UnitMask);
     return translateSlow(Addr);
   }
 
+  /// Looks the unit up in UnitMap (assigning the next mapped unit on
+  /// first touch) and refills its memo slot.
   uint64_t translateSlow(uint64_t Addr);
 
   HierarchyConfig Config;
@@ -219,12 +244,23 @@ private:
   uint32_t UnitShift;   ///< log2(TranslationUnitBytes).
   uint64_t UnitMask;    ///< TranslationUnitBytes - 1.
   uint32_t L1BlockShift;///< log2(L1 block size).
+  uint32_t L2BlockShift;///< log2(L2 block size).
+  /// Host unit -> mapped unit, in first-touch order.
   FlatMap64 UnitMap;
   uint64_t NextUnit = 1; // Unit 0 reserved so address 0 stays unique.
-  // Single-entry translation cache (pointer chasing has strong unit
-  // locality; this avoids a hash lookup on most accesses).
-  uint64_t LastUnit = ~0ULL;
-  uint64_t LastMapped = 0;
+
+  /// Direct-mapped memo of UnitMap, indexed by the unit's low bits. A
+  /// tree or heap spans a handful of units, and a walk over it switches
+  /// units on most steps; the memo keeps those switches off the hash map.
+  static constexpr uint64_t UnitMemoSlots = 16;
+  struct UnitMemoEntry {
+    /// Host unit cached here; ~0 (no real unit) marks an empty slot.
+    uint64_t Unit = ~0ULL;
+    /// Mapped unit shifted into place: the high bits of the mapped
+    /// address.
+    uint64_t MappedBase = 0;
+  };
+  UnitMemoEntry UnitMemo[UnitMemoSlots];
 };
 
 /// Registers the simulator's parameter/result layouts (SimStats,

@@ -23,19 +23,19 @@ bool Tlb::accessSlow(uint64_t Page) {
   // pays FlatMap64's backward-shift erase. The table is bounded by the
   // number of distinct pages ever touched, not by TLB capacity. Hit/miss
   // classification still depends only on the resident set and recency
-  // order, so statistics are unchanged.
-  if (uint64_t *Slot = Index.find(Page)) {
-    uint32_t N = uint32_t(*Slot);
-    if (Pages[N] == Page) {
-      ++Hits;
-      unlink(N);
-      pushFront(N);
-      return true;
-    }
+  // order, so statistics are unchanged. One probe finds the page's index
+  // entry or inserts it pointing at the sentinel, whose page never
+  // matches; a miss then repoints the same entry.
+  uint64_t &Slot = Index.findOrInsert(Page, Sentinel);
+  uint32_t N = uint32_t(Slot);
+  if (Pages[N] == Page) {
+    ++Hits;
+    unlink(N);
+    pushFront(N);
+    return true;
   }
 
   ++Misses;
-  uint32_t N;
   if (Used < Config.Entries) {
     N = Used++;
   } else {
@@ -43,7 +43,7 @@ bool Tlb::accessSlow(uint64_t Page) {
     unlink(N);
   }
   Pages[N] = Page;
-  Index.insertOrAssign(Page, N);
+  Slot = N;
   pushFront(N);
   return false;
 }

@@ -49,17 +49,6 @@ public:
     return accessSlow(Page);
   }
 
-  /// Fast-path probe: true iff \p Addr is on the most-recently-used page.
-  /// Never modifies state; a true result must be followed by
-  /// commitFastHit().
-  bool fastPathMatches(uint64_t Addr) const {
-    return Pages[Next[Sentinel]] == (Addr >> PageShift);
-  }
-
-  /// Commits the hit after fastPathMatches() returned true: identical
-  /// bookkeeping to the access() fast path (the entry is already MRU).
-  void commitFastHit() { ++Hits; }
-
   void reset();
 
   uint64_t hits() const { return Hits; }

@@ -90,14 +90,6 @@ public:
     }
   }
 
-  /// Inserts or overwrites \p Key -> \p Value.
-  void insertOrAssign(uint64_t Key, uint64_t Value) {
-    if (uint64_t *Existing = find(Key))
-      *Existing = Value;
-    else
-      tryInsert(Key, Value);
-  }
-
   /// Returns a reference to the value for \p Key, inserting \p Default
   /// first if the key is absent (unordered_map::operator[] semantics).
   /// The reference is invalidated by any mutating operation.

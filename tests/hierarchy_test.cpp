@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace ccl;
 using namespace ccl::sim;
 
@@ -198,6 +200,25 @@ TEST(Hierarchy, WritebackPropagation) {
                       // wrap: block 64 % 32 sets = set 0).
   M.read(0x2000, 4);  // Third block in set 0: evicts LRU (dirty 0x0).
   EXPECT_GE(M.stats().Writebacks, 1u);
+}
+
+TEST(Hierarchy, TranslationFollowsFirstTouchAcrossAliasedUnits) {
+  // On E5000 the translation unit is the 1 MiB L2, and host units 16
+  // apart share one slot of the 16-entry translation memo. Each unit
+  // must still get its own mapped unit, numbered in first-touch order.
+  struct MappedUnits : obs::SimObserver {
+    std::vector<uint64_t> Units;
+    void onAccess(const obs::AccessEvent &Event) override {
+      Units.push_back(Event.Mapped >> 20);
+    }
+  };
+  MemoryHierarchy M(HierarchyConfig::ultraSparcE5000());
+  MappedUnits Seen;
+  M.attachObserver(&Seen);
+  const uint64_t U = 0x7f3;
+  for (uint64_t Unit : {U, U + 16, U, U + 32, U + 16})
+    M.read((Unit << 20) + 0x140, 8);
+  EXPECT_EQ(Seen.Units, (std::vector<uint64_t>{1, 2, 1, 3, 2}));
 }
 
 TEST(AccessPolicy, NativeLoadStoreWork) {

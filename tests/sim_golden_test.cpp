@@ -8,8 +8,9 @@
 // strided, prefetch-heavy) replayed through both paper presets must
 // reproduce the exact event counts and cycle attribution recorded from
 // the original scalar simulator implementation. This is the gate proving
-// that hot-path optimizations (MRU fast paths, SoA tag arrays, flat maps,
-// O(1) TLB LRU) change nothing observable.
+// that hot-path optimizations (recency-ordered tag words, the inline
+// access body, the translation memo, flat maps, O(1) TLB LRU) change
+// nothing observable.
 //
 // Also asserts that a SweepRunner grid produces statistics identical to a
 // serial run of the same grid, and that a TraceBuffer recording replayed
@@ -335,7 +336,8 @@ TEST(SimGolden, ObservedRunsStayBitIdentical) {
 
 TEST(SimGolden, DetachRestoresFastPath) {
   // Attach, run, detach, run again: the detached half must keep counting
-  // (through the inline fast path) while delivering no further events.
+  // (through the unobserved access path) while delivering no further
+  // events.
   MemoryHierarchy M(HierarchyConfig::ultraSparcE5000());
   TallyObserver Tally;
   M.attachObserver(&Tally);
@@ -442,7 +444,7 @@ TEST(SimGolden, RecordedReplayMatchesGolden) {
 
 TEST(SimGolden, MixedSizeAccessesSpanBlocks) {
   // A 40-byte access spanning three 16-byte L1 blocks touches each block
-  // once; the fast path must bail out to the range path for these.
+  // once, through the same access loop as a single-block access.
   MemoryHierarchy M(HierarchyConfig::ultraSparcE5000());
   M.read(0x7f0000000008ULL, 40);
   EXPECT_EQ(M.stats().Reads, 3u);

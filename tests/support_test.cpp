@@ -387,10 +387,11 @@ TEST(FlatMap, InsertFindErase) {
   EXPECT_TRUE(Map.empty());
 }
 
-TEST(FlatMap, InsertOrAssignOverwrites) {
+TEST(FlatMap, FindOrInsertKeepsExistingValue) {
   FlatMap64 Map;
-  Map.insertOrAssign(5, 1);
-  Map.insertOrAssign(5, 2);
+  EXPECT_EQ(Map.findOrInsert(5, 1), 1u); // Absent: inserted as default.
+  EXPECT_EQ(Map.findOrInsert(5, 9), 1u); // Present: default ignored.
+  Map.findOrInsert(5) = 2;               // The slot is writable.
   ASSERT_NE(Map.find(5), nullptr);
   EXPECT_EQ(*Map.find(5), 2u);
   EXPECT_EQ(Map.size(), 1u);
