@@ -7,10 +7,10 @@
 // google-benchmark microbenchmarks for the allocator itself: §3.2 notes
 // that "a heap allocator is invoked many more times than a data
 // reorganizer, so it must use techniques that incur low overhead." This
-// binary measures the native cost of the plain path, the three ccmalloc
-// strategies, deallocation, free-list churn, hint-pressure search, and
-// the sharded front-end's threaded build/churn modes (one worker per
-// shard over a shared slab source).
+// binary measures the native cost of one single-threaded allocator:
+// the plain path, the three ccmalloc strategies, deallocation,
+// free-list churn and hint-pressure search, against a system-malloc
+// baseline.
 // `--out <path>` emits google-benchmark JSON (the committed reference is
 // BENCH_allocator_throughput.json). The companion reorganizer bench is
 // micro_morph_throughput.
@@ -19,7 +19,6 @@
 
 #include "bench/MicroBenchMain.h"
 #include "core/CcAllocator.h"
-#include "support/SweepRunner.h"
 
 #include <benchmark/benchmark.h>
 
@@ -147,98 +146,6 @@ void BM_SystemMallocBaseline(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SystemMallocBaseline);
-
-//===----------------------------------------------------------------------===//
-// Sharded front-end: multi-threaded structure construction and churn
-//===----------------------------------------------------------------------===//
-
-/// A TreeAdd-shaped node: payload plus two kid pointers, allocated with
-/// the parent as the ccmalloc hint (Olden's bottom-up locality idiom).
-struct BuildNode {
-  uint64_t Payload[2];
-  BuildNode *Left;
-  BuildNode *Right;
-};
-
-BuildNode *buildSubtree(CcAllocator &Alloc, unsigned Depth,
-                        const void *Near) {
-  if (Depth == 0)
-    return nullptr;
-  auto *N = static_cast<BuildNode *>(Alloc.ccmalloc(sizeof(BuildNode), Near));
-  N->Payload[0] = Depth;
-  N->Left = buildSubtree(Alloc, Depth - 1, N);
-  N->Right = buildSubtree(Alloc, Depth - 1, N);
-  return N;
-}
-
-/// Threaded build mode: N workers each construct a TreeAdd-shaped
-/// binary tree on their own shard of one sharded allocator — the
-/// multi-threaded workload-construction path shardFor() exists for.
-/// Arg(1) is the single-shard serial baseline; the allocation fast path
-/// is lock-free in every configuration (the only mutex is SlabSource's,
-/// once per 1 MB of growth). Real time: the workers do the allocating.
-void BM_ShardedTreeBuild(benchmark::State &State) {
-  const unsigned Shards = unsigned(State.range(0));
-  const unsigned Depth = 14; // 16383 nodes per shard.
-  const uint64_t NodesPerShard = (1u << Depth) - 1;
-  SweepRunner Pool(Shards);
-  for (auto _ : State) {
-    CcAllocator Alloc(CacheParams(), heap::CcStrategy::NewBlock, Shards);
-    Pool.run(Shards, [&](size_t S) {
-      CcAllocator &Shard = Alloc.shardFor(unsigned(S));
-      Shard.rebindMetricsToCurrentThread();
-      benchmark::DoNotOptimize(buildSubtree(Shard, Depth, nullptr));
-    });
-    benchmark::DoNotOptimize(&Alloc);
-  }
-  State.SetItemsProcessed(int64_t(State.iterations()) *
-                          int64_t(Shards * NodesPerShard));
-}
-BENCHMARK(BM_ShardedTreeBuild)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-/// Threaded steady-state churn, the BDD unique table's pre-aging
-/// pattern (fig6): every shard keeps a window of live mixed-size chunks
-/// and replaces scattered victims — free-list recycling and block
-/// reclamation concurrently on all shards, zero shared state.
-void BM_ShardedChurn(benchmark::State &State) {
-  const unsigned Shards = unsigned(State.range(0));
-  constexpr size_t Window = 1 << 12;
-  constexpr size_t OpsPerShard = 1 << 14;
-  constexpr size_t Sizes[] = {16, 24, 40, 56};
-  SweepRunner Pool(Shards);
-  CcAllocator Alloc(CacheParams(), heap::CcStrategy::NewBlock, Shards);
-  std::vector<std::vector<void *>> Live(Shards);
-  Pool.run(Shards, [&](size_t S) {
-    CcAllocator &Shard = Alloc.shardFor(unsigned(S));
-    Shard.rebindMetricsToCurrentThread();
-    Live[S].resize(Window);
-    for (size_t I = 0; I < Window; ++I)
-      Live[S][I] = Shard.ccmalloc(Sizes[I % 4]);
-  });
-  for (auto _ : State) {
-    Pool.run(Shards, [&](size_t S) {
-      CcAllocator &Shard = Alloc.shardFor(unsigned(S));
-      Shard.rebindMetricsToCurrentThread();
-      uint64_t Cursor = 0;
-      for (size_t Op = 0; Op < OpsPerShard; ++Op) {
-        size_t Slot = size_t((Cursor * 2654435761ULL) % Window);
-        ++Cursor;
-        Shard.ccfree(Live[S][Slot]);
-        Live[S][Slot] = Shard.ccmalloc(Sizes[Slot % 4]);
-        benchmark::DoNotOptimize(Live[S][Slot]);
-      }
-    });
-  }
-  Pool.run(Shards, [&](size_t S) {
-    CcAllocator &Shard = Alloc.shardFor(unsigned(S));
-    Shard.rebindMetricsToCurrentThread();
-    for (void *P : Live[S])
-      Shard.ccfree(P);
-  });
-  State.SetItemsProcessed(int64_t(State.iterations()) *
-                          int64_t(Shards * OpsPerShard));
-}
-BENCHMARK(BM_ShardedChurn)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 } // namespace
 

@@ -6,8 +6,9 @@
 # Builds the release and asan presets and runs the full test suite on
 # both, then builds the tsan preset and runs the thread-sensitive tests
 # (the SweepRunner/simulator suite) under ThreadSanitizer, runs the
-# layout lint, and runs each perfbench workload briefly to check that
-# replay still equals live simulation. Any failure aborts the script.
+# layout lint, diffs fig7 and fig10 across sweep thread counts, and runs
+# each perfbench workload briefly to check that replay still equals
+# live simulation. Any failure aborts the script.
 #
 # Usage: scripts/ci.sh [--advisory] [jobs]
 #
@@ -56,6 +57,22 @@ echo "=== [lint] ccl-lint --check ==="
 build-release/tools/ccllint --check > /dev/null
 echo "=== [lint] clang-tidy (scripts/lint.sh) ==="
 scripts/lint.sh
+
+# Thread-count determinism: a figure's stdout must not depend on how
+# many sweep workers ran its cells. fig7 (the ccmalloc figure) and
+# fig10 are diffed; fig5 prints native timings and fig6's simulated
+# columns still follow host heap placement, so neither is checked yet.
+DET_DIR="$(mktemp -d)"
+for fig in fig7_olden fig10_model_validation; do
+  echo "=== [determinism] $fig at CCL_SWEEP_THREADS=1 vs 4 ==="
+  CCL_SWEEP_THREADS=1 "build-release/bench/$fig" > "$DET_DIR/$fig.1"
+  CCL_SWEEP_THREADS=4 "build-release/bench/$fig" > "$DET_DIR/$fig.4"
+  if ! diff "$DET_DIR/$fig.1" "$DET_DIR/$fig.4"; then
+    echo "FAIL: $fig stdout depends on the sweep thread count"
+    exit 1
+  fi
+done
+rm -rf "$DET_DIR"
 
 # End-to-end correctness: every perfbench op checks that trace replay
 # equals live simulation bit for bit and that native checksums match.

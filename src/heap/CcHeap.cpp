@@ -41,6 +41,7 @@ struct HeapMetrics {
   metrics::Counter FreeSlow = metrics::counter("ccmalloc.free_slow");
   metrics::Counter BinRefill = metrics::counter("ccmalloc.bin_refill");
   metrics::Counter BinRecycle = metrics::counter("ccmalloc.bin_recycle");
+  metrics::Counter SlabAcquires = metrics::counter("ccmalloc.slab_acquires");
 };
 
 const HeapMetrics &heapMetrics() {
@@ -61,15 +62,7 @@ const char *ccl::heap::strategyName(CcStrategy Strategy) {
   return "unknown";
 }
 
-CcHeap::CcHeap(HeapConfig ConfigIn, SlabSource *SharedSlabs,
-               uint32_t ShardIdIn)
-    : Config(ConfigIn), ShardId(ShardIdIn) {
-  if (SharedSlabs) {
-    Slabs = SharedSlabs;
-  } else {
-    OwnedSlabs = std::make_unique<SlabSource>();
-    Slabs = OwnedSlabs.get();
-  }
+CcHeap::CcHeap(HeapConfig ConfigIn) : Config(ConfigIn) {
   assert(isPowerOf2(Config.PageBytes) && "page size must be a power of two");
   assert(isPowerOf2(Config.BlockBytes) &&
          "block size must be a power of two");
@@ -84,12 +77,6 @@ CcHeap::CcHeap(HeapConfig ConfigIn, SlabSource *SharedSlabs,
   BlockShift = static_cast<uint32_t>(std::countr_zero(Config.BlockBytes));
   FreeBins.resize((Config.BlockBytes - HeaderBytes) / 8);
 
-  rebindMetricsToCurrentThread();
-}
-
-CcHeap::~CcHeap() = default;
-
-void CcHeap::rebindMetricsToCurrentThread() {
   const HeapMetrics &M = heapMetrics();
   MAllocFast = metrics::cell(M.AllocFast);
   MAllocSlow = metrics::cell(M.AllocSlow);
@@ -99,11 +86,23 @@ void CcHeap::rebindMetricsToCurrentThread() {
   MFreeSlow = metrics::cell(M.FreeSlow);
   MBinRefill = metrics::cell(M.BinRefill);
   MBinRecycle = metrics::cell(M.BinRecycle);
+  MSlabAcquires = metrics::cell(M.SlabAcquires);
+}
+
+CcHeap::~CcHeap() {
+  for (void *Slab : Slabs)
+    std::free(Slab);
 }
 
 CcHeap::PageInfo *CcHeap::newPage() {
   if (!SlabCursor || SlabCursor + Config.PageBytes > SlabEnd) {
-    void *Slab = Slabs->acquire(ShardId);
+    void *Slab = std::aligned_alloc(SlabBytes, SlabBytes);
+    if (!Slab) {
+      std::fprintf(stderr, "ccl: heap out of memory\n");
+      std::abort();
+    }
+    Slabs.push_back(Slab);
+    metrics::bump(MSlabAcquires);
     SlabCursor = static_cast<char *>(Slab);
     SlabEnd = SlabCursor + SlabBytes;
   }

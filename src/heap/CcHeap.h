@@ -32,7 +32,6 @@
 #ifndef CCL_HEAP_CCHEAP_H
 #define CCL_HEAP_CCHEAP_H
 
-#include "heap/SlabSource.h"
 #include "support/Align.h"
 #include "support/FlatMap.h"
 #include "support/Metrics.h"
@@ -94,26 +93,14 @@ struct HeapStats {
 
 /// A page-structured heap with cache-block-granular placement.
 ///
-/// A single CcHeap is not thread-safe: the seeded experiments are
-/// single-threaded, matching the paper's uniprocessor evaluation. For
-/// concurrent construction, build one CcHeap per shard over a shared
-/// SlabSource: each shard owns disjoint slabs (so every pointer has
-/// exactly one owning shard), all alloc/free state (page map, free
-/// bins, occupancy bitmaps, block epochs, cursors, stats) is per-shard,
-/// and the only synchronization is the slab-acquisition mutex inside
-/// SlabSource. The concurrency contract is exclusive shard ownership:
-/// at most one thread drives a given shard at a time, and cross-shard
-/// operations (routing a free to the owning shard, merging stats)
-/// happen only in the serial phases between parallel regions.
+/// A CcHeap is single-threaded, matching the paper's uniprocessor
+/// evaluation: placement and HeapStats are a pure function of the call
+/// sequence. Build a heap on the thread that drives it (a sweep worker
+/// may own one); its metrics cells belong to the constructing thread.
 class CcHeap {
 public:
-  /// \param SharedSlabs slab backing store shared between shards; null
-  ///        (the default) gives the heap a private source — the
-  ///        original single-heap behaviour.
-  /// \param ShardId owner tag recorded for every slab this heap draws,
-  ///        so SlabSource::ownerOf can route any pointer back here.
-  explicit CcHeap(HeapConfig Config = HeapConfig(),
-                  SlabSource *SharedSlabs = nullptr, uint32_t ShardId = 0);
+  explicit CcHeap(HeapConfig Config = HeapConfig());
+  /// Frees every slab the heap drew.
   ~CcHeap();
 
   CcHeap(const CcHeap &) = delete;
@@ -298,20 +285,6 @@ public:
   const HeapConfig &config() const { return Config; }
   const HeapStats &stats() const { return Stats; }
 
-  /// Owner tag this heap stamps on the slabs it draws (0 for a private
-  /// single-heap source).
-  uint32_t shardId() const { return ShardId; }
-
-  /// The slab source backing this heap (shared in sharded mode).
-  const SlabSource &slabSource() const { return *Slabs; }
-
-  /// Re-caches the metrics cells from the calling thread's shard. The
-  /// cells cached at construction belong to the constructing thread;
-  /// a worker thread taking ownership of a shard heap calls this once
-  /// so fast-path increments land on its own per-thread cells instead
-  /// of racing the constructor's (metrics::bump is owner-thread-only).
-  void rebindMetricsToCurrentThread();
-
   /// Total memory reserved from the OS in committed pages (the paper's
   /// "memory allocated" / overhead metric).
   uint64_t footprintBytes() const {
@@ -370,9 +343,10 @@ private:
   static constexpr size_t HeaderBytes = sizeof(ChunkHeader);
   /// Smallest possible chunk: header plus the minimum rounded payload.
   static constexpr size_t MinNeed = HeaderBytes + 8;
-  /// Pages are carved from slabs this large (see SlabSource) so that
-  /// the grouping of pages into cache-capacity regions is deterministic.
-  static constexpr size_t SlabBytes = SlabSource::SlabBytes;
+  /// Pages are carved in order from slabs this large and this aligned,
+  /// so the grouping of pages into cache-capacity regions (and the
+  /// simulator's 1 MiB translation units) is deterministic.
+  static constexpr size_t SlabBytes = 1 << 20;
 
   PageInfo *newPage();
   PageInfo *findPage(const void *Ptr) const {
@@ -509,11 +483,9 @@ private:
   /// Reclaimed blocks (page, block index) available for spill
   /// allocations; entries are validated against Used == 0 when popped.
   std::vector<std::pair<PageInfo *, uint32_t>> FreeBlockPool;
-  /// Slab backing store for pages: OwnedSlabs is the private source of
-  /// a standalone heap; in sharded mode Slabs points at the shared one.
-  std::unique_ptr<SlabSource> OwnedSlabs;
-  SlabSource *Slabs = nullptr;
-  uint32_t ShardId = 0;
+  /// Every slab drawn so far, freed by the destructor; newPage() carves
+  /// pages from the last one between SlabCursor and SlabEnd.
+  std::vector<void *> Slabs;
   char *SlabCursor = nullptr;
   char *SlabEnd = nullptr;
 
@@ -529,6 +501,7 @@ private:
   metrics::Cell *MFreeSlow = nullptr;
   metrics::Cell *MBinRefill = nullptr;
   metrics::Cell *MBinRecycle = nullptr;
+  metrics::Cell *MSlabAcquires = nullptr;
 };
 
 } // namespace ccl::heap

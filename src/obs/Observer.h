@@ -17,10 +17,10 @@
 ///    single always-false pointer compare per read()/write(); no event
 ///    structs are built and no virtual calls happen.
 ///  * Enabled is bit-identical: attaching an observer routes every
-///    access through an observed twin of the access loop that runs the
-///    same per-block simulation, so all SimStats/cache/TLB counters are
-///    exactly the numbers an unobserved run produces
-///    (tests/sim_golden_test.cpp locks this down).
+///    access, live or replayed, through an observed twin of the access
+///    loop that runs the same per-block simulation, so all
+///    SimStats/cache/TLB counters are exactly the numbers an unobserved
+///    run produces (tests/sim_golden_test.cpp locks this down).
 ///  * Events carry both the program's virtual address (for attribution
 ///    against allocator-registered regions) and the simulator's
 ///    deterministic mapped address (for set-index analysis).

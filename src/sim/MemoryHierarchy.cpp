@@ -28,32 +28,8 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &Config)
   L2BlockShift = log2Exact(Config.L2.BlockBytes);
 }
 
-void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
-  if (Obs != nullptr) [[unlikely]] {
-    // Observed replays route per record through the same observed twin
-    // a live observed run takes, so telemetry and statistics stay
-    // bit-identical to the equivalent read()/write() call sequence.
-    TraceRecord R;
-    while (MaxRecords != 0 && Cursor.next(R)) {
-      --MaxRecords;
-      switch (R.K) {
-      case TraceRecord::Kind::Read:
-        accessRangeObserved(R.Addr, R.Arg, false);
-        break;
-      case TraceRecord::Kind::Write:
-        accessRangeObserved(R.Addr, R.Arg, true);
-        break;
-      case TraceRecord::Kind::Prefetch:
-        prefetch(R.Addr);
-        break;
-      case TraceRecord::Kind::Tick:
-        tick(R.Arg);
-        break;
-      }
-    }
-    return;
-  }
-
+template <bool Observed>
+void MemoryHierarchy::replayRecords(TraceCursor &Cursor, size_t MaxRecords) {
   // Decode a block, then probe it.
   TraceRecord Batch[TraceBlockCap];
   while (size_t Got = Cursor.nextBatch(Batch, std::min(MaxRecords,
@@ -63,10 +39,16 @@ void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
       const TraceRecord &R = Batch[I];
       switch (R.K) {
       case TraceRecord::Kind::Read:
-        accessRange(R.Addr, R.Arg, false);
+        if constexpr (Observed)
+          accessRangeObserved(R.Addr, R.Arg, false);
+        else
+          accessRange(R.Addr, R.Arg, false);
         break;
       case TraceRecord::Kind::Write:
-        accessRange(R.Addr, R.Arg, true);
+        if constexpr (Observed)
+          accessRangeObserved(R.Addr, R.Arg, true);
+        else
+          accessRange(R.Addr, R.Arg, true);
         break;
       case TraceRecord::Kind::Prefetch:
         prefetch(R.Addr);
@@ -77,6 +59,12 @@ void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
       }
     }
   }
+}
+
+void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
+  if (Obs != nullptr) [[unlikely]]
+    return replayRecords<true>(Cursor, MaxRecords);
+  replayRecords<false>(Cursor, MaxRecords);
 }
 
 uint64_t MemoryHierarchy::translateSlow(uint64_t Addr) {

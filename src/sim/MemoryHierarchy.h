@@ -18,14 +18,16 @@
 /// 16-entry memo of the first-touch unit map, then probes the TLB's
 /// most-recently-used page, L1 and, on an L1 miss, L2; each cache probe
 /// is an inline scan of one set's tag words. Only translation-memo
-/// misses, TLB misses and L2 misses leave the header.
-/// tests/sim_golden_test.cpp locks the statistics down.
+/// misses, TLB misses and L2 misses leave the header. replay() has one
+/// batched decode loop, instantiated once without and once with an
+/// observer. tests/sim_golden_test.cpp locks the statistics down.
 ///
 /// Telemetry: attachObserver() hooks an obs::SimObserver into the
-/// hierarchy. Observed runs take a twin of accessRange that runs the
-/// same accessBlock and also emits per-access, eviction, and prefetch
-/// events, so their statistics are bit-identical; unobserved runs pay
-/// only a null compare. See src/obs/ for the sinks.
+/// hierarchy. Observed accesses, live or replayed, go through
+/// accessRangeObserved, which runs the same accessBlock and also emits
+/// per-access, eviction, and prefetch events, so their statistics are
+/// bit-identical; unobserved runs pay only a null compare per call. See
+/// src/obs/ for the sinks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,12 +115,15 @@ public:
 
   /// Attaches (or, with null, detaches) a telemetry observer.
   ///
-  /// Contract: while an observer is attached, every access is routed
-  /// through accessRangeObserved, which runs the same accessBlock as an
+  /// Contract: while an observer is attached, every access — a
+  /// read()/write() call or a replayed record — is routed through
+  /// accessRangeObserved, which runs the same accessBlock as an
   /// unobserved access, so all statistics remain bit-identical to an
-  /// unobserved run (locked down by tests/sim_golden_test.cpp). With no
-  /// observer attached the only cost is one predictable null compare per
-  /// read()/write() call. The observer survives reset().
+  /// unobserved run (locked down by tests/sim_golden_test.cpp), and a
+  /// replay emits the same events as the live calls it records
+  /// (tests/trace_v2_test.cpp). With no observer attached the only cost
+  /// is one predictable null compare per read()/write() or replay()
+  /// call. The observer survives reset().
   void attachObserver(obs::SimObserver *Observer) { Obs = Observer; }
   obs::SimObserver *observer() const { return Obs; }
 
@@ -153,6 +158,12 @@ private:
   /// AccessEvent (with the per-block virtual byte span) and eviction
   /// events for every block touched.
   void accessRangeObserved(uint64_t Addr, uint64_t Size, bool IsWrite);
+
+  /// replay()'s decode loop: decodes up to \p MaxRecords records a
+  /// block at a time and issues each through accessRange, or through
+  /// accessRangeObserved when \p Observed.
+  template <bool Observed>
+  void replayRecords(TraceCursor &Cursor, size_t MaxRecords);
 
   /// Simulates one access to the L1 block at mapped address \p Addr.
   BlockOutcome accessBlock(uint64_t Addr, bool IsWrite) {

@@ -60,12 +60,6 @@ struct SimStats {
     return Total == 0 ? 0.0 : static_cast<double>(L2Misses) / Total;
   }
 
-  /// Average cycles per memory reference (the model's t_memory).
-  double cyclesPerReference() const {
-    uint64_t Refs = memoryReferences();
-    return Refs == 0 ? 0.0 : static_cast<double>(totalCycles()) / Refs;
-  }
-
   /// Accumulates another run's counters (e.g. summing per-phase deltas).
   SimStats &operator+=(const SimStats &Other) {
     Reads += Other.Reads;

@@ -36,15 +36,6 @@ public:
     return Root;
   }
 
-  /// Re-runs reorganization on the current tree — the paper's periodic
-  /// re-morph for slowly changing structures.
-  const BstNode *remorph(const MorphOptions &Options = MorphOptions()) {
-    assert(CurrentRoot && "remorph before adopt");
-    CurrentRoot =
-        Morph.reorganize(const_cast<BstNode *>(CurrentRoot), Options);
-    return CurrentRoot;
-  }
-
   const BstNode *root() const { return CurrentRoot; }
 
   template <typename Access>

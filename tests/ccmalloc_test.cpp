@@ -28,7 +28,8 @@ TEST(CcAllocator, CoLocatesWithHint) {
   void *A = Alloc.ccmalloc(16);
   void *B = Alloc.ccmalloc(16, A);
   EXPECT_TRUE(Alloc.sameBlock(A, B));
-  EXPECT_TRUE(Alloc.samePage(A, B));
+  EXPECT_NE(Alloc.heap().pageOf(A), 0u);
+  EXPECT_EQ(Alloc.heap().pageOf(A), Alloc.heap().pageOf(B));
 }
 
 TEST(CcAllocator, PaperFigure4Pattern) {
@@ -56,28 +57,6 @@ TEST(CcAllocator, PaperFigure4Pattern) {
   EXPECT_GE(SameBlock, 8);
   // And all cells should sit on very few pages.
   EXPECT_LE(Alloc.stats().PagesAllocated, 2u);
-}
-
-TEST(CcAllocator, CreateDestroyTyped) {
-  CcAllocator Alloc;
-  struct Tracked {
-    int *Counter;
-    explicit Tracked(int *C) : Counter(C) { ++*Counter; }
-    ~Tracked() { --*Counter; }
-  };
-  int Count = 0;
-  Tracked *T = Alloc.create<Tracked>(nullptr, &Count);
-  EXPECT_EQ(Count, 1);
-  Alloc.destroy(T);
-  EXPECT_EQ(Count, 0);
-  Alloc.destroy<Tracked>(nullptr); // No-op.
-}
-
-TEST(CcAllocator, StrategySwitch) {
-  CcAllocator Alloc(CacheParams(), heap::CcStrategy::Closest);
-  EXPECT_EQ(Alloc.strategy(), heap::CcStrategy::Closest);
-  Alloc.setStrategy(heap::CcStrategy::FirstFit);
-  EXPECT_EQ(Alloc.strategy(), heap::CcStrategy::FirstFit);
 }
 
 TEST(CcAllocator, NullHintBehavesLikeMalloc) {
@@ -137,5 +116,6 @@ TEST(CcAllocator, SamePageFalseForForeign) {
   CcAllocator Alloc;
   void *A = Alloc.ccmalloc(16);
   int Local;
-  EXPECT_FALSE(Alloc.samePage(A, &Local));
+  EXPECT_NE(Alloc.heap().pageOf(A), 0u);
+  EXPECT_EQ(Alloc.heap().pageOf(&Local), 0u);
 }

@@ -8,8 +8,8 @@
 
 #include "core/CcAllocator.h"
 #include "support/Align.h"
+#include "support/Metrics.h"
 #include "support/Random.h"
-#include "support/SweepRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -761,188 +761,79 @@ TEST(CcHeapParity, NullAndForeignHintsMatchSeed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded front-end: disjoint slab ownership, per-shard determinism,
-// epoch-validated reclaim under interleaved alloc/free
+// Slab layout and epoch-validated reclaim under alternating sizes
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Deterministic per-shard churn: interleaved alloc/free with a seeded
-/// size mix, stamping every live chunk with a shard byte so cross-shard
-/// writes would corrupt a checkable pattern. Returns the survivors.
-std::vector<void *> churnShard(CcAllocator &Shard, uint32_t ShardId,
-                               size_t Ops) {
-  Xoshiro256 Rng(0x5AAD0000ULL + ShardId);
-  std::vector<void *> Live;
-  static constexpr size_t SizeTable[] = {8,  16, 24,  24, 40,
-                                         56, 90, 200, 700};
-  for (size_t Op = 0; Op < Ops; ++Op) {
-    uint64_t Roll = Rng.nextBounded(10);
-    if (Roll < 4 && !Live.empty()) {
-      size_t Victim = Rng.nextBounded(Live.size());
-      auto *Stamp = static_cast<unsigned char *>(Live[Victim]);
-      EXPECT_EQ(*Stamp, static_cast<unsigned char>(0xA0 + ShardId));
-      Shard.ccfree(Live[Victim]);
-      Live[Victim] = Live.back();
-      Live.pop_back();
-      continue;
-    }
-    size_t Bytes = SizeTable[Rng.nextBounded(9)];
-    void *Ptr = Live.empty() || Roll >= 8
-                    ? Shard.ccmalloc(Bytes)
-                    : Shard.ccmalloc(Bytes,
-                                     Live[Rng.nextBounded(Live.size())]);
-    EXPECT_NE(Ptr, nullptr);
-    std::memset(Ptr, 0xA0 + int(ShardId), Bytes);
-    Live.push_back(Ptr);
-  }
-  return Live;
+/// Current total of the slab-acquire counter, or 0 while it is not
+/// registered yet.
+uint64_t slabAcquires() {
+  for (const metrics::CounterSnapshot &C : metrics::snapshot().Counters)
+    if (C.Name == "ccmalloc.slab_acquires")
+      return C.Value;
+  return 0;
 }
 
 } // namespace
 
-TEST(CcHeapSharded, ShardsOwnDisjointSlabs) {
-  CcAllocator Alloc(CacheParams(), CcStrategy::NewBlock, 4);
-  EXPECT_EQ(Alloc.shardCount(), 4u);
-  EXPECT_EQ(&Alloc.shardFor(0), &Alloc); // Shard 0 is the front object.
-  EXPECT_EQ(&Alloc.shardFor(4), &Alloc); // Tids map modulo.
-  EXPECT_NE(&Alloc.shardFor(1), &Alloc);
-  EXPECT_EQ(&Alloc.shardFor(1), &Alloc.shardFor(5));
+TEST(CcHeap, PagesComeFromAlignedSlabs) {
+  // The simulator remaps addresses in 1 MiB units, and placement parity
+  // across processes rests on pages sitting at fixed offsets inside
+  // 1 MiB-aligned slabs: 128 default pages per slab, in creation order.
+  constexpr uint64_t SlabBytes = 1 << 20;
+  const uint64_t AcquiresBefore = slabAcquires();
+  CcHeap Heap;
+  const uint64_t PageBytes = Heap.config().PageBytes;
+  const size_t PagesPerSlab = SlabBytes / PageBytes;
+  // A 56-byte payload plus its 8-byte header fills one 64-byte block,
+  // so every 128 allocations fill one page.
+  for (size_t I = 0; I < (PagesPerSlab + 1) * (PageBytes / 64); ++I)
+    ASSERT_NE(Heap.allocate(56), nullptr);
+  std::vector<uint64_t> Pages;
+  Heap.forEachPage(
+      [&](const char *Base, size_t) { Pages.push_back(addrOf(Base)); });
+  ASSERT_EQ(Pages.size(), PagesPerSlab + 1);
+  EXPECT_TRUE(isAligned(Pages[0], SlabBytes));
+  for (size_t P = 1; P < PagesPerSlab; ++P)
+    EXPECT_EQ(Pages[P], Pages[0] + P * PageBytes) << "page " << P;
+  EXPECT_TRUE(isAligned(Pages[PagesPerSlab], SlabBytes));
+  EXPECT_NE(Pages[PagesPerSlab], Pages[0]);
+  EXPECT_EQ(slabAcquires() - AcquiresBefore, 2u);
+}
 
-  // Every pointer's slab is owned by exactly the shard that made it.
-  for (unsigned S = 0; S < 4; ++S) {
-    CcAllocator &Shard = Alloc.shardFor(S);
-    for (int I = 0; I < 200; ++I) {
-      void *Ptr = Shard.ccmalloc(64);
-      EXPECT_EQ(Alloc.shardOwning(Ptr), &Shard);
-      EXPECT_EQ(Shard.heap().slabSource().ownerOf(Ptr), S);
+TEST(CcHeap, EpochReclaimAcrossAlternatingSizes) {
+  // Repeatedly fill blocks with one size, free every chunk (emptying
+  // the blocks, which reclaims them and bumps their epoch), then cover
+  // the same blocks with a different size. The stale free-list entries
+  // left by the first size must fail the epoch check instead of handing
+  // out reclaimed memory twice — so all live chunks of a wave are
+  // distinct addresses.
+  CcAllocator Alloc(CacheParams(), CcStrategy::NewBlock);
+  std::vector<void *> Wave;
+  for (int Round = 0; Round < 50; ++Round) {
+    size_t SizeA = Round % 2 ? 24 : 56;
+    size_t SizeB = Round % 2 ? 56 : 24;
+    Wave.clear();
+    for (int I = 0; I < 64; ++I)
+      Wave.push_back(Alloc.ccmalloc(SizeA));
+    for (void *Ptr : Wave)
+      Alloc.ccfree(Ptr);
+    Wave.clear();
+    for (int I = 0; I < 64; ++I) {
+      void *Ptr = Alloc.ccmalloc(SizeB);
+      std::memset(Ptr, Round, SizeB);
+      Wave.push_back(Ptr);
     }
+    std::sort(Wave.begin(), Wave.end());
+    EXPECT_EQ(std::adjacent_find(Wave.begin(), Wave.end()), Wave.end())
+        << "duplicate live chunk in round " << Round;
+    for (void *Ptr : Wave)
+      Alloc.ccfree(Ptr);
   }
-}
-
-TEST(CcHeapSharded, SingleShardModeMatchesDefaultAllocator) {
-  // Shards <= 1 must degrade to the plain allocator bit-for-bit, so
-  // seeded experiments stay deterministic.
-  CcAllocator Sharded(CacheParams(), CcStrategy::Closest, 1);
-  CcAllocator Plain(CacheParams(), CcStrategy::Closest);
-  EXPECT_EQ(Sharded.shardCount(), 1u);
-  seedref::PlacementTracker A, B;
-  for (int I = 0; I < 300; ++I) {
-    size_t Bytes = 8 + 8 * (I % 9);
-    void *X = Sharded.ccmalloc(Bytes);
-    void *Y = Plain.ccmalloc(Bytes);
-    EXPECT_EQ(A.key(X, Sharded.heap().pageOf(X)),
-              B.key(Y, Plain.heap().pageOf(Y)));
-  }
-  seedref::expectStatsEqual(Sharded.stats(), Plain.stats());
-  seedref::expectStatsEqual(Sharded.mergedStats(), Plain.stats());
-}
-
-TEST(CcHeapSharded, ConcurrentChurnMatchesSerialReplay) {
-  // The determinism property behind the whole design: a shard's
-  // placements depend only on its own call sequence, so the same
-  // per-shard workloads produce identical layouts whether the shards
-  // run on four threads or one.
-  constexpr unsigned Shards = 4;
-  constexpr size_t Ops = 4000;
-
-  CcAllocator Par(CacheParams(), CcStrategy::Closest, Shards);
-  std::vector<std::vector<void *>> ParLive(Shards);
-  SweepRunner Pool(Shards);
-  Pool.run(Shards, [&](size_t S) {
-    CcAllocator &Shard = Par.shardFor(unsigned(S));
-    Shard.rebindMetricsToCurrentThread();
-    ParLive[S] = churnShard(Shard, unsigned(S), Ops);
-  });
-
-  CcAllocator Ser(CacheParams(), CcStrategy::Closest, Shards);
-  std::vector<std::vector<void *>> SerLive(Shards);
-  for (unsigned S = 0; S < Shards; ++S)
-    SerLive[S] = churnShard(Ser.shardFor(S), S, Ops);
-
-  for (unsigned S = 0; S < Shards; ++S) {
-    seedref::expectStatsEqual(Par.shardFor(S).stats(),
-                              Ser.shardFor(S).stats());
-    ASSERT_EQ(ParLive[S].size(), SerLive[S].size());
-    seedref::PlacementTracker A, B;
-    const CcHeap &HeapPar = Par.shardFor(S).heap();
-    const CcHeap &HeapSer = Ser.shardFor(S).heap();
-    for (size_t I = 0; I < ParLive[S].size(); ++I)
-      ASSERT_EQ(A.key(ParLive[S][I], HeapPar.pageOf(ParLive[S][I])),
-                B.key(SerLive[S][I], HeapSer.pageOf(SerLive[S][I])))
-          << "shard " << S << " survivor " << I;
-  }
-
-  // The churn actually exercised free-list reuse and block reclaim.
-  HeapStats Total = Par.mergedStats();
-  EXPECT_GT(Total.FreeListReuses, 0u);
-  EXPECT_GT(Total.BlocksReclaimed, 0u);
-  EXPECT_EQ(Total.AllocCalls, Ser.mergedStats().AllocCalls);
-}
-
-TEST(CcHeapSharded, EpochReclaimUnderInterleavedAllocFree) {
-  // Each shard repeatedly fills blocks with one size, frees every chunk
-  // (emptying the blocks, which reclaims them and bumps their epoch),
-  // then covers the same blocks with a different size. The stale
-  // free-list entries left by the first size must fail the epoch check
-  // instead of handing out reclaimed memory twice — so all live chunks
-  // of a wave are distinct addresses.
-  constexpr unsigned Shards = 2;
-  CcAllocator Alloc(CacheParams(), CcStrategy::NewBlock, Shards);
-  SweepRunner Pool(Shards);
-  Pool.run(Shards, [&](size_t S) {
-    CcAllocator &Shard = Alloc.shardFor(unsigned(S));
-    Shard.rebindMetricsToCurrentThread();
-    std::vector<void *> Wave;
-    for (int Round = 0; Round < 50; ++Round) {
-      size_t SizeA = Round % 2 ? 24 : 56;
-      size_t SizeB = Round % 2 ? 56 : 24;
-      Wave.clear();
-      for (int I = 0; I < 64; ++I)
-        Wave.push_back(Shard.ccmalloc(SizeA));
-      for (void *Ptr : Wave)
-        Shard.ccfree(Ptr);
-      Wave.clear();
-      for (int I = 0; I < 64; ++I) {
-        void *Ptr = Shard.ccmalloc(SizeB);
-        std::memset(Ptr, int(S), SizeB);
-        Wave.push_back(Ptr);
-      }
-      std::sort(Wave.begin(), Wave.end());
-      EXPECT_EQ(std::adjacent_find(Wave.begin(), Wave.end()), Wave.end())
-          << "duplicate live chunk on shard " << S << " round " << Round;
-      for (void *Ptr : Wave)
-        Shard.ccfree(Ptr);
-    }
-  });
-  HeapStats Total = Alloc.mergedStats();
-  EXPECT_GT(Total.BlocksReclaimed, 0u);
-  EXPECT_EQ(Total.BytesLive, 0u);
-  EXPECT_EQ(Total.AllocCalls, uint64_t(Shards) * 50 * 128);
-  EXPECT_EQ(Total.FreeCalls, Total.AllocCalls);
-}
-
-TEST(CcHeapSharded, RoutedFreeReturnsChunksToOwningShard) {
-  constexpr unsigned Shards = 3;
-  CcAllocator Alloc(CacheParams(), CcStrategy::NewBlock, Shards);
-  std::vector<void *> All;
-  for (unsigned S = 0; S < Shards; ++S) {
-    CcAllocator &Shard = Alloc.shardFor(S);
-    for (int I = 0; I < 200; ++I)
-      All.push_back(Shard.ccmalloc(24 + 8 * (I % 5)));
-  }
-  EXPECT_GT(Alloc.mergedStats().BytesLive, 0u);
-  EXPECT_GT(Alloc.mergedFootprintBytes(), 0u);
-
-  // Serial-phase cleanup: route every pointer back to its owner without
-  // knowing which shard made it.
-  for (void *Ptr : All)
-    Alloc.ccfreeRouted(Ptr);
-  HeapStats Total = Alloc.mergedStats();
-  EXPECT_EQ(Total.BytesLive, 0u);
-  EXPECT_EQ(Total.FreeCalls, All.size());
-
-  // Pointers from nowhere are owned by no shard.
-  int Local = 0;
-  EXPECT_EQ(Alloc.shardOwning(&Local), nullptr);
+  const HeapStats &Stats = Alloc.stats();
+  EXPECT_GT(Stats.BlocksReclaimed, 0u);
+  EXPECT_EQ(Stats.BytesLive, 0u);
+  EXPECT_EQ(Stats.AllocCalls, uint64_t(50) * 128);
+  EXPECT_EQ(Stats.FreeCalls, Stats.AllocCalls);
 }

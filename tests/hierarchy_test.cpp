@@ -187,8 +187,9 @@ TEST(Hierarchy, CyclesPerReference) {
   MemoryHierarchy M(tiny());
   M.read(0x0, 4);
   M.read(0x0, 4);
-  // (57 + 1) / 2 references.
-  EXPECT_DOUBLE_EQ(M.stats().cyclesPerReference(), 29.0);
+  // A cold miss (57 cycles) then an L1 hit (1) over two references.
+  EXPECT_EQ(M.stats().totalCycles(), 58u);
+  EXPECT_EQ(M.stats().memoryReferences(), 2u);
 }
 
 TEST(Hierarchy, WritebackPropagation) {

@@ -154,14 +154,6 @@ TEST(CTree, AdoptPreservesSearch) {
   EXPECT_EQ(CT.search(4, A), nullptr);
 }
 
-TEST(CTree, RemorphKeepsTree) {
-  auto Tree = BinarySearchTree::build(255, LayoutScheme::Random);
-  CTree CT(smallParams());
-  CT.adopt(Tree.root());
-  CT.remorph();
-  EXPECT_TRUE(verifyBst(CT.root(), 255));
-}
-
 TEST(CTree, RootIsHot) {
   auto Tree = BinarySearchTree::build(4095, LayoutScheme::Random);
   CTree CT(smallParams());
