@@ -18,6 +18,7 @@
 #ifndef CCL_BENCH_BENCHCOMMON_H
 #define CCL_BENCH_BENCHCOMMON_H
 
+#include "obs/Json.h"
 #include "support/TablePrinter.h"
 
 #include <cstdio>
@@ -104,10 +105,12 @@ inline std::string metricsOutPath(int Argc, char **Argv) {
 }
 
 /// Accumulates one benchmark run's results and writes them as a single
-/// JSON document (schema ccl-bench-v1):
+/// JSON document (schema ccl-bench-v1), starting with obs/Json.h's
+/// envelope:
 ///
-///   {"schema":"ccl-bench-v1","bench":"fig5","full":false,
-///    "build_type":"bench","results":[{"name":"...",...}]}
+///   {"schema":"ccl-bench-v1","binary":"fig5_...","git":"...",
+///    "bench":"fig5","full":false,"build_type":"bench",
+///    "results":[{"name":"...",...}]}
 ///
 /// Usage: beginResult() starts a result object; num()/integer()/str()
 /// append fields to the most recent one.
@@ -135,7 +138,7 @@ public:
   }
 
   void str(const std::string &Key, const std::string &Value) {
-    addField(Key, "\"" + escape(Value) + "\"");
+    addField(Key, "\"" + obs::jsonEscape(Value) + "\"");
   }
 
   /// Writes the document to \p Path ("-" = stdout). Returns false (with
@@ -148,10 +151,12 @@ public:
                    Path.c_str());
       return false;
     }
-    std::fprintf(Out, "{\"schema\":\"ccl-bench-v1\",\"bench\":\"%s\","
-                      "\"full\":%s,\"build_type\":\"%s\","
-                      "\"results\":[",
-                 escape(Bench).c_str(), Full ? "true" : "false",
+    std::fprintf(Out, "{");
+    obs::writeMeta(Out, "ccl-bench-v1");
+    std::fprintf(Out,
+                 ",\"bench\":\"%s\",\"full\":%s,\"build_type\":\"%s\","
+                 "\"results\":[",
+                 obs::jsonEscape(Bench).c_str(), Full ? "true" : "false",
                  buildType());
     for (size_t R = 0; R < Results.size(); ++R) {
       std::fprintf(Out, "%s{", R == 0 ? "" : ",");
@@ -177,27 +182,10 @@ public:
   }
 
 private:
-  static std::string escape(const std::string &Raw) {
-    std::string Out;
-    Out.reserve(Raw.size());
-    for (char C : Raw) {
-      if (C == '"' || C == '\\')
-        Out += '\\';
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x", C);
-        Out += Buffer;
-        continue;
-      }
-      Out += C;
-    }
-    return Out;
-  }
-
   void addField(const std::string &Key, const std::string &Rendered) {
     if (Results.empty())
       Results.emplace_back();
-    Results.back().push_back("\"" + escape(Key) + "\":" + Rendered);
+    Results.back().push_back("\"" + obs::jsonEscape(Key) + "\":" + Rendered);
   }
 
   std::string Bench;

@@ -46,6 +46,7 @@
 #include "trees/BinaryTree.h"
 #include "trees/CTree.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <deque>
 #include <functional>
@@ -215,6 +216,19 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
 
 int main(int Argc, char **Argv) {
   bool Full = bench::fullScale(Argc, Argv);
+  obs::TraceSinkOptions TraceOptions;
+  std::string Sample = bench::flagValue(Argc, Argv, "--trace-sample");
+  if (!Sample.empty()) {
+    const char *End = Sample.data() + Sample.size();
+    auto [Ptr, Ec] =
+        std::from_chars(Sample.data(), End, TraceOptions.SampleInterval);
+    if (Ec != std::errc() || Ptr != End) {
+      std::fprintf(stderr, "fig5: --trace-sample needs a whole number, "
+                           "got '%s'\n",
+                   Sample.c_str());
+      return 64;
+    }
+  }
   bench::printHeader(
       "Figure 5: binary tree microbenchmark",
       "Chilimbi/Hill/Larus PLDI'99, Fig. 5 (avg search time vs repeated "
@@ -350,7 +364,7 @@ int main(int Argc, char **Argv) {
 
   //===------------------------------------------------------------------===//
   // Telemetry: --profile renders a per-structure attribution report;
-  // --trace <path> additionally streams the events as a ccl-trace-v1
+  // --trace <path> additionally streams the events as a ccl-trace-v2
   // JSONL dump (render it later with tools/cclstat).
   //===------------------------------------------------------------------===//
   std::string TracePath = bench::flagValue(Argc, Argv, "--trace");
@@ -426,12 +440,8 @@ int main(int Argc, char **Argv) {
                      TracePath.c_str());
         return 1;
       }
-      obs::TraceSinkOptions Options;
-      std::string Sample = bench::flagValue(Argc, Argv, "--trace-sample");
-      if (!Sample.empty())
-        Options.SampleInterval = std::strtoull(Sample.c_str(), nullptr, 10);
       Tracer = std::make_unique<obs::TraceSink>(TraceFile, AConfig,
-                                                &Registry, Options);
+                                                &Registry, TraceOptions);
       Fan.add(Tracer.get());
     }
 
@@ -601,7 +611,7 @@ int main(int Argc, char **Argv) {
         Json.integer("sim_l2_misses", S.SimL2Misses[I]);
         Json.integer("sim_tlb_misses", S.SimTlbMisses[I]);
         // Paired hardware counts (--hw with perf available): same
-        // document, so cclstat --bench can build the divergence table.
+        // document, so cclstat can build the divergence table.
         if (I < S.Hw.size() && S.Hw[I].Available) {
           const obs::PerfReading &R = S.Hw[I];
           auto HwField = [&](const char *Key, unsigned E) {

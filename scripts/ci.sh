@@ -6,9 +6,10 @@
 # Builds the release and asan presets and runs the full test suite on
 # both, then builds the tsan preset and runs the thread-sensitive tests
 # (the SweepRunner/simulator suite) under ThreadSanitizer, runs the
-# layout lint, diffs fig7 and fig10 across sweep thread counts, and runs
-# each perfbench workload briefly to check that replay still equals
-# live simulation. Any failure aborts the script.
+# layout lint, diffs fig7 and fig10 across sweep thread counts, renders
+# fig7's bench and metrics artifacts through cclstat, and runs each
+# perfbench workload briefly to check that replay still equals live
+# simulation. Any failure aborts the script.
 #
 # Usage: scripts/ci.sh [--advisory] [jobs]
 #
@@ -73,6 +74,18 @@ for fig in fig7_olden fig10_model_validation; do
   fi
 done
 rm -rf "$DET_DIR"
+
+# Artifact round trip: a figure's ccl-bench-v1 document and ccl-metrics-v1
+# dump must both render through cclstat, so writers and reader are
+# checked against each other on every run, not only with
+# CCL_BENCH_ARTIFACTS=1.
+echo "=== [artifacts] fig7 --out/--metrics through cclstat ==="
+ART_DIR="$(mktemp -d)"
+build-release/bench/fig7_olden --out "$ART_DIR/fig7.json" \
+  --metrics "$ART_DIR/fig7.jsonl" > /dev/null
+build-release/tools/cclstat "$ART_DIR/fig7.json" > /dev/null
+build-release/tools/cclstat "$ART_DIR/fig7.jsonl" > /dev/null
+rm -rf "$ART_DIR"
 
 # End-to-end correctness: every perfbench op checks that trace replay
 # equals live simulation bit for bit and that native checksums match.
@@ -154,7 +167,7 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
   build-bench/tools/cclstat --quiet --json - "$ART/METRICS_fig5.jsonl" \
     > /dev/null
   build-bench/tools/cclstat "$ART/METRICS_fig5.jsonl" > /dev/null
-  build-bench/tools/cclstat --bench "$ART/BENCH_fig5.json" > /dev/null
+  build-bench/tools/cclstat "$ART/BENCH_fig5.json" > /dev/null
 
   # Regression gate: diff the fresh micro-bench numbers against the
   # committed references. Blocking by default — a regression beyond

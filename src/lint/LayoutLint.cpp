@@ -6,9 +6,8 @@
 
 #include "lint/LayoutLint.h"
 
-#include "obs/Export.h"
+#include "obs/Json.h"
 #include "sim/MemoryHierarchy.h"
-#include "support/BuildInfo.h"
 
 #include <algorithm>
 #include <cctype>
@@ -849,12 +848,11 @@ void ccl::lint::renderText(const LintReport &Report, std::FILE *Out) {
 
 void ccl::lint::renderJson(const LintReport &Report, std::FILE *Out) {
   using obs::jsonEscape;
+  std::fprintf(Out, "{");
+  obs::writeMeta(Out, "ccl-lint-v1");
   std::fprintf(Out,
-               "{\"schema\":\"ccl-lint-v1\",\"binary\":\"%s\","
-               "\"git\":\"%s\",\"types_analyzed\":%zu,"
-               "\"types_profiled\":%zu,\"errors\":%zu,\"diags\":[",
-               jsonEscape(ccl::binaryName()).c_str(),
-               jsonEscape(ccl::gitDescribe()).c_str(),
+               ",\"types_analyzed\":%zu,\"types_profiled\":%zu,"
+               "\"errors\":%zu,\"diags\":[",
                Report.TypesAnalyzed, Report.TypesProfiled, Report.Errors);
   bool FirstDiag = true;
   for (const Diagnostic &D : Report.Diags) {

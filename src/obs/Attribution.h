@@ -48,6 +48,16 @@ struct AttributionConfig {
   /// Hot (colored) L2 sets [0, HotSets); 0 if coloring is not in play.
   uint64_t HotSets = 0;
 
+  /// True when an AttributionSink can bin events with this geometry:
+  /// nonzero blocks and sets, an L2 block that fits the sink's 128-byte
+  /// touched bitmap, at most 2^24 sets per level, and hot sets within
+  /// the L2. Trace readers check a dump's geometry with it.
+  bool valid() const {
+    return L1BlockBytes != 0 && L1Sets != 0 && L2BlockBytes != 0 &&
+           L2Sets != 0 && L2BlockBytes <= 128 && L1Sets <= (1u << 24) &&
+           L2Sets <= (1u << 24) && HotSets <= L2Sets;
+  }
+
   static AttributionConfig fromHierarchy(const sim::HierarchyConfig &H,
                                          uint64_t HotSets = 0) {
     AttributionConfig Config;

@@ -6,10 +6,7 @@
 
 #include "obs/Export.h"
 
-// Header-only use of the trace codec constants (TraceBlockCap); ccl_obs
-// does not link ccl_sim.
-#include "sim/TraceBuffer.h"
-#include "support/BuildInfo.h"
+#include "obs/Json.h"
 #include "support/TablePrinter.h"
 
 #include <cinttypes>
@@ -17,59 +14,19 @@
 using namespace ccl;
 using namespace ccl::obs;
 
-std::string ccl::obs::jsonEscape(const std::string &Raw) {
-  std::string Out;
-  Out.reserve(Raw.size());
-  for (char C : Raw) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x", C);
-        Out += Buffer;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 TraceSink::TraceSink(std::FILE *Out, const AttributionConfig &Config,
                      const RegionRegistry *Registry,
                      const TraceSinkOptions &Options)
     : Out(Out), Config(Config), Registry(Registry), Options(Options) {
-  // v2 meta adds "trace_block" (records per codec block); every event
-  // line is unchanged from v1 and readers never gate on the schema
-  // string, so v1 dumps still parse and v1 readers skip the new field.
+  std::fprintf(Out, "{\"kind\":\"meta\",");
+  writeMeta(Out, "ccl-trace-v2");
   std::fprintf(Out,
-               "{\"kind\":\"meta\",\"schema\":\"ccl-trace-v2\","
-               "\"l1_block\":%" PRIu32 ",\"l1_sets\":%" PRIu64
+               ",\"l1_block\":%" PRIu32 ",\"l1_sets\":%" PRIu64
                ",\"l2_block\":%" PRIu32 ",\"l2_sets\":%" PRIu64
-               ",\"hot_sets\":%" PRIu64 ",\"sample\":%" PRIu64
-               ",\"trace_block\":%zu"
-               ",\"binary\":\"%s\",\"git\":\"%s\"}\n",
+               ",\"hot_sets\":%" PRIu64 ",\"sample\":%" PRIu64 "}\n",
                Config.L1BlockBytes, Config.L1Sets, Config.L2BlockBytes,
                Config.L2Sets, Config.HotSets,
-               Options.SampleInterval ? Options.SampleInterval : 1,
-               ccl::sim::TraceBlockCap,
-               jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str());
+               Options.SampleInterval ? Options.SampleInterval : 1);
   ++Lines;
 }
 
@@ -161,12 +118,14 @@ void writeRegionJson(std::FILE *Out, const RegionInfo &Info,
 } // namespace
 
 void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
-                                const TraceCodecInfo *Codec) {
+                                const std::string &Binary,
+                                const std::string &Git) {
   const AttributionConfig &Config = Sink.config();
+  std::fprintf(Out, "{");
+  writeMeta(Out, "ccl-profile-v1", Binary, Git);
   std::fprintf(Out,
-               "{\"schema\":\"ccl-profile-v1\",\"l2_block\":%" PRIu32
-               ",\"l2_sets\":%" PRIu64 ",\"hot_sets\":%" PRIu64
-               ",\"regions\":[",
+               ",\"l2_block\":%" PRIu32 ",\"l2_sets\":%" PRIu64
+               ",\"hot_sets\":%" PRIu64 ",\"regions\":[",
                Config.L2BlockBytes, Config.L2Sets, Config.HotSets);
   bool First = true;
   const std::vector<RegionProfile> &Regions = Sink.regions();
@@ -197,16 +156,7 @@ void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
     std::fprintf(Out, "[%" PRIu64 ",%" PRIu64 ",%" PRIu64 "]", Set,
                  Misses[Set], Evictions[Set]);
   }
-  std::fprintf(Out, "]");
-
-  if (Codec && Codec->any()) {
-    std::fprintf(Out, ",\"trace_codec\":{\"schema\":\"%s\"",
-                 jsonEscape(Codec->Schema).c_str());
-    if (Codec->TraceBlock != 0)
-      std::fprintf(Out, ",\"trace_block\":%" PRIu64, Codec->TraceBlock);
-    std::fprintf(Out, "}");
-  }
-  std::fprintf(Out, "}\n");
+  std::fprintf(Out, "]}\n");
 }
 
 void ccl::obs::writeProfileCsv(const AttributionSink &Sink, std::FILE *Out) {

@@ -13,26 +13,25 @@
 ///    from such a dump, or converts it to Chrome trace format.
 ///  * writeProfileJson / writeProfileCsv — summary exporters for an
 ///    AttributionSink (the CSV path reuses TablePrinter's CSV mode).
-///  * jsonEscape — the one string-escaping routine everything shares.
 ///
-/// Trace schema (ccl-trace-v2; v1 dumps differ only in the meta line),
-/// one object per line:
-///   {"kind":"meta","schema":"ccl-trace-v2","l1_block":..,"l1_sets":..,
-///    "l2_block":..,"l2_sets":..,"hot_sets":..,"sample":N,
-///    "trace_block":64,"binary":"...","git":"..."}
+/// Both JSON writers escape strings and write their envelope through
+/// obs/Json.h.
+///
+/// Trace schema (ccl-trace-v2), one object per line:
+///   {"kind":"meta","schema":"ccl-trace-v2","binary":"...","git":"...",
+///    "l1_block":..,"l1_sets":..,"l2_block":..,"l2_sets":..,
+///    "hot_sets":..,"sample":N}
 ///   {"kind":"region","id":3,"name":"ctree","color":"hot"}
 ///   {"kind":"a","now":..,"va":..,"pa":..,"sz":8,"w":0,"lvl":"mem",
 ///    "tlb":0,"cyc":70,"r":3}
 ///   {"kind":"e","now":..,"lvl":2,"pa":..,"wb":1}
 ///   {"kind":"p","now":..,"va":..,"pa":..,"sw":1}
 ///
-/// Readers skip unknown kinds and keys and never gate on the schema
-/// string. Dumps from the retired set-sharded replay engine carry
-/// legacy {"kind":"shard",...} lines; nothing writes them any more and
-/// readers skip them like any unknown kind. The v2 meta field
-/// "trace_block" (records per block of the in-memory trace codec,
-/// sim/TraceBuffer.h) follows the same rule, so v1 dumps, and v2 dumps
-/// that still carry the retired "simd" kernel stamp, keep parsing.
+/// Readers follow obs/Json.h's contract and never gate on the schema
+/// string, so v1 dumps keep parsing. Older dumps may carry legacy
+/// {"kind":"shard",...} lines from the retired set-sharded replay
+/// engine, or the retired "simd" and "trace_block" meta stamps; readers
+/// skip them like any unknown kind or key.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,10 +47,6 @@
 #include <vector>
 
 namespace ccl::obs {
-
-/// Escapes a string for inclusion in a JSON string literal (quotes not
-/// included).
-std::string jsonEscape(const std::string &Raw);
 
 /// Options for the JSONL event dump.
 struct TraceSinkOptions {
@@ -94,23 +89,13 @@ private:
   uint64_t PrefetchSeen = 0;
 };
 
-/// Codec identification from a trace dump's meta line: the schema
-/// string and (v2) the trace codec's records-per-block. All-empty for
-/// dumps written before the stamps existed.
-struct TraceCodecInfo {
-  std::string Schema;
-  uint64_t TraceBlock = 0;
-
-  bool any() const { return !Schema.empty() || TraceBlock != 0; }
-};
-
 /// Writes an AttributionSink's results as one JSON document
 /// (schema "ccl-profile-v1"): per-region profiles, totals, and the
-/// nonzero entries of the L2 set-conflict histogram. When \p Codec
-/// carries any meta-line codec fields, a "trace_codec" object is
-/// appended to the document.
+/// nonzero entries of the L2 set-conflict histogram. The envelope
+/// carries \p Binary and \p Git, the stamp of the dump the profile was
+/// rebuilt from.
 void writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
-                      const TraceCodecInfo *Codec = nullptr);
+                      const std::string &Binary, const std::string &Git);
 
 /// Writes the per-region profile table as CSV (header + one row per
 /// region with any activity).

@@ -6,14 +6,9 @@
 
 #include "obs/FieldProfile.h"
 
-#include "obs/Export.h"
-#include "support/BuildInfo.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cinttypes>
-#include <cstdlib>
-#include <cstring>
 
 using namespace ccl;
 using namespace ccl::obs;
@@ -185,12 +180,10 @@ std::vector<const TypeFieldProfile *> FieldProfileSink::profiles() const {
 
 void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                                 bool IncludeIdle) {
+  std::fprintf(Out, "{\"kind\":\"meta\",");
+  writeMeta(Out, "ccl-fields-v1");
   std::fprintf(Out,
-               "{\"kind\":\"meta\",\"schema\":\"ccl-fields-v1\","
-               "\"binary\":\"%s\",\"git\":\"%s\","
-               "\"attributed\":%" PRIu64 ",\"unattributed\":%" PRIu64 "}\n",
-               jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str(),
+               ",\"attributed\":%" PRIu64 ",\"unattributed\":%" PRIu64 "}\n",
                Sink.attributedEvents(), Sink.unattributedEvents());
   const reflect::TypeRegistry &Registry = Sink.registry();
   for (const reflect::TypeDesc *Desc : Registry.all()) {
@@ -229,48 +222,6 @@ void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
 // ccl-fields-v1 reader
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-const char *findValue(const std::string &Line, const char *Key) {
-  std::string Needle = std::string("\"") + Key + "\":";
-  size_t Pos = Line.find(Needle);
-  if (Pos == std::string::npos)
-    return nullptr;
-  return Line.c_str() + Pos + Needle.size();
-}
-
-bool getU64(const std::string &Line, const char *Key, uint64_t &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value)
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Value, &End, 10);
-  return End != Value;
-}
-
-uint32_t getU32Or(const std::string &Line, const char *Key, uint32_t Def) {
-  uint64_t V = 0;
-  return getU64(Line, Key, V) ? static_cast<uint32_t>(V) : Def;
-}
-
-bool getString(const std::string &Line, const char *Key, std::string &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value || *Value != '"')
-    return false;
-  Out.clear();
-  for (const char *P = Value + 1; *P && *P != '"'; ++P) {
-    if (*P == '\\' && P[1]) {
-      ++P;
-      Out += *P; // ccl-fields-v1 names never need exotic escapes.
-    } else {
-      Out += *P;
-    }
-  }
-  return true;
-}
-
-} // namespace
-
 const FieldsTypeDoc *FieldsDoc::findType(const std::string &Name) const {
   for (const FieldsTypeDoc &T : Types)
     if (T.Name == Name)
@@ -278,75 +229,74 @@ const FieldsTypeDoc *FieldsDoc::findType(const std::string &Name) const {
   return nullptr;
 }
 
-bool ccl::obs::parseFieldsLine(const std::string &Line, FieldsDoc &Doc) {
+bool ccl::obs::parseFieldsLine(JsonObject &Line, FieldsDoc &Doc) {
   std::string Kind;
-  if (!getString(Line, "kind", Kind))
-    return Line.find_first_not_of(" \t\r\n") == std::string::npos;
+  Line.need("kind", Kind);
+  if (!Line.ok())
+    return false;
   if (Kind == "meta") {
-    getString(Line, "schema", Doc.Schema);
-    getString(Line, "binary", Doc.Binary);
-    getString(Line, "git", Doc.Git);
-    getU64(Line, "attributed", Doc.Attributed);
-    getU64(Line, "unattributed", Doc.Unattributed);
-    return true;
+    readMeta(Line, Doc.Schema, Doc.Binary, Doc.Git);
+    Line.get("attributed", Doc.Attributed);
+    Line.get("unattributed", Doc.Unattributed);
+    if (Line.ok() && Doc.Schema != "ccl-fields-v1")
+      return Line.fail("not a ccl-fields-v1 dump");
+    return Line.ok();
   }
+  if (Doc.Schema.empty())
+    return Line.fail("record before the ccl-fields-v1 meta line");
   if (Kind == "type") {
     FieldsTypeDoc T;
-    getString(Line, "name", T.Name);
-    getString(Line, "module", T.Module);
-    T.Size = getU32Or(Line, "size", 0);
-    T.Align = getU32Or(Line, "align", 1);
-    getU64(Line, "objects", T.Objects);
-    getU64(Line, "accesses", T.Accesses);
-    getU64(Line, "pad_bytes", T.PaddingBytesTouched);
+    Line.get("name", T.Name);
+    Line.get("module", T.Module);
+    Line.get("size", T.Size);
+    Line.get("align", T.Align);
+    Line.get("objects", T.Objects);
+    Line.get("accesses", T.Accesses);
+    Line.get("pad_bytes", T.PaddingBytesTouched);
+    if (!Line.ok())
+      return false;
     Doc.Types.push_back(std::move(T));
     return true;
   }
   if (Kind == "f") {
     std::string TypeName;
-    getString(Line, "type", TypeName);
+    FieldsFieldDoc F;
+    Line.get("type", TypeName);
+    Line.get("field", F.Name);
+    Line.get("off", F.Offset);
+    Line.get("size", F.Size);
+    Line.get("align", F.Align);
+    Line.get("ftype", F.TypeName);
+    Line.get("n", F.ElemCount);
+    Line.get("reads", F.Counters.Reads);
+    Line.get("writes", F.Counters.Writes);
+    Line.get("l1m", F.Counters.L1Misses);
+    Line.get("l2m", F.Counters.L2Misses);
+    Line.get("tlbm", F.Counters.TlbMisses);
+    Line.get("cyc", F.Counters.Cycles);
+    Line.get("bytes", F.Counters.BytesAccessed);
+    if (!Line.ok())
+      return false;
     FieldsTypeDoc *Owner = nullptr;
     for (FieldsTypeDoc &T : Doc.Types)
       if (T.Name == TypeName)
         Owner = &T;
     if (!Owner)
-      return true; // orphan field line: tolerate, like unknown kinds
-    FieldsFieldDoc F;
-    getString(Line, "field", F.Name);
-    F.Offset = getU32Or(Line, "off", 0);
-    F.Size = getU32Or(Line, "size", 0);
-    F.Align = getU32Or(Line, "align", 1);
-    getString(Line, "ftype", F.TypeName);
-    F.ElemCount = getU32Or(Line, "n", 1);
-    getU64(Line, "reads", F.Counters.Reads);
-    getU64(Line, "writes", F.Counters.Writes);
-    getU64(Line, "l1m", F.Counters.L1Misses);
-    getU64(Line, "l2m", F.Counters.L2Misses);
-    getU64(Line, "tlbm", F.Counters.TlbMisses);
-    getU64(Line, "cyc", F.Counters.Cycles);
-    getU64(Line, "bytes", F.Counters.BytesAccessed);
+      return false; // orphan field line: skipped, like unknown kinds
     Owner->Fields.push_back(std::move(F));
     return true;
   }
-  return true; // unknown kind: skip
+  return false;
 }
 
-bool ccl::obs::readFieldsFile(const char *Path, FieldsDoc &Doc) {
-  std::FILE *In = std::fopen(Path, "r");
-  if (!In)
+bool ccl::obs::readFieldsFile(const std::string &Path, FieldsDoc &Doc,
+                              std::string &Error) {
+  if (!readJsonLines(
+          Path, [&](JsonObject &Line) { parseFieldsLine(Line, Doc); }, Error))
     return false;
-  std::string Line;
-  int Ch;
-  while ((Ch = std::fgetc(In)) != EOF) {
-    if (Ch == '\n') {
-      parseFieldsLine(Line, Doc);
-      Line.clear();
-    } else {
-      Line += static_cast<char>(Ch);
-    }
+  if (Doc.Schema.empty()) {
+    Error = Path + ": no ccl-fields-v1 meta line";
+    return false;
   }
-  if (!Line.empty())
-    parseFieldsLine(Line, Doc);
-  std::fclose(In);
   return true;
 }

@@ -18,8 +18,8 @@
 ///    nodes with allocator headers between them) or as stride regions
 ///    (addStrideRegion — arena-backed contiguous node arrays).
 ///  * writeFieldsJsonl / readFieldsFile — the `ccl-fields-v1` JSONL
-///    format, meta line stamped with the producing binary + git
-///    describe via support/BuildInfo like the other ccl-*-v1 schemas.
+///    format, read and written through obs/Json.h: its meta line starts
+///    with the shared envelope (schema, binary, git).
 ///
 /// ccl-fields-v1, one object per line:
 ///   {"kind":"meta","schema":"ccl-fields-v1","binary":"...","git":"...",
@@ -30,14 +30,15 @@
 ///    "align":4,"ftype":"u32[4]","n":4,"reads":..,"writes":..,
 ///    "l1m":..,"l2m":..,"tlbm":..,"cyc":..,"bytes":..}
 ///
-/// Readers skip unknown kinds and tolerate absent fields, matching the
-/// ccl-trace/ccl-metrics reader contract.
+/// Readers follow obs/Json.h's reader contract and also require the
+/// meta line first; "f" lines naming no earlier type are skipped.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCL_OBS_FIELDPROFILE_H
 #define CCL_OBS_FIELDPROFILE_H
 
+#include "obs/Json.h"
 #include "obs/Observer.h"
 #include "support/Reflect.h"
 
@@ -192,12 +193,14 @@ struct FieldsDoc {
 void writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                       bool IncludeIdle = false);
 
-/// Parses one dump line into \p Doc. Unknown kinds are skipped (returns
-/// true); returns false only for lines that cannot be a JSON object.
-bool parseFieldsLine(const std::string &Line, FieldsDoc &Doc);
+/// Maps one dump line into \p Doc: true for a record; false for a
+/// skipped line (unknown kind, orphan "f" line) or after Line.fail().
+bool parseFieldsLine(JsonObject &Line, FieldsDoc &Doc);
 
-/// Reads a whole dump; returns false if the file cannot be opened.
-bool readFieldsFile(const char *Path, FieldsDoc &Doc);
+/// Reads a whole dump ("-" = stdin); false with "<path>: line N:
+/// <reason>" in \p Error if it is not a well-formed ccl-fields-v1 dump.
+bool readFieldsFile(const std::string &Path, FieldsDoc &Doc,
+                    std::string &Error);
 
 } // namespace ccl::obs
 

@@ -6,51 +6,13 @@
 
 #include "obs/MetricsExport.h"
 
-#include "obs/Export.h"
-#include "support/BuildInfo.h"
-
 #include <algorithm>
 #include <cinttypes>
-#include <cstdlib>
-#include <cstring>
 
 using namespace ccl;
 using namespace ccl::obs;
 
 namespace {
-
-const char *findValue(const std::string &Line, const char *Key) {
-  std::string Needle = std::string("\"") + Key + "\":";
-  size_t Pos = Line.find(Needle);
-  if (Pos == std::string::npos)
-    return nullptr;
-  return Line.c_str() + Pos + Needle.size();
-}
-
-bool getU64(const std::string &Line, const char *Key, uint64_t &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value)
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Value, &End, 10);
-  return End != Value;
-}
-
-bool getString(const std::string &Line, const char *Key, std::string &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value || *Value != '"')
-    return false;
-  Out.clear();
-  for (const char *P = Value + 1; *P && *P != '"'; ++P) {
-    if (*P == '\\' && P[1]) {
-      ++P;
-      Out += *P; // ccl-metrics-v1 names never need exotic escapes.
-    } else {
-      Out += *P;
-    }
-  }
-  return true;
-}
 
 metrics::CounterSnapshot &counterSlot(MetricsDoc &Doc,
                                       const std::string &Name) {
@@ -90,13 +52,9 @@ uint64_t bucketHigh(uint32_t B) {
 
 void ccl::obs::writeMetricsJsonl(const metrics::Snapshot &Snapshot,
                                  std::FILE *Out) {
-  std::fprintf(Out,
-               "{\"kind\":\"meta\",\"schema\":\"ccl-metrics-v1\","
-               "\"binary\":\"%s\",\"git\":\"%s\","
-               "\"clock_ns\":%" PRIu64 "%s",
-               jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str(),
-               metrics::clockNs(),
+  std::fprintf(Out, "{\"kind\":\"meta\",");
+  writeMeta(Out, "ccl-metrics-v1");
+  std::fprintf(Out, ",\"clock_ns\":%" PRIu64 "%s", metrics::clockNs(),
                Snapshot.Overflowed ? ",\"overflowed\":1" : "");
   if (Snapshot.SpansDropped != 0)
     std::fprintf(Out, ",\"spans_dropped\":%" PRIu64, Snapshot.SpansDropped);
@@ -143,75 +101,72 @@ bool ccl::obs::dumpProcessMetrics(const std::string &Path) {
   return true;
 }
 
-bool ccl::obs::parseMetricsLine(const std::string &Line, MetricsDoc &Doc) {
+bool ccl::obs::parseMetricsLine(JsonObject &Line, MetricsDoc &Doc) {
   std::string Kind;
-  if (!getString(Line, "kind", Kind))
+  Line.need("kind", Kind);
+  if (!Line.ok())
     return false;
-  uint64_t U = 0;
 
   if (Kind == "meta") {
     std::string Schema;
-    if (!getString(Line, "schema", Schema) || Schema != "ccl-metrics-v1")
-      return false;
-    getString(Line, "binary", Doc.Binary);
-    getString(Line, "git", Doc.Git);
-    if (getU64(Line, "overflowed", U) && U != 0)
-      Doc.Data.Overflowed = true;
-    if (getU64(Line, "spans_dropped", U))
-      Doc.Data.SpansDropped += U;
-    return true;
+    bool Overflowed = false;
+    uint64_t Dropped = 0;
+    readMeta(Line, Schema, Doc.Binary, Doc.Git);
+    Line.get("overflowed", Overflowed);
+    Line.get("spans_dropped", Dropped);
+    Doc.Data.Overflowed |= Overflowed;
+    Doc.Data.SpansDropped += Dropped;
+    return Line.ok();
   }
 
   if (Kind == "c") {
     std::string Name;
-    if (!getString(Line, "name", Name) || !getU64(Line, "v", U))
+    uint64_t Value = 0;
+    Line.need("name", Name);
+    Line.need("v", Value);
+    if (!Line.ok())
       return false;
-    counterSlot(Doc, Name).Value += U;
+    counterSlot(Doc, Name).Value += Value;
     return true;
   }
 
   if (Kind == "h") {
     std::string Name;
-    if (!getString(Line, "name", Name))
+    uint64_t Count = 0, Sum = 0;
+    Line.need("name", Name);
+    Line.get("count", Count);
+    Line.get("sum", Sum);
+    if (!Line.ok())
       return false;
     metrics::HistogramSnapshot &H = histogramSlot(Doc, Name);
-    if (getU64(Line, "count", U))
-      H.Count += U;
-    if (getU64(Line, "sum", U))
-      H.Sum += U;
-    // Sparse bucket array: "b":[[B,N],...]
-    const char *P = findValue(Line, "b");
-    if (P && *P == '[') {
-      ++P;
-      while (*P == '[') {
-        char *End = nullptr;
-        uint64_t B = std::strtoull(P + 1, &End, 10);
-        if (End == P + 1 || *End != ',')
-          break;
-        P = End + 1;
-        uint64_t N = std::strtoull(P, &End, 10);
-        if (End == P || *End != ']')
-          break;
-        if (B < metrics::HistogramBuckets)
-          H.Buckets[B] += N;
-        P = End + 1;
-        if (*P == ',')
-          ++P;
-      }
+    H.Count += Count;
+    H.Sum += Sum;
+    // Sparse bucket array: "b":[[B,N],...].
+    const JsonValue *B = Line.find("b");
+    if (!B)
+      return true;
+    bool Ok = B->Kind == JsonValue::Type::Array;
+    for (const JsonValue &Pair : B->Items) {
+      uint64_t Bucket = 0, N = 0;
+      Ok = Ok && Pair.Kind == JsonValue::Type::Array &&
+           Pair.Items.size() == 2 &&
+           jsonUnsigned(Pair.Items[0], metrics::HistogramBuckets - 1,
+                        Bucket) &&
+           jsonUnsigned(Pair.Items[1], UINT64_MAX, N);
+      if (Ok)
+        H.Buckets[Bucket] += N;
     }
-    return true;
+    return Ok || Line.fail("\"b\": expected [bucket, count] pairs");
   }
 
   if (Kind == "s") {
     metrics::SpanSnapshot S;
-    if (!getString(Line, "name", S.Name))
+    Line.need("name", S.Name);
+    Line.get("t0", S.StartNs);
+    Line.get("dur", S.DurNs);
+    Line.get("tid", S.Tid);
+    if (!Line.ok())
       return false;
-    if (getU64(Line, "t0", U))
-      S.StartNs = U;
-    if (getU64(Line, "dur", U))
-      S.DurNs = U;
-    if (getU64(Line, "tid", U))
-      S.Tid = uint32_t(U);
     Doc.Data.Spans.push_back(std::move(S));
     return true;
   }
@@ -219,22 +174,9 @@ bool ccl::obs::parseMetricsLine(const std::string &Line, MetricsDoc &Doc) {
   return false;
 }
 
-long ccl::obs::readMetricsFile(std::FILE *In, MetricsDoc &Doc) {
-  long Parsed = 0;
-  std::string Line;
-  int C;
-  while ((C = std::fgetc(In)) != EOF) {
-    if (C != '\n') {
-      Line += char(C);
-      continue;
-    }
-    if (!Line.empty() && parseMetricsLine(Line, Doc))
-      ++Parsed;
-    Line.clear();
-  }
-  if (!Line.empty() && parseMetricsLine(Line, Doc))
-    ++Parsed;
-  return Parsed;
+bool ccl::obs::parseMetricsLine(const std::string &Line, MetricsDoc &Doc) {
+  return mapJsonLine(
+      Line, [&](JsonObject &Object) { return parseMetricsLine(Object, Doc); });
 }
 
 void ccl::obs::printMetricsReport(const MetricsDoc &Doc, std::FILE *Out) {
@@ -297,11 +239,9 @@ void ccl::obs::printMetricsReport(const MetricsDoc &Doc, std::FILE *Out) {
 
 void ccl::obs::writeMetricsSummaryJson(const MetricsDoc &Doc,
                                        std::FILE *Out) {
-  std::fprintf(Out,
-               "{\"schema\":\"ccl-metrics-summary-v1\",\"binary\":\"%s\","
-               "\"git\":\"%s\",",
-               jsonEscape(Doc.Binary).c_str(), jsonEscape(Doc.Git).c_str());
-  std::fprintf(Out, "\"counters\":{");
+  std::fprintf(Out, "{");
+  writeMeta(Out, "ccl-metrics-summary-v1", Doc.Binary, Doc.Git);
+  std::fprintf(Out, ",\"counters\":{");
   for (size_t I = 0; I < Doc.Data.Counters.size(); ++I)
     std::fprintf(Out, "%s\"%s\":%" PRIu64, I == 0 ? "" : ",",
                  jsonEscape(Doc.Data.Counters[I].Name).c_str(),

@@ -18,13 +18,15 @@
 ///                                    // bucket B holds bit_width==B
 ///   {"kind":"s","name":"fig5.replay","t0":1000,"dur":52000,"tid":0}
 ///
-/// Readers skip unknown kinds and fields, mirroring ccl-trace-v1.
+/// The meta line starts with obs/Json.h's envelope, and readers follow
+/// its reader contract.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCL_OBS_METRICSEXPORT_H
 #define CCL_OBS_METRICSEXPORT_H
 
+#include "obs/Json.h"
 #include "support/Metrics.h"
 
 #include <cstdio>
@@ -50,14 +52,12 @@ struct MetricsDoc {
   metrics::Snapshot Data;
 };
 
-/// Parses one JSONL line; returns false for blank/unknown/corrupt
-/// lines (callers count successes). Accumulates into \p Doc: repeated
+/// Maps one dump line into \p Doc: true for a record; false for an
+/// unknown kind (skipped) or after Line.fail() (\p Doc is then
+/// unspecified). The string form is false for both. Repeated
 /// counter/histogram lines for one name sum, matching multi-dump cat.
+bool parseMetricsLine(JsonObject &Line, MetricsDoc &Doc);
 bool parseMetricsLine(const std::string &Line, MetricsDoc &Doc);
-
-/// Reads a whole dump; returns the number of parsed records (0 when
-/// nothing parsed).
-long readMetricsFile(std::FILE *In, MetricsDoc &Doc);
 
 /// Human-readable report: counter table, histogram distributions
 /// (power-of-two buckets), span list.

@@ -1,0 +1,394 @@
+//===- tests/json_test.cpp - The ccl-* JSON layer on malformed input ------===//
+//
+// Part of the cache-conscious structure layout library (PLDI'99 repro).
+//
+//===----------------------------------------------------------------------===//
+//
+// The shared parser (obs/Json.h) and the four mappers built on it
+// (trace, metrics, fields, bench): what they accept, what they skip, and
+// what they reject, with the reason a tool prints.
+//
+//===----------------------------------------------------------------------===//
+
+#include "obs/BenchReader.h"
+#include "obs/FieldProfile.h"
+#include "obs/Json.h"
+#include "obs/MetricsExport.h"
+#include "obs/TraceReader.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+
+using namespace ccl;
+using namespace ccl::obs;
+
+namespace {
+
+/// Parses \p Text; returns the parser's reason ("" when it parsed).
+std::string parseError(const std::string &Text) {
+  JsonValue Value;
+  std::string Error;
+  return parseJson(Text, Value, Error) ? std::string() : Error;
+}
+
+/// Maps one line with \p Map; returns the rejection reason, "" when the
+/// line was accepted or skipped. \p Mapped reports whether it was a
+/// record.
+template <typename MapFn>
+std::string mapError(const std::string &Line, MapFn &&Map,
+                     bool *Mapped = nullptr) {
+  JsonValue Value;
+  std::string Error;
+  if (!parseJson(Line, Value, Error))
+    return Error;
+  JsonObject Object(Value);
+  bool Record = Map(Object);
+  if (Mapped)
+    *Mapped = Record;
+  return Object.error();
+}
+
+std::string traceError(const std::string &Line, TraceRecord &Out,
+                       bool *Mapped = nullptr) {
+  return mapError(
+      Line, [&](JsonObject &O) { return parseTraceLine(O, Out); }, Mapped);
+}
+
+std::string metricsError(const std::string &Line, MetricsDoc &Doc,
+                         bool *Mapped = nullptr) {
+  return mapError(
+      Line, [&](JsonObject &O) { return parseMetricsLine(O, Doc); }, Mapped);
+}
+
+std::string fieldsError(const std::string &Line, FieldsDoc &Doc,
+                        bool *Mapped = nullptr) {
+  return mapError(
+      Line, [&](JsonObject &O) { return parseFieldsLine(O, Doc); }, Mapped);
+}
+
+std::string benchError(const std::string &Line, BenchDoc &Doc) {
+  return mapError(Line, [&](JsonObject &O) { return parseBenchJson(O, Doc); });
+}
+
+const char *FieldsMeta =
+    R"({"kind":"meta","schema":"ccl-fields-v1","binary":"b","git":"g"})";
+
+std::string writeTemp(const std::string &Name, const std::string &Text) {
+  std::string Path = testing::TempDir() + "/" + Name;
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  EXPECT_NE(F, nullptr);
+  std::fputs(Text.c_str(), F);
+  std::fclose(F);
+  return Path;
+}
+
+} // namespace
+
+TEST(JsonParser, RejectsTruncatedAndTrailingText) {
+  EXPECT_EQ(parseError(R"({"kind":"a","now":12)"), "truncated");
+  EXPECT_EQ(parseError(R"({"kind":"region","name":"cut mid-str)"),
+            "truncated");
+  EXPECT_EQ(parseError(R"({"kind":"a"} {"kind":"a"})"),
+            "trailing text after the JSON value");
+  EXPECT_EQ(parseError(R"({"kind":"a"}x)"),
+            "trailing text after the JSON value");
+  EXPECT_EQ(parseError(""), "truncated");
+  EXPECT_EQ(parseError("not json"), "unexpected character");
+  EXPECT_EQ(parseError(R"({"a":1,})"), "expected a string key");
+  EXPECT_EQ(parseError(R"({"a" 1})"), "expected ':' after a key");
+  EXPECT_EQ(parseError(R"({"a":01})"), "expected ',' or '}'");
+  EXPECT_EQ(parseError(R"({"a":1.})"), "bad number");
+  EXPECT_EQ(parseError(R"({"a":"\q"})"), "bad escape in a string");
+  EXPECT_EQ(parseError(R"({"a":"\u12"})"), "bad escape in a string");
+  EXPECT_EQ(parseError(R"({"a":"\udc00"})"), "bad escape in a string");
+  EXPECT_EQ(parseError(R"({"a":"\ud83d\u0041"})"), "bad escape in a string");
+  EXPECT_EQ(parseError("{\"a\":\"tab\there\"}"),
+            "control character in a string");
+  EXPECT_EQ(parseError(R"({"a":tru})"), "unexpected character");
+}
+
+TEST(JsonParser, RejectsDeepNestingWithoutRecursingIntoIt) {
+  EXPECT_EQ(parseError(std::string(100000, '[')), "nesting deeper than 32");
+  std::string Deep32 = std::string(32, '[') + std::string(32, ']');
+  EXPECT_EQ(parseError(Deep32), "");
+  std::string Deep33 = std::string(33, '[') + std::string(33, ']');
+  EXPECT_EQ(parseError(Deep33), "nesting deeper than 32");
+}
+
+TEST(JsonParser, KeepsNumberTokensAndDecodesEscapes) {
+  JsonValue V;
+  std::string Error;
+  ASSERT_TRUE(parseJson(
+      R"( {"n":-1.5e+3, "s":"a\"\\\/\b\f\n\r\t\u0001é😀",)"
+      R"( "l":[true, false, null], "o":{}} )",
+      V, Error))
+      << Error;
+  ASSERT_EQ(V.Kind, JsonValue::Type::Object);
+  JsonObject O(V);
+  ASSERT_NE(O.find("n"), nullptr);
+  EXPECT_EQ(O.find("n")->Kind, JsonValue::Type::Number);
+  EXPECT_EQ(O.find("n")->Text, "-1.5e+3");
+  EXPECT_EQ(O.find("s")->Text,
+            "a\"\\/\b\f\n\r\t\x01\xc3\xa9\xf0\x9f\x98\x80");
+  ASSERT_EQ(O.find("l")->Items.size(), 3u);
+  EXPECT_EQ(O.find("l")->Items[2].Kind, JsonValue::Type::Null);
+  EXPECT_EQ(O.find("o")->Kind, JsonValue::Type::Object);
+  EXPECT_EQ(O.find("absent"), nullptr);
+}
+
+TEST(JsonObject, UnsignedFieldsTakeOnlyDigitsThatFit) {
+  // Negative, fractional, exponent and overflowing values reject the
+  // line; strtoull used to turn -1 into 2^64-1 and saturate on overflow.
+  for (const char *Bad : {"-5", "1.5", "1e3", "18446744073709551616",
+                          "\"7\"", "true"}) {
+    MetricsDoc Doc;
+    std::string Line = std::string(R"({"kind":"c","name":"n","v":)") + Bad +
+                       "}";
+    EXPECT_EQ(metricsError(Line, Doc),
+              "\"v\": expected an unsigned 64-bit integer")
+        << Line;
+  }
+  MetricsDoc Doc;
+  EXPECT_EQ(metricsError(R"({"kind":"c","name":"n","v":18446744073709551615})",
+                         Doc),
+            "");
+  EXPECT_EQ(Doc.Data.Counters.at(0).Value, UINT64_MAX);
+
+  // u32 fields stop at 2^32-1.
+  TraceRecord R;
+  EXPECT_EQ(traceError(R"({"kind":"region","id":4294967296})", R),
+            "\"id\": expected an unsigned 32-bit integer");
+  EXPECT_EQ(traceError(R"({"kind":"region","id":-1})", R),
+            "\"id\": expected an unsigned 32-bit integer");
+  EXPECT_EQ(traceError(R"({"kind":"region","id":4294967295})", R), "");
+  EXPECT_EQ(R.RegionId, UINT32_MAX);
+  EXPECT_EQ(traceError(R"({"kind":"a","sz":4294967296,"lvl":"l1"})", R),
+            "\"sz\": expected an unsigned 32-bit integer");
+  EXPECT_EQ(traceError(R"({"kind":"e","lvl":256})", R),
+            "\"lvl\": expected an unsigned 8-bit integer");
+
+  // Flags are 0 or 1.
+  EXPECT_EQ(traceError(R"({"kind":"a","w":2,"lvl":"l1"})", R),
+            "\"w\": expected 0 or 1");
+  EXPECT_EQ(traceError(R"({"kind":"a","w":1,"lvl":"l1"})", R), "");
+  EXPECT_TRUE(R.Access.IsWrite);
+}
+
+TEST(JsonObject, ReadsTopLevelMembersOnly) {
+  // A key inside a nested object is not the record's key; the old
+  // substring search read 7 here.
+  MetricsDoc Doc;
+  ASSERT_EQ(metricsError(R"({"kind":"c","extra":{"v":7},"name":"n","v":1})",
+                         Doc),
+            "");
+  ASSERT_EQ(Doc.Data.Counters.size(), 1u);
+  EXPECT_EQ(Doc.Data.Counters[0].Value, 1u);
+
+  // ...and key text inside a string value is not a key either.
+  TraceRecord R;
+  ASSERT_EQ(traceError(R"({"kind":"region","name":"\"id\":9","id":2})", R),
+            "");
+  EXPECT_EQ(R.RegionId, 2u);
+  EXPECT_EQ(R.Region.Name, "\"id\":9");
+}
+
+TEST(JsonMappers, MissingOrMistypedKindRejects) {
+  TraceRecord R;
+  MetricsDoc M;
+  FieldsDoc F;
+  EXPECT_EQ(traceError(R"({"now":1})", R), "missing \"kind\"");
+  EXPECT_EQ(traceError(R"({"kind":3})", R), "\"kind\": expected a string");
+  EXPECT_EQ(metricsError(R"({"name":"n","v":1})", M), "missing \"kind\"");
+  EXPECT_EQ(metricsError(R"({"kind":["c"]})", M),
+            "\"kind\": expected a string");
+  EXPECT_EQ(fieldsError(R"({"schema":"ccl-fields-v1"})", F),
+            "missing \"kind\"");
+  EXPECT_EQ(fieldsError(R"({"kind":null})", F), "\"kind\": expected a string");
+}
+
+TEST(JsonMappers, UnknownKindsAndKeysAreSkipped) {
+  bool Mapped = true;
+  TraceRecord R;
+  EXPECT_EQ(traceError(R"({"kind":"shard","shards":256,"workers":4})", R,
+                       &Mapped),
+            "");
+  EXPECT_FALSE(Mapped);
+  EXPECT_EQ(traceError(R"({"kind":"meta","simd":"avx2","trace_block":64,)"
+                       R"("future":{"x":[1,2]}})",
+                       R, &Mapped),
+            "");
+  EXPECT_TRUE(Mapped);
+
+  MetricsDoc M;
+  EXPECT_EQ(metricsError(R"({"kind":"future-kind","name":"n"})", M, &Mapped),
+            "");
+  EXPECT_FALSE(Mapped);
+
+  FieldsDoc F;
+  ASSERT_EQ(fieldsError(FieldsMeta, F), "");
+  EXPECT_EQ(fieldsError(R"({"kind":"future"})", F, &Mapped), "");
+  EXPECT_FALSE(Mapped);
+  // An "f" line naming no earlier type is skipped too.
+  EXPECT_EQ(fieldsError(R"({"kind":"f","type":"Nope","field":"x"})", F,
+                        &Mapped),
+            "");
+  EXPECT_FALSE(Mapped);
+
+  BenchDoc B;
+  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1","simd":"ssse3",)"
+                       R"("results":[{"name":"r","nested":{"a":1}}]})",
+                       B),
+            "");
+  ASSERT_EQ(B.Results.size(), 1u);
+  EXPECT_EQ(B.Results[0].str("name"), "r");
+}
+
+TEST(JsonMappers, TraceMetaGeometryMustBeBinnable) {
+  TraceRecord R;
+  for (const char *Bad :
+       {R"({"kind":"meta","l2_block":0})", R"({"kind":"meta","l2_sets":0})",
+        R"({"kind":"meta","l1_block":0})", R"({"kind":"meta","l1_sets":0})",
+        R"({"kind":"meta","l2_block":256})",
+        R"({"kind":"meta","l2_sets":100000000000000})",
+        R"({"kind":"meta","l2_sets":1024,"hot_sets":1025})"})
+    EXPECT_EQ(traceError(Bad, R).rfind("cache geometry out of range", 0), 0u)
+        << Bad;
+  EXPECT_EQ(traceError(R"({"kind":"meta","l2_block":128,"l2_sets":16777216,)"
+                       R"("hot_sets":16777216})",
+                       R),
+            "");
+}
+
+TEST(JsonMappers, RequiredKeysAndLevels) {
+  TraceRecord R;
+  EXPECT_EQ(traceError(R"({"kind":"region","name":"x"})", R),
+            "missing \"id\"");
+  EXPECT_EQ(traceError(R"({"kind":"a","now":1})", R), "missing \"lvl\"");
+  EXPECT_EQ(traceError(R"({"kind":"a","lvl":"l3"})", R),
+            "\"lvl\": unknown level \"l3\"");
+  MetricsDoc M;
+  EXPECT_EQ(metricsError(R"({"kind":"c","name":"n"})", M), "missing \"v\"");
+  EXPECT_EQ(metricsError(R"({"kind":"h","name":"h","b":[[65,1]]})", M),
+            "\"b\": expected [bucket, count] pairs");
+  EXPECT_EQ(metricsError(R"({"kind":"h","name":"h","b":[[1,2,3]]})", M),
+            "\"b\": expected [bucket, count] pairs");
+  EXPECT_EQ(metricsError(R"({"kind":"h","name":"h","b":[[1,-2]]})", M),
+            "\"b\": expected [bucket, count] pairs");
+}
+
+TEST(JsonMappers, FieldsDumpNeedsItsMetaLineFirst) {
+  FieldsDoc F;
+  EXPECT_EQ(fieldsError(R"({"kind":"type","name":"T"})", F),
+            "record before the ccl-fields-v1 meta line");
+  FieldsDoc Other;
+  EXPECT_EQ(fieldsError(R"({"kind":"meta","schema":"ccl-trace-v2"})", Other),
+            "not a ccl-fields-v1 dump");
+}
+
+TEST(JsonMappers, BenchDocumentShape) {
+  BenchDoc B;
+  EXPECT_EQ(benchError(R"({"schema":"ccl-lint-v1","results":[]})", B),
+            "not a ccl-bench-v1 document");
+  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1"})", B),
+            "\"results\": expected an array of objects");
+  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1","results":[1]})", B),
+            "\"results\": expected an array of objects");
+  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1","full":"yes",)"
+                       R"("results":[]})",
+                       B),
+            "\"full\": expected 0 or 1");
+
+  // Python json.dumps spacing parses like the compact writer's.
+  BenchDoc Py;
+  ASSERT_EQ(benchError(R"({"schema": "ccl-bench-v1", "binary": "py", )"
+                       R"("git": "abc", "bench": "fig5", "full": true, )"
+                       R"("results": [{"name": "r", "searches": 10}]})",
+                       Py),
+            "");
+  EXPECT_EQ(Py.Binary, "py");
+  EXPECT_EQ(Py.Git, "abc");
+  EXPECT_TRUE(Py.Full);
+  ASSERT_EQ(Py.Results.size(), 1u);
+  EXPECT_EQ(Py.Results[0].num("searches"), 10.0);
+}
+
+TEST(JsonEscape, EveryEscapedStringRoundTripsThroughEveryReader) {
+  // The metrics, fields and bench readers used to turn \t into t, and
+  // every reader turned \u0001 into u0001.
+  std::string Raw = "q\"b\\s/t\tn\nr\r";
+  for (int C = 1; C < 0x20; ++C)
+    Raw += char(C);
+  Raw += "\x7f\xc3\xa9 end";
+  std::string Esc = jsonEscape(Raw);
+
+  TraceRecord R;
+  ASSERT_EQ(traceError(R"({"kind":"region","id":1,"name":")" + Esc + "\"}",
+                       R),
+            "");
+  EXPECT_EQ(R.Region.Name, Raw);
+  ASSERT_EQ(traceError(R"({"kind":"meta","binary":")" + Esc + "\"}", R), "");
+  EXPECT_EQ(R.Producer, Raw);
+
+  MetricsDoc M;
+  ASSERT_EQ(metricsError(R"({"kind":"c","name":")" + Esc + R"(","v":1})", M),
+            "");
+  EXPECT_EQ(M.Data.Counters.at(0).Name, Raw);
+
+  FieldsDoc F;
+  ASSERT_EQ(fieldsError(FieldsMeta, F), "");
+  ASSERT_EQ(fieldsError(R"({"kind":"type","name":")" + Esc + "\"}", F), "");
+  EXPECT_EQ(F.Types.at(0).Name, Raw);
+
+  BenchDoc B;
+  ASSERT_EQ(benchError(R"({"schema":"ccl-bench-v1","bench":")" + Esc +
+                           R"(","results":[{"name":")" + Esc + "\"}]}",
+                       B),
+            "");
+  EXPECT_EQ(B.Bench, Raw);
+  EXPECT_EQ(B.Results.at(0).str("name"), Raw);
+}
+
+TEST(JsonLines, ReportsTheFirstBadLineByNumber) {
+  std::string Path = writeTemp("json_lines.jsonl",
+                               "{\"kind\":\"c\",\"name\":\"a\",\"v\":1}\n"
+                               "\n"
+                               "  \r\n"
+                               "{\"kind\":\"c\",\"name\":\"b\",\"v\":2}\n"
+                               "{\"kind\":\"c\",\"name\":\"cut");
+  MetricsDoc Doc;
+  std::string Error;
+  long Records = 0;
+  EXPECT_FALSE(readJsonLines(
+      Path, [&](JsonObject &Line) { Records += parseMetricsLine(Line, Doc); },
+      Error));
+  EXPECT_EQ(Error, Path + ": line 5: truncated");
+  EXPECT_EQ(Records, 2);
+
+  std::string Array = writeTemp("json_array.jsonl", "[1,2]\n");
+  EXPECT_FALSE(readJsonLines(Array, [](JsonObject &) {}, Error));
+  EXPECT_EQ(Error, Array + ": line 1: not a JSON object");
+
+  EXPECT_FALSE(readJsonLines(testing::TempDir() + "/absent.jsonl",
+                             [](JsonObject &) {}, Error));
+  EXPECT_NE(Error.find("absent.jsonl: cannot open"), std::string::npos);
+}
+
+TEST(JsonLines, ReadFieldsFileRejectsWhatIsNotAFieldsDump) {
+  FieldsDoc Doc;
+  std::string Error;
+  std::string Text = writeTemp("not_fields.txt", "hostname\n");
+  EXPECT_FALSE(readFieldsFile(Text, Doc, Error));
+  EXPECT_EQ(Error, Text + ": line 1: unexpected character");
+
+  std::string Empty = writeTemp("empty_fields.jsonl", "");
+  EXPECT_FALSE(readFieldsFile(Empty, Doc, Error));
+  EXPECT_EQ(Error, Empty + ": no ccl-fields-v1 meta line");
+
+  std::string Cut = writeTemp(
+      "cut_fields.jsonl",
+      std::string(FieldsMeta) + "\n{\"kind\":\"type\",\"name\":\"T\",\"si");
+  EXPECT_FALSE(readFieldsFile(Cut, Doc, Error));
+  EXPECT_EQ(Error, Cut + ": line 2: truncated");
+}

@@ -359,7 +359,8 @@ TEST(FieldsExport, JsonlRoundTripsCounters) {
   std::fclose(Out);
 
   obs::FieldsDoc Doc;
-  ASSERT_TRUE(obs::readFieldsFile(Path.c_str(), Doc));
+  std::string Error;
+  ASSERT_TRUE(obs::readFieldsFile(Path, Doc, Error)) << Error;
   EXPECT_EQ(Doc.Schema, "ccl-fields-v1");
   EXPECT_EQ(Doc.Attributed, 4u);
 

@@ -46,6 +46,21 @@ std::string slurp(std::FILE *F) {
   return Content;
 }
 
+/// Reads a dump line by line through parseTraceLine, calling \p Callback
+/// for each record; returns the number of records.
+template <typename Fn> long readTrace(std::FILE *F, Fn &&Callback) {
+  long Parsed = 0;
+  char Line[4096];
+  while (std::fgets(Line, sizeof(Line), F)) {
+    TraceRecord Record;
+    if (parseTraceLine(std::string(Line), Record)) {
+      ++Parsed;
+      Callback(Record);
+    }
+  }
+  return Parsed;
+}
+
 void expectProfileEq(const RegionProfile &A, const RegionProfile &B) {
   EXPECT_EQ(A.Reads, B.Reads);
   EXPECT_EQ(A.Writes, B.Writes);
@@ -322,7 +337,7 @@ TEST(TraceSink, SamplesEveryNthEvent) {
   std::rewind(F);
   unsigned AccessRecords = 0, MetaRecords = 0, PrefetchRecords = 0;
   uint64_t Sample = 0;
-  long Parsed = readTraceFile(F, [&](const TraceRecord &Record) {
+  long Parsed = readTrace(F, [&](const TraceRecord &Record) {
     switch (Record.RecordKind) {
     case TraceRecord::Kind::Access:
       ++AccessRecords;
@@ -382,7 +397,7 @@ TEST(TraceExport, JsonlRoundTripRebuildsIdenticalProfile) {
   // is reused, so trace region ids need no remapping.
   std::rewind(F);
   std::unique_ptr<AttributionSink> Replayed;
-  long Parsed = readTraceFile(F, [&](const TraceRecord &Record) {
+  long Parsed = readTrace(F, [&](const TraceRecord &Record) {
     switch (Record.RecordKind) {
     case TraceRecord::Kind::Meta:
       Replayed = std::make_unique<AttributionSink>(Registry, Record.Config);
@@ -443,10 +458,13 @@ TEST(ProfileExport, JsonAndCsvCarrySchemaAndRegions) {
 
   std::FILE *Json = std::tmpfile();
   ASSERT_NE(Json, nullptr);
-  writeProfileJson(Sink, Json);
+  writeProfileJson(Sink, Json, "fig5", "abc123");
   std::string JsonText = slurp(Json);
   std::fclose(Json);
-  EXPECT_NE(JsonText.find("\"schema\":\"ccl-profile-v1\""), std::string::npos);
+  EXPECT_EQ(JsonText.rfind("{\"schema\":\"ccl-profile-v1\",\"binary\":"
+                          "\"fig5\",\"git\":\"abc123\",",
+                          0),
+            0u);
   EXPECT_NE(JsonText.find("\"name\":\"btree\""), std::string::npos);
   EXPECT_NE(JsonText.find("\"color\":\"hot\""), std::string::npos);
   EXPECT_NE(JsonText.find("\"block_utilization\":0.125000"),
@@ -467,7 +485,8 @@ TEST(TraceExport, LegacyShardLinesAreSkipped) {
   // A dump written while the set-sharded replay engine existed: its
   // "shard" telemetry line sits between ordinary events. Every other
   // line must still parse, the shard line must be skipped, and the
-  // rebuilt profile must carry no replay_sharding key.
+  // rebuilt profile must carry no replay_sharding key. The profile
+  // carries the dump's envelope stamp.
   const char *Dump =
       "{\"kind\":\"meta\",\"schema\":\"ccl-trace-v2\",\"l1_block\":16,"
       "\"l1_sets\":1024,\"l2_block\":64,\"l2_sets\":16384,\"hot_sets\":64,"
@@ -487,16 +506,16 @@ TEST(TraceExport, LegacyShardLinesAreSkipped) {
 
   RegionRegistry Registry;
   std::unique_ptr<AttributionSink> Sink;
-  TraceCodecInfo Codec;
+  std::string Binary, Git;
   uint32_t Local = RegionRegistry::Unknown;
   std::vector<TraceRecord::Kind> Kinds;
-  long Parsed = readTraceFile(F, [&](const TraceRecord &Record) {
+  long Parsed = readTrace(F, [&](const TraceRecord &Record) {
     Kinds.push_back(Record.RecordKind);
     switch (Record.RecordKind) {
     case TraceRecord::Kind::Meta:
       Sink = std::make_unique<AttributionSink>(Registry, Record.Config);
-      Codec.Schema = Record.Schema;
-      Codec.TraceBlock = Record.TraceBlock;
+      Binary = Record.Producer;
+      Git = Record.ProducerGit;
       break;
     case TraceRecord::Kind::Region:
       Local = Registry.define(Record.Region);
@@ -527,13 +546,15 @@ TEST(TraceExport, LegacyShardLinesAreSkipped) {
 
   std::FILE *Json = std::tmpfile();
   ASSERT_NE(Json, nullptr);
-  writeProfileJson(*Sink, Json, &Codec);
+  writeProfileJson(*Sink, Json, Binary, Git);
   std::string Text = slurp(Json);
   std::fclose(Json);
-  EXPECT_NE(Text.find("\"schema\":\"ccl-profile-v1\""), std::string::npos);
+  EXPECT_EQ(Text.rfind("{\"schema\":\"ccl-profile-v1\",\"binary\":\"fig5\","
+                      "\"git\":\"x\",",
+                      0),
+            0u);
   EXPECT_NE(Text.find("\"name\":\"ctree\""), std::string::npos);
-  EXPECT_NE(Text.find("\"trace_codec\":{\"schema\":\"ccl-trace-v2\""),
-            std::string::npos);
+  EXPECT_EQ(Text.find("trace_codec"), std::string::npos);
   EXPECT_EQ(Text.find("replay_sharding"), std::string::npos);
 }
 

@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Malformed-input test for tools/cclstat and tools/ccllint.
+
+Part of the cache-conscious structure layout library (PLDI'99 repro).
+
+Runs both tools on one small fixture per case (tests/fixtures/malformed).
+A rejected input must exit with the tool's status, name "<path>: line N:"
+on stderr and print nothing on stdout; an accepted one must exit 0 and
+render the expected value. No case may print sanitizer output, since an
+AddressSanitizer report also exits 1.
+
+Usage: tools_malformed_test.py <cclstat> <ccllint> <fixture dir>
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+SANITIZER_TEXT = ("AddressSanitizer", "runtime error", "LeakSanitizer")
+
+
+def run(argv):
+    return subprocess.run(argv, capture_output=True, text=True, check=False)
+
+
+def main():
+    cclstat, ccllint, fixtures = sys.argv[1:4]
+    scratch = tempfile.mkdtemp(prefix="ccl_malformed_")
+
+    def fixture(name):
+        return os.path.join(fixtures, name)
+
+    # 100000 nested arrays: generated, not committed.
+    deep = os.path.join(scratch, "deep_nesting.jsonl")
+    with open(deep, "w") as out:
+        out.write("[" * 100000 + "\n")
+    chrome = os.path.join(scratch, "cut.chrome.json")
+
+    # (argv, exit status, what stderr says after "<path>: ")
+    rejected = [
+        ([cclstat, fixture("region_id_negative.jsonl")], 1, "line 2:"),
+        ([cclstat, fixture("region_id_overflow.jsonl")], 1, "line 2:"),
+        ([cclstat, fixture("meta_l2_block_zero.jsonl")], 1, "line 1:"),
+        ([cclstat, fixture("meta_l2_sets_zero.jsonl")], 1, "line 1:"),
+        ([cclstat, fixture("meta_l2_block_256.jsonl")], 1, "line 1:"),
+        ([cclstat, fixture("meta_l2_sets_huge.jsonl")], 1, "line 1:"),
+        ([cclstat, fixture("access_leaves_block.jsonl")], 1, "line 2:"),
+        ([cclstat, fixture("trace_cut_mid_string.jsonl")], 1, "line 4:"),
+        ([cclstat, "--chrome", chrome, fixture("trace_cut_mid_string.jsonl")],
+         1, "line 4:"),
+        ([cclstat, fixture("counter_negative.jsonl")], 1, "line 2:"),
+        ([cclstat, fixture("counter_overflow.jsonl")], 1, "line 2:"),
+        ([cclstat, fixture("lint_schema.jsonl")], 1,
+         "line 1: unknown schema"),
+        ([cclstat, deep], 1, "line 1: nesting deeper than 32"),
+        ([cclstat, "--csv", os.path.join(scratch, "x.csv"),
+          fixture("metrics.jsonl")], 1, "line 1:"),
+        ([ccllint, "--fields", fixture("not_fields.txt")], 66, "line 1:"),
+        ([ccllint, "--fields", fixture("fields_cut.jsonl")], 66, "line 3:"),
+    ]
+    # (argv, regular expression stdout must match; "|" separates cells)
+    rendered = [
+        ([cclstat, fixture("region_id_max.jsonl")], r"\| maxid \[hot\] +\| 1 "),
+        ([cclstat, fixture("counter_nested_key.jsonl")], r"^  n +1$"),
+        ([cclstat, fixture("bench_json_dumps.json")],
+         r"bench fig5 \(release\), 2 results from fig5_tree_microbenchmark "
+         r"\(abc1234\)\nhw: available$"),
+        ([cclstat, fixture("bench_json_dumps.json")],
+         r"random binary tree[ |]+64bit n=100[ |]+3,000[ |]+2,000[ |]+1\.50x"
+         r"[ |]+1,200[ |]+600[ |]+2\.00x[ |]+400[ |]+0[ |]+-"),
+    ]
+
+    failed = []
+    for argv, status, reason in rejected:
+        proc = run(argv)
+        path = argv[-1]
+        problems = []
+        if proc.returncode != status:
+            problems.append("exit %d, want %d" % (proc.returncode, status))
+        if not proc.stderr.startswith("%s: %s" % (path, reason)):
+            problems.append("stderr does not start with %r" %
+                            ("%s: %s" % (path, reason)))
+        if proc.stdout:
+            problems.append("rendered output on stdout")
+        if any(text in proc.stderr for text in SANITIZER_TEXT):
+            problems.append("sanitizer report")
+        if problems:
+            failed.append((argv, problems, proc))
+    if os.path.exists(chrome):
+        failed.append(([cclstat, "--chrome", chrome],
+                       ["half-written --chrome file left behind"], None))
+
+    # A numeric lint flag that is not one whole number: usage error.
+    proc = run([ccllint, "--check", "--max-padding-frac", "abc"])
+    if proc.returncode != 64 or proc.stdout or \
+            "--max-padding-frac" not in proc.stderr:
+        failed.append((proc.args, ["want exit 64 naming the flag"], proc))
+
+    for argv, expected in rendered:
+        proc = run(argv)
+        problems = []
+        if proc.returncode != 0:
+            problems.append("exit %d, want 0" % proc.returncode)
+        if not re.search(expected, proc.stdout, re.MULTILINE):
+            problems.append("stdout does not match %r" % expected)
+        if any(text in proc.stderr for text in SANITIZER_TEXT):
+            problems.append("sanitizer report")
+        if problems:
+            failed.append((argv, problems, proc))
+
+    for argv, problems, proc in failed:
+        print("tools_malformed_test: %s: %s" % (" ".join(argv),
+                                                "; ".join(problems)))
+        if proc is not None:
+            sys.stdout.write(proc.stdout[-2000:])
+            sys.stdout.write(proc.stderr[-2000:])
+    shutil.rmtree(scratch)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,12 +12,14 @@
 ///   ccllint                          # static analysis, text report
 ///   ccllint --json [path]            # single-document JSON report
 ///   ccllint --fields prof.jsonl      # use a ccl-fields-v1 profile
+///                                    # (exit 66 if it is unreadable)
 ///   ccllint --profile-workload trees # collect a live tree-search profile
 ///   ccllint --confirm                # re-simulate emitted plans
 ///   ccllint --check                  # exit 2 when thresholds trip
 ///
 /// Threshold flags (--check gates): --max-padding-frac, --max-straddle-frac,
 /// --cold-frac, --min-plan-gain, --fail-on-dead-field, --fail-on-plan-gain.
+/// A numeric flag whose whole argument is not one number exits 64.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +37,9 @@
 #include "trees/BTree.h"
 #include "trees/BinaryTree.h"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -182,6 +186,19 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    // The whole argument must be one finite number.
+    auto Number = [&](const char *Flag) {
+      const char *Text = Next(Flag);
+      const char *End = Text + std::strlen(Text);
+      double Value = 0;
+      auto [Ptr, Ec] = std::from_chars(Text, End, Value);
+      if (Ec != std::errc() || Ptr != End || !std::isfinite(Value)) {
+        std::fprintf(stderr, "ccl-lint: %s needs a number, got '%s'\n", Flag,
+                     Text);
+        std::exit(64);
+      }
+      return Value;
+    };
     if (Arg == "--json") {
       Json = true;
       if (I + 1 < argc && argv[I + 1][0] != '-')
@@ -203,17 +220,17 @@ int main(int argc, char **argv) {
         return 64;
       }
     } else if (Arg == "--max-padding-frac") {
-      Options.MaxPaddingFrac = std::atof(Next(Arg.c_str()));
+      Options.MaxPaddingFrac = Number(Arg.c_str());
     } else if (Arg == "--max-straddle-frac") {
-      Options.MaxStraddleFrac = std::atof(Next(Arg.c_str()));
+      Options.MaxStraddleFrac = Number(Arg.c_str());
     } else if (Arg == "--cold-frac") {
-      Options.ColdRefFrac = std::atof(Next(Arg.c_str()));
+      Options.ColdRefFrac = Number(Arg.c_str());
     } else if (Arg == "--min-plan-gain") {
-      Options.MinPlanGain = std::atof(Next(Arg.c_str()));
+      Options.MinPlanGain = Number(Arg.c_str());
     } else if (Arg == "--fail-on-dead-field") {
       Options.FailOnDeadField = true;
     } else if (Arg == "--fail-on-plan-gain") {
-      Options.FailOnPlanGain = std::atof(Next(Arg.c_str()));
+      Options.FailOnPlanGain = Number(Arg.c_str());
     } else if (Arg == "--help" || Arg == "-h") {
       return usage(argv[0]);
     } else {
@@ -230,8 +247,9 @@ int main(int argc, char **argv) {
 
   if (!FieldsPath.empty()) {
     obs::FieldsDoc Doc;
-    if (!obs::readFieldsFile(FieldsPath.c_str(), Doc)) {
-      std::fprintf(stderr, "ccl-lint: cannot read %s\n", FieldsPath.c_str());
+    std::string Error;
+    if (!obs::readFieldsFile(FieldsPath, Doc, Error)) {
+      std::fprintf(stderr, "%s\n", Error.c_str());
       return 66;
     }
     Profile.addFromDoc(Doc);

@@ -1,31 +1,25 @@
-//===- tools/cclstat.cpp - Render telemetry trace dumps -------------------===//
+//===- tools/cclstat.cpp - Render ccl-* telemetry artifacts ---------------===//
 //
 // Part of the cache-conscious structure layout library (PLDI'99 repro).
 //
 //===----------------------------------------------------------------------===//
 //
-// cclstat: reconstructs a per-structure cache profile from a
-// ccl-trace-v1 or ccl-trace-v2 JSONL dump (as written by TraceSink /
-// `fig5_tree_microbenchmark --trace`), without re-running the
-// simulation. v2 meta lines additionally stamp the trace codec's
-// records per block, rendered in the text header and the --json
-// document's "trace_codec" object.
+// cclstat: renders a ccl-* artifact without re-running the simulation.
+// Every input is read through one JSONL loop (obs/Json.h), and the first
+// line's "schema" picks the format from one table (Formats below): a
+// ccl-trace-v1/v2 dump (TraceSink; or no schema) renders the
+// per-structure cache profile, ccl-metrics-v1 the runtime-metrics
+// report, ccl-fields-v1 the per-field affinity tables, and ccl-bench-v1
+// the simulated-vs-hardware miss divergence table.
 //
 //   cclstat trace.jsonl                 # text report
 //   cclstat --json - trace.jsonl        # ccl-profile-v1 JSON to stdout
 //   cclstat --csv profile.csv trace.jsonl
 //   cclstat --chrome trace.chrome.json trace.jsonl   # chrome://tracing
 //
-// The input format is auto-detected from the first line: a
-// ccl-metrics-v1 dump (as written by `--metrics <path>` on the bench
-// binaries) renders the runtime-metrics report instead — --json then
-// re-renders as ccl-metrics-summary-v1, --chrome as span trace events.
-//
-//   cclstat --bench bench.json          # sim-vs-hardware divergence
-//                                       # table from a ccl-bench-v1
-//                                       # document (fig5/fig6/fig7 --hw)
-//
-// Reading from stdin: use "-" as the trace path.
+// Reading from stdin: use "-" as the path. A malformed line, an unknown
+// schema, or an output option the format lacks exits 1 with
+// "<path>: line N: <reason>" and renders nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +27,7 @@
 #include "obs/BenchReader.h"
 #include "obs/Export.h"
 #include "obs/FieldProfile.h"
+#include "obs/Json.h"
 #include "obs/MetricsExport.h"
 #include "obs/Region.h"
 #include "obs/TraceReader.h"
@@ -43,7 +38,9 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 using namespace ccl::obs;
@@ -54,128 +51,71 @@ namespace {
 int usage(const char *Prog) {
   std::fprintf(
       stderr,
-      "usage: %s [options] <trace.jsonl | ->\n"
-      "       %s --bench <bench.json | ->\n"
-      "Renders a ccl-trace-v1/v2 JSONL dump (see TraceSink) as a profile.\n"
-      "ccl-metrics-v1 dumps (bench --metrics) are auto-detected and\n"
-      "render the runtime-metrics report instead; ccl-fields-v1 dumps\n"
-      "(ccllint --fields-out, fig5 --fields) render the per-field\n"
-      "affinity table.\n"
+      "usage: %s [options] <ccl-* artifact | ->\n"
+      "Renders a ccl-trace-v1/v2, ccl-metrics-v1, ccl-fields-v1 or\n"
+      "ccl-bench-v1 artifact; its first line's schema picks the report.\n"
       "  --json <path>    write ccl-profile-v1 JSON ('-' = stdout)\n"
       "                   (metrics input: ccl-metrics-summary-v1)\n"
       "  --csv <path>     write the per-region profile as CSV\n"
-      "  --chrome <path>  convert events to Chrome trace format\n"
-      "  --bench <path>   ccl-bench-v1 document: print the simulated-\n"
-      "                   vs-hardware miss divergence table (--hw runs)\n"
+      "  --chrome <path>  convert events (metrics: spans) to Chrome trace\n"
       "  --quiet          suppress the text report\n",
-      Prog, Prog);
+      Prog);
   return 2;
 }
 
-/// Reads one (possibly long) line including its newline; false at EOF
-/// with nothing read.
-bool readLine(std::FILE *In, std::string &Out) {
-  Out.clear();
-  char Buf[4096];
-  while (std::fgets(Buf, sizeof(Buf), In)) {
-    Out += Buf;
-    if (!Out.empty() && Out.back() == '\n')
-      return true;
-  }
-  return !Out.empty();
-}
+struct Options {
+  std::string Path, Json, Csv, Chrome;
+  bool Quiet = false;
+  /// Opened before reading, since trace events stream into it.
+  std::FILE *ChromeOut = nullptr;
+};
 
-/// A compact per-row label for a bench result: the distinguishing
-/// sweep fields the figure benches emit.
-std::string benchRowLabel(const BenchResultRecord &R) {
-  std::string Label;
-  for (const char *Key : {"section", "layout", "variant", "strategy"}) {
-    std::string V = R.str(Key);
-    if (!V.empty())
-      Label += (Label.empty() ? "" : " ") + V;
-  }
-  if (R.has("searches")) {
-    bool Ok = false;
-    double N = R.num("searches", &Ok);
-    if (Ok)
-      Label += (Label.empty() ? "n=" : " n=") +
-               TablePrinter::fmtInt(uint64_t(N));
-  }
-  return Label;
-}
-
-/// Sim-vs-hardware divergence: pairs each result's simulated miss
-/// counts with the hardware counts recorded around the corresponding
-/// native run (fig5/fig6/fig7 --hw). The two columns deliberately do
-/// not measure the same execution — the simulator replays a recorded
-/// stream through the paper's memory system, the hardware counters
-/// watch the native run on the host — so the ratio is a model-fidelity
-/// signal, not an error bar.
-int printBenchDivergence(const std::string &Path) {
-  BenchDoc Doc;
-  if (!readBenchFile(Path, Doc)) {
-    std::fprintf(stderr,
-                 "cclstat: %s is not a readable ccl-bench-v1 document\n",
+std::FILE *openOut(const std::string &Path) {
+  if (Path == "-")
+    return stdout;
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  if (!Out)
+    std::fprintf(stderr, "cclstat: cannot open %s for writing\n",
                  Path.c_str());
-    return 1;
-  }
-  std::printf("%s: bench %s (%s%s), %zu results\n", Path.c_str(),
-              Doc.Bench.c_str(), Doc.BuildType.c_str(),
-              Doc.Full ? ", full scale" : "", Doc.Results.size());
-
-  // The "(hw)" meta record reports counter availability on the
-  // producing host.
-  for (const BenchResultRecord &R : Doc.Results) {
-    if (R.str("metric") != "hw")
-      continue;
-    if (R.str("hw_available") == "yes") {
-      std::printf("hw: available\n");
-    } else {
-      std::printf("hw: unavailable (%s)\n",
-                  R.str("hw_reason", "no reason recorded").c_str());
-    }
-  }
-
-  TablePrinter Table({"name", "cell", "sim L1", "hw l1d", "L1 ratio",
-                      "sim L2", "hw llc", "L2 ratio", "sim TLB",
-                      "hw dtlb", "TLB ratio"});
-  size_t Paired = 0;
-  auto Ratio = [](double Sim, double HwV) {
-    return HwV > 0 ? TablePrinter::fmt(Sim / HwV, 2) + "x"
-                   : std::string("-");
-  };
-  for (const BenchResultRecord &R : Doc.Results) {
-    if (!R.has("sim_l1_misses") || !R.has("hw_l1d_misses"))
-      continue;
-    double SimL1 = R.num("sim_l1_misses");
-    double SimL2 = R.num("sim_l2_misses");
-    double SimTlb = R.num("sim_tlb_misses");
-    double HwL1 = R.num("hw_l1d_misses");
-    double HwLlc = R.num("hw_llc_misses");
-    double HwTlb = R.num("hw_dtlb_misses");
-    Table.addRow({R.str("name"), benchRowLabel(R),
-                  TablePrinter::fmtInt(uint64_t(SimL1)),
-                  TablePrinter::fmtInt(uint64_t(HwL1)),
-                  Ratio(SimL1, HwL1),
-                  TablePrinter::fmtInt(uint64_t(SimL2)),
-                  TablePrinter::fmtInt(uint64_t(HwLlc)),
-                  Ratio(SimL2, HwLlc),
-                  TablePrinter::fmtInt(uint64_t(SimTlb)),
-                  TablePrinter::fmtInt(uint64_t(HwTlb)),
-                  Ratio(SimTlb, HwTlb)});
-    ++Paired;
-  }
-  if (Paired == 0) {
-    std::printf("no results carry paired simulated+hardware misses "
-                "(rerun the bench with --hw on a perf-capable host)\n");
-    return 0;
-  }
-  std::printf("\nSimulated vs hardware misses (ratio = sim/hw; the "
-              "simulator models the paper's\nmemory system, not the "
-              "host, so expect systematic offsets):\n");
-  Table.print();
-  return 0;
+  return Out;
 }
+
+void closeOut(std::FILE *Out) {
+  if (Out && Out != stdout)
+    std::fclose(Out);
+}
+
+/// Writes one output file with \p Write; false if it cannot be opened.
+template <typename Fn> bool writeOut(const std::string &Path, Fn &&Write) {
+  std::FILE *Out = openOut(Path);
+  if (Out)
+    Write(Out);
+  closeOut(Out);
+  return Out != nullptr;
+}
+
+/// The first report line: "<path>: N <what>[ from <binary> (<git>)]".
+void printSource(const Options &Opts, long Records, const char *What,
+                 const std::string &Binary, const std::string &Git) {
+  std::printf("%s: %ld %s", Opts.Path.c_str(), Records, What);
+  if (!Binary.empty())
+    std::printf(" from %s (%s)", Binary.c_str(), Git.c_str());
+}
+
+/// One input format: folds each line into its document while reading,
+/// then renders the document once the whole input has been accepted.
+class Input {
+public:
+  explicit Input(const Options &Opts) : Opts(Opts) {}
+  virtual ~Input() = default;
+  /// Whether \p Line was a record; rejects it through Line.fail().
+  virtual bool add(JsonObject &Line) = 0;
+  /// Returns the exit status.
+  virtual int render(long Records) = 0;
+
+protected:
+  const Options &Opts;
+};
 
 /// Per-type field-affinity tables from a ccl-fields-v1 dump (as written
 /// by `ccllint --fields-out` / `fig5_tree_microbenchmark --fields`).
@@ -217,21 +157,6 @@ void printFieldsReport(const FieldsDoc &Doc) {
     Table.print();
     std::printf("\n");
   }
-}
-
-std::FILE *openOut(const std::string &Path) {
-  if (Path == "-")
-    return stdout;
-  std::FILE *Out = std::fopen(Path.c_str(), "w");
-  if (!Out)
-    std::fprintf(stderr, "cclstat: cannot open %s for writing\n",
-                 Path.c_str());
-  return Out;
-}
-
-void closeOut(std::FILE *Out) {
-  if (Out && Out != stdout)
-    std::fclose(Out);
 }
 
 /// Streams Chrome trace-event JSON ("X" complete events for accesses on
@@ -297,11 +222,295 @@ private:
   bool First = true;
 };
 
+/// A ccl-trace dump, rebuilt into a per-structure profile.
+class TraceInput final : public Input {
+public:
+  explicit TraceInput(const Options &Opts) : Input(Opts) {
+    if (Opts.ChromeOut)
+      Chrome.emplace(Opts.ChromeOut);
+  }
+
+  bool add(JsonObject &Line) override {
+    TraceRecord Record;
+    if (!parseTraceLine(Line, Record))
+      return false;
+    bool Meta = Record.RecordKind == TraceRecord::Kind::Meta;
+    if (!Sink)
+      Sink = std::make_unique<AttributionSink>(
+          Registry, Meta ? Record.Config : AttributionConfig());
+    switch (Record.RecordKind) {
+    case TraceRecord::Kind::Meta:
+      SampleInterval = Record.SampleInterval;
+      Binary = Record.Producer;
+      Git = Record.ProducerGit;
+      break;
+    case TraceRecord::Kind::Region: {
+      uint32_t Local = Registry.define(Record.Region);
+      IdMap[Record.RegionId] = Local;
+      const RegionInfo &Info = Registry.info(Local);
+      if (Chrome)
+        Chrome->nameRow(Local, Info.ColorClass.empty()
+                                   ? Info.Name
+                                   : Info.Name + " [" + Info.ColorClass +
+                                         "]");
+      break;
+    }
+    case TraceRecord::Kind::Access: {
+      const AccessEvent &E = Record.Access;
+      uint64_t Block = Sink->config().L2BlockBytes;
+      if (E.Mapped % Block + E.Size > Block)
+        return Line.fail("access of " + std::to_string(E.Size) +
+                         " bytes leaves its " + std::to_string(Block) +
+                         "-byte L2 block");
+      auto It = IdMap.find(Record.RegionId);
+      uint32_t Local =
+          It == IdMap.end() ? RegionRegistry::Unknown : It->second;
+      Sink->record(E, Local);
+      if (Chrome)
+        Chrome->access(E, Local);
+      break;
+    }
+    case TraceRecord::Kind::Evict:
+      Sink->recordEvict(Record.Evict);
+      if (Chrome)
+        Chrome->evict(Record.Evict);
+      break;
+    case TraceRecord::Kind::Prefetch:
+      Sink->onPrefetch(Record.Prefetch);
+      if (Chrome)
+        Chrome->prefetch(Record.Prefetch);
+      break;
+    }
+    return true;
+  }
+
+  int render(long Records) override {
+    if (Chrome)
+      Chrome->finish();
+    if (!Sink)
+      Sink = std::make_unique<AttributionSink>(Registry, AttributionConfig());
+    Sink->finalize();
+    if (!Opts.Quiet) {
+      std::string What = "records";
+      if (SampleInterval > 1)
+        What += " (1-in-" + std::to_string(SampleInterval) +
+                " sampled; counts reflect sampled events only)";
+      printSource(Opts, Records, What.c_str(), Binary, Git);
+      std::printf("\n\n");
+      Sink->printReport();
+    }
+    bool Ok = Opts.Json.empty() || writeOut(Opts.Json, [&](std::FILE *Out) {
+                writeProfileJson(*Sink, Out, Binary, Git);
+              });
+    Ok = Ok && (Opts.Csv.empty() || writeOut(Opts.Csv, [&](std::FILE *Out) {
+                  writeProfileCsv(*Sink, Out);
+                }));
+    return Ok ? 0 : 1;
+  }
+
+private:
+  // The registry is rebuilt from the dump's region records. Trace region
+  // ids are remapped through define() so the sink sees dense local ids;
+  // the map is keyed, so any 32-bit trace id is safe.
+  RegionRegistry Registry;
+  std::unordered_map<uint32_t, uint32_t> IdMap;
+  std::unique_ptr<AttributionSink> Sink;
+  std::optional<ChromeWriter> Chrome;
+  uint64_t SampleInterval = 1;
+  std::string Binary, Git;
+};
+
+class MetricsInput final : public Input {
+public:
+  using Input::Input;
+
+  bool add(JsonObject &Line) override { return parseMetricsLine(Line, Doc); }
+
+  int render(long Records) override {
+    if (!Opts.Quiet) {
+      printSource(Opts, Records, "metrics records", Doc.Binary, Doc.Git);
+      std::printf("\n\n");
+      printMetricsReport(Doc, stdout);
+    }
+    if (Opts.ChromeOut)
+      writeMetricsChrome(Doc, Opts.ChromeOut);
+    bool Ok = Opts.Json.empty() || writeOut(Opts.Json, [&](std::FILE *Out) {
+                writeMetricsSummaryJson(Doc, Out);
+              });
+    return Ok ? 0 : 1;
+  }
+
+private:
+  MetricsDoc Doc;
+};
+
+class FieldsInput final : public Input {
+public:
+  using Input::Input;
+
+  bool add(JsonObject &Line) override { return parseFieldsLine(Line, Doc); }
+
+  int render(long Records) override {
+    if (Opts.Quiet)
+      return 0;
+    printSource(Opts, Records, "field-profile records", Doc.Binary, Doc.Git);
+    std::printf("\n");
+    if (Doc.Attributed + Doc.Unattributed > 0)
+      std::printf("attributed %s / unattributed %s events\n",
+                  TablePrinter::fmtInt(Doc.Attributed).c_str(),
+                  TablePrinter::fmtInt(Doc.Unattributed).c_str());
+    std::printf("\n");
+    printFieldsReport(Doc);
+    return 0;
+  }
+
+private:
+  FieldsDoc Doc;
+};
+
+/// Sim-vs-hardware divergence: pairs each result's simulated miss
+/// counts with the hardware counts recorded around the corresponding
+/// native run (fig5/fig6/fig7 --hw). The two columns deliberately do
+/// not measure the same execution — the simulator replays a recorded
+/// stream through the paper's memory system, the hardware counters
+/// watch the native run on the host — so the ratio is a model-fidelity
+/// signal, not an error bar. Rows are tabulated while reading, so a
+/// mistyped one rejects the document before anything prints.
+class BenchInput final : public Input {
+public:
+  using Input::Input;
+
+  bool add(JsonObject &Line) override {
+    if (Read)
+      return Line.fail("a ccl-bench-v1 document is one line");
+    Read = true;
+    if (!parseBenchJson(Line, Doc))
+      return false;
+    for (size_t I = 0; I < Doc.Results.size(); ++I) {
+      JsonObject Row(Doc.Results[I].Row);
+      if (!addRow(Row))
+        return Line.fail("results[" + std::to_string(I) + "]: " +
+                         Row.error());
+    }
+    return true;
+  }
+
+  int render(long) override {
+    std::printf("%s: bench %s (%s%s), %zu results", Opts.Path.c_str(),
+                Doc.Bench.c_str(), Doc.BuildType.c_str(),
+                Doc.Full ? ", full scale" : "", Doc.Results.size());
+    if (!Doc.Binary.empty())
+      std::printf(" from %s (%s)", Doc.Binary.c_str(), Doc.Git.c_str());
+    std::printf("\n%s", HwLines.c_str());
+    if (Paired == 0) {
+      std::printf("no results carry paired simulated+hardware misses "
+                  "(rerun the bench with --hw on a perf-capable host)\n");
+      return 0;
+    }
+    std::printf("\nSimulated vs hardware misses (ratio = sim/hw; the "
+                "simulator models the paper's\nmemory system, not the "
+                "host, so expect systematic offsets):\n");
+    Table.print();
+    return 0;
+  }
+
+private:
+  bool addRow(JsonObject &Row) {
+    std::string Name, Metric, Available, Reason = "no reason recorded";
+    Row.get("name", Name);
+    Row.get("metric", Metric);
+    Row.get("hw_available", Available);
+    Row.get("hw_reason", Reason);
+    // A compact per-row label: the distinguishing sweep fields the
+    // figure benches emit.
+    std::string Label, Value;
+    for (const char *Key : {"section", "layout", "variant", "strategy"}) {
+      Value.clear();
+      Row.get(Key, Value);
+      if (!Value.empty())
+        Label += (Label.empty() ? "" : " ") + Value;
+    }
+    uint64_t N = 0, Sim[3] = {}, Hw[3] = {};
+    Row.get("searches", N);
+    if (Row.find("searches"))
+      Label += (Label.empty() ? "n=" : " n=") + TablePrinter::fmtInt(N);
+    Row.get("sim_l1_misses", Sim[0]);
+    Row.get("sim_l2_misses", Sim[1]);
+    Row.get("sim_tlb_misses", Sim[2]);
+    Row.get("hw_l1d_misses", Hw[0]);
+    Row.get("hw_llc_misses", Hw[1]);
+    Row.get("hw_dtlb_misses", Hw[2]);
+    if (!Row.ok())
+      return false;
+    // The "(hw)" meta record reports counter availability on the
+    // producing host.
+    if (Metric == "hw")
+      HwLines += Available == "yes" ? "hw: available\n"
+                                    : "hw: unavailable (" + Reason + ")\n";
+    if (!Row.find("sim_l1_misses") || !Row.find("hw_l1d_misses"))
+      return true;
+    auto Ratio = [](uint64_t S, uint64_t H) {
+      return H > 0 ? TablePrinter::fmt(double(S) / double(H), 2) + "x"
+                   : std::string("-");
+    };
+    Table.addRow({Name, Label, TablePrinter::fmtInt(Sim[0]),
+                  TablePrinter::fmtInt(Hw[0]), Ratio(Sim[0], Hw[0]),
+                  TablePrinter::fmtInt(Sim[1]), TablePrinter::fmtInt(Hw[1]),
+                  Ratio(Sim[1], Hw[1]), TablePrinter::fmtInt(Sim[2]),
+                  TablePrinter::fmtInt(Hw[2]), Ratio(Sim[2], Hw[2])});
+    ++Paired;
+    return true;
+  }
+
+  BenchDoc Doc;
+  bool Read = false;
+  std::string HwLines;
+  TablePrinter Table{{"name", "cell", "sim L1", "hw l1d", "L1 ratio",
+                      "sim L2", "hw llc", "L2 ratio", "sim TLB", "hw dtlb",
+                      "TLB ratio"}};
+  size_t Paired = 0;
+};
+
+template <typename T> std::unique_ptr<Input> openAs(const Options &Opts) {
+  return std::make_unique<T>(Opts);
+}
+
+/// The format table: the schema on an input's first line, the output
+/// options that format renders, and its reader.
+struct Format {
+  const char *Schema; // "": a trace dump written before schema stamps
+  const char *Outputs;
+  std::unique_ptr<Input> (*Open)(const Options &);
+} const Formats[] = {
+    {"", "--json --csv --chrome", openAs<TraceInput>},
+    {"ccl-trace-v1", "--json --csv --chrome", openAs<TraceInput>},
+    {"ccl-trace-v2", "--json --csv --chrome", openAs<TraceInput>},
+    {"ccl-metrics-v1", "--json --chrome", openAs<MetricsInput>},
+    {"ccl-fields-v1", "", openAs<FieldsInput>},
+    {"ccl-bench-v1", "", openAs<BenchInput>},
+};
+
+/// Picks the format for the input's first line, or rejects the line.
+std::unique_ptr<Input> openInput(const Options &Opts, JsonObject &First) {
+  std::string Schema;
+  First.get("schema", Schema);
+  for (const Format &F : Formats) {
+    if (Schema != F.Schema)
+      continue;
+    for (auto [Flag, Path] : {std::pair{"--json", &Opts.Json},
+                              {"--csv", &Opts.Csv}, {"--chrome", &Opts.Chrome}})
+      if (!Path->empty() && !std::strstr(F.Outputs, Flag))
+        First.fail(std::string(Flag) + " does not apply to " + Schema);
+    return First.ok() ? F.Open(Opts) : nullptr;
+  }
+  First.fail("unknown schema \"" + Schema + "\"");
+  return nullptr;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string TracePath, JsonPath, CsvPath, ChromePath, BenchPath;
-  bool Quiet = false;
+  Options Opts;
   for (int I = 1; I < Argc; ++I) {
     auto takeValue = [&](std::string &Slot) {
       if (I + 1 >= Argc)
@@ -310,19 +519,16 @@ int main(int Argc, char **Argv) {
       return true;
     };
     if (std::strcmp(Argv[I], "--json") == 0) {
-      if (!takeValue(JsonPath))
+      if (!takeValue(Opts.Json))
         return usage(Argv[0]);
     } else if (std::strcmp(Argv[I], "--csv") == 0) {
-      if (!takeValue(CsvPath))
+      if (!takeValue(Opts.Csv))
         return usage(Argv[0]);
     } else if (std::strcmp(Argv[I], "--chrome") == 0) {
-      if (!takeValue(ChromePath))
-        return usage(Argv[0]);
-    } else if (std::strcmp(Argv[I], "--bench") == 0) {
-      if (!takeValue(BenchPath))
+      if (!takeValue(Opts.Chrome))
         return usage(Argv[0]);
     } else if (std::strcmp(Argv[I], "--quiet") == 0) {
-      Quiet = true;
+      Opts.Quiet = true;
     } else if (std::strcmp(Argv[I], "--help") == 0 ||
                std::strcmp(Argv[I], "-h") == 0) {
       usage(Argv[0]);
@@ -330,224 +536,40 @@ int main(int Argc, char **Argv) {
     } else if (Argv[I][0] == '-' && std::strcmp(Argv[I], "-") != 0) {
       std::fprintf(stderr, "cclstat: unknown option %s\n", Argv[I]);
       return usage(Argv[0]);
-    } else if (TracePath.empty()) {
-      TracePath = Argv[I];
+    } else if (Opts.Path.empty()) {
+      Opts.Path = Argv[I];
     } else {
       return usage(Argv[0]);
     }
   }
-  if (!BenchPath.empty())
-    return printBenchDivergence(BenchPath);
-  if (TracePath.empty())
+  if (Opts.Path.empty())
     return usage(Argv[0]);
+  if (!Opts.Chrome.empty() && !(Opts.ChromeOut = openOut(Opts.Chrome)))
+    return 1;
 
-  std::FILE *In =
-      TracePath == "-" ? stdin : std::fopen(TracePath.c_str(), "r");
-  if (!In) {
-    std::fprintf(stderr, "cclstat: cannot open %s\n", TracePath.c_str());
+  std::unique_ptr<Input> Reader;
+  long Records = 0;
+  std::string Error;
+  readJsonLines(
+      Opts.Path,
+      [&](JsonObject &Line) {
+        if (!Reader)
+          Reader = openInput(Opts, Line);
+        Records += Reader && Reader->add(Line);
+      },
+      Error);
+  if (Error.empty() && !Reader)
+    Error = Opts.Path + ": no records";
+  if (!Error.empty()) {
+    // Nothing renders, so drop the half-written --chrome file.
+    if (Opts.ChromeOut && Opts.ChromeOut != stdout) {
+      std::fclose(Opts.ChromeOut);
+      std::remove(Opts.Chrome.c_str());
+    }
+    std::fprintf(stderr, "%s\n", Error.c_str());
     return 1;
   }
-
-  // Auto-detect the dump flavour from the first line so `--metrics`
-  // output renders without a separate subcommand. The consumed line is
-  // fed to whichever reader wins.
-  std::string FirstLine;
-  bool HasFirst = readLine(In, FirstLine);
-  if (HasFirst && FirstLine.find("\"ccl-fields-v1\"") != std::string::npos) {
-    FieldsDoc Doc;
-    long Parsed = parseFieldsLine(FirstLine, Doc) ? 1 : 0;
-    std::string Line;
-    while (readLine(In, Line))
-      if (parseFieldsLine(Line, Doc))
-        ++Parsed;
-    if (In != stdin)
-      std::fclose(In);
-    if (Parsed <= 0 || Doc.Types.empty()) {
-      std::fprintf(stderr, "cclstat: no parseable records in %s\n",
-                   TracePath.c_str());
-      return 1;
-    }
-    if (!Quiet) {
-      std::printf("%s: %ld field-profile records", TracePath.c_str(),
-                  Parsed);
-      if (!Doc.Binary.empty())
-        std::printf(" from %s (%s)", Doc.Binary.c_str(), Doc.Git.c_str());
-      std::printf("\n");
-      if (Doc.Attributed + Doc.Unattributed > 0)
-        std::printf("attributed %s / unattributed %s events\n",
-                    TablePrinter::fmtInt(Doc.Attributed).c_str(),
-                    TablePrinter::fmtInt(Doc.Unattributed).c_str());
-      std::printf("\n");
-      printFieldsReport(Doc);
-    }
-    if (!JsonPath.empty() || !CsvPath.empty() || !ChromePath.empty())
-      std::fprintf(stderr, "cclstat: --json/--csv/--chrome are not "
-                           "supported for field-profile dumps\n");
-    return 0;
-  }
-  if (HasFirst && FirstLine.find("\"ccl-metrics-v1\"") != std::string::npos) {
-    MetricsDoc Doc;
-    long Parsed = parseMetricsLine(FirstLine, Doc) ? 1 : 0;
-    Parsed += readMetricsFile(In, Doc);
-    if (In != stdin)
-      std::fclose(In);
-    if (Parsed <= 0) {
-      std::fprintf(stderr, "cclstat: no parseable records in %s\n",
-                   TracePath.c_str());
-      return 1;
-    }
-    if (!Quiet) {
-      std::printf("%s: %ld metrics records", TracePath.c_str(), Parsed);
-      if (!Doc.Binary.empty())
-        std::printf(" from %s (%s)", Doc.Binary.c_str(), Doc.Git.c_str());
-      std::printf("\n\n");
-      printMetricsReport(Doc, stdout);
-    }
-    if (!CsvPath.empty())
-      std::fprintf(stderr,
-                   "cclstat: --csv is not supported for metrics dumps\n");
-    if (!JsonPath.empty()) {
-      std::FILE *Out = openOut(JsonPath);
-      if (!Out)
-        return 1;
-      writeMetricsSummaryJson(Doc, Out);
-      closeOut(Out);
-    }
-    if (!ChromePath.empty()) {
-      std::FILE *Out = openOut(ChromePath);
-      if (!Out)
-        return 1;
-      writeMetricsChrome(Doc, Out);
-      closeOut(Out);
-    }
-    return 0;
-  }
-
-  std::FILE *ChromeFile = nullptr;
-  std::unique_ptr<ChromeWriter> Chrome;
-  if (!ChromePath.empty()) {
-    ChromeFile = openOut(ChromePath);
-    if (!ChromeFile)
-      return 1;
-    Chrome = std::make_unique<ChromeWriter>(ChromeFile);
-  }
-
-  // The registry is rebuilt from the dump's region records; trace region
-  // ids are remapped through define() so the sink sees dense local ids.
-  RegionRegistry Registry;
-  std::unique_ptr<AttributionSink> Sink;
-  std::vector<uint32_t> IdMap = {RegionRegistry::Unknown};
-  uint64_t SampleInterval = 1;
-  // Codec stamps from the meta line: v2 dumps carry the schema string
-  // and the trace codec's records per block; v1 and pre-stamp dumps
-  // leave the fields empty and nothing renders.
-  TraceCodecInfo Codec;
-  auto localId = [&](uint32_t TraceId) {
-    return TraceId < IdMap.size() ? IdMap[TraceId] : RegionRegistry::Unknown;
-  };
-  auto ensureSink = [&] {
-    if (!Sink)
-      Sink = std::make_unique<AttributionSink>(Registry,
-                                               AttributionConfig());
-  };
-
-  auto HandleRecord = [&](const TraceRecord &Record) {
-    switch (Record.RecordKind) {
-    case TraceRecord::Kind::Meta:
-      if (!Sink)
-        Sink = std::make_unique<AttributionSink>(Registry, Record.Config);
-      SampleInterval = Record.SampleInterval;
-      Codec.Schema = Record.Schema;
-      Codec.TraceBlock = Record.TraceBlock;
-      break;
-    case TraceRecord::Kind::Region: {
-      uint32_t Local = Registry.define(Record.Region);
-      if (Record.RegionId >= IdMap.size())
-        IdMap.resize(Record.RegionId + 1, RegionRegistry::Unknown);
-      IdMap[Record.RegionId] = Local;
-      if (Chrome) {
-        const RegionInfo &Info = Registry.info(Local);
-        Chrome->nameRow(Local, Info.ColorClass.empty()
-                                   ? Info.Name
-                                   : Info.Name + " [" + Info.ColorClass +
-                                         "]");
-      }
-      break;
-    }
-    case TraceRecord::Kind::Access:
-      ensureSink();
-      Sink->record(Record.Access, localId(Record.RegionId));
-      if (Chrome)
-        Chrome->access(Record.Access, localId(Record.RegionId));
-      break;
-    case TraceRecord::Kind::Evict:
-      ensureSink();
-      Sink->recordEvict(Record.Evict);
-      if (Chrome)
-        Chrome->evict(Record.Evict);
-      break;
-    case TraceRecord::Kind::Prefetch:
-      ensureSink();
-      Sink->onPrefetch(Record.Prefetch);
-      if (Chrome)
-        Chrome->prefetch(Record.Prefetch);
-      break;
-    }
-  };
-  long Parsed = 0;
-  if (HasFirst) {
-    TraceRecord First;
-    if (parseTraceLine(FirstLine, First)) {
-      HandleRecord(First);
-      ++Parsed;
-    }
-  }
-  Parsed += readTraceFile(In, HandleRecord);
-  if (In != stdin)
-    std::fclose(In);
-  if (Chrome) {
-    Chrome->finish();
-    closeOut(ChromeFile);
-  }
-  if (Parsed <= 0) {
-    std::fprintf(stderr, "cclstat: no parseable records in %s\n",
-                 TracePath.c_str());
-    return 1;
-  }
-  ensureSink();
-  Sink->finalize();
-
-  if (!Quiet) {
-    std::printf("%s: %ld records", TracePath.c_str(), Parsed);
-    if (SampleInterval > 1)
-      std::printf(" (1-in-%" PRIu64
-                  " sampled; counts reflect sampled events only)",
-                  SampleInterval);
-    if (Codec.any()) {
-      std::printf(" [%s", Codec.Schema.empty() ? "ccl-trace-v1"
-                                               : Codec.Schema.c_str());
-      if (Codec.TraceBlock != 0)
-        std::printf(", block %" PRIu64, Codec.TraceBlock);
-      std::printf("]");
-    }
-    std::printf("\n\n");
-    Sink->printReport();
-  }
-  if (!JsonPath.empty()) {
-    if (std::FILE *Out = openOut(JsonPath)) {
-      writeProfileJson(*Sink, Out, &Codec);
-      closeOut(Out);
-    } else {
-      return 1;
-    }
-  }
-  if (!CsvPath.empty()) {
-    if (std::FILE *Out = openOut(CsvPath)) {
-      writeProfileCsv(*Sink, Out);
-      closeOut(Out);
-    } else {
-      return 1;
-    }
-  }
-  return 0;
+  int Status = Reader->render(Records);
+  closeOut(Opts.ChromeOut);
+  return Status;
 }
