@@ -15,17 +15,18 @@
 // colored hot region warms up — the amortized miss-rate behaviour of
 // Section 5.1.
 //
-// Measurement structure (record once, replay many): every sweep point's
+// Measurement structure (record once, replay once): every sweep point's
 // search stream is seeded identically, so the 10-search stream is a
 // prefix of the 100-search stream and so on up to the largest count.
 // Each tree organization is therefore traversed natively exactly once —
 // recording its largest-count access stream into a sim::TraceBuffer —
-// and every (organization x count) cell replays a prefix of that
-// recording through a fresh, cold MemoryHierarchy on its own SweepRunner
-// cell, largest counts first. Each replay is one serial walk; the cells
-// are the parallelism. Replay preserves recorded order, so the canonical
-// first-touch address remap and all statistics are bit-identical to a
-// serial re-executing sweep at any thread count.
+// and replayed once through a fresh, cold MemoryHierarchy on its own
+// SweepRunner cell. The replay stops at every count's mark to read the
+// cycle and miss counts: a cold replay of a prefix ends in exactly the
+// state the long replay reaches at that mark. Each replay is one serial
+// walk; the cells are the parallelism. Replay preserves recorded order,
+// so the canonical first-touch address remap and all statistics are
+// bit-identical to a serial re-executing sweep at any thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -103,9 +104,9 @@ SeriesDef makeSeries(std::string Name, SearchFn Search) {
 /// Runs the cold-start sweep for a set of tree organizations:
 ///  1. record each organization's largest-count access stream once
 ///     (native traversal, no simulation) with per-count prefix marks,
-///  2. replay every (organization x count) prefix through its own fresh
-///     hierarchy, one SweepRunner cell each, largest counts first so the
-///     longest replays never start last,
+///  2. replay each organization's recording once through a fresh
+///     hierarchy, one SweepRunner cell each, reading the cycle and miss
+///     counts at every count mark,
 ///  3. measure native wall time serially (timing must not run under
 ///     parallel load), after an untimed warm-up pass per organization.
 std::vector<SearchSeries>
@@ -138,10 +139,11 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
     });
   }
 
-  // Replay prefixes: each (organization x count) cell replays its
-  // prefix through a fresh cold hierarchy. Cells are independent and
-  // the sealed recordings are read-only, so they fan across the pool;
-  // every cell writes only its own result slots.
+  // Replay: each organization's cell replays its recording once, in
+  // bounded steps from one count mark to the next; the counts at a mark
+  // are those of a cold replay of that prefix. Cells are independent
+  // and the sealed recordings are read-only, so they fan across the
+  // pool; every cell writes only its own result slots.
   std::vector<SearchSeries> Series(Defs.size());
   for (size_t S = 0; S < Defs.size(); ++S) {
     Series[S].Name = Defs[S].Name;
@@ -153,16 +155,19 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
   }
   {
     metrics::ScopedSpan ReplaySpan("fig5.replay");
-    Runner.run(Defs.size() * Counts, [&](size_t Cell) {
-      size_t S = Cell % Defs.size();
-      size_t C = Counts - 1 - Cell / Defs.size();
+    Runner.run(Defs.size(), [&](size_t S) {
       sim::MemoryHierarchy M(Config);
-      M.replay(Traces[S].prefix(Prefixes[S][C]));
-      Series[S].CyclesPerSearch[C] =
-          double(M.now()) / double(SearchCounts[C]);
-      Series[S].SimL1Misses[C] = M.stats().L1Misses;
-      Series[S].SimL2Misses[C] = M.stats().L2Misses;
-      Series[S].SimTlbMisses[C] = M.stats().TlbMisses;
+      sim::TraceCursor Cursor(Traces[S].view());
+      size_t Done = 0;
+      for (size_t C = 0; C < Counts; ++C) {
+        M.replay(Cursor, Prefixes[S][C] - Done);
+        Done = Prefixes[S][C];
+        Series[S].CyclesPerSearch[C] =
+            double(M.now()) / double(SearchCounts[C]);
+        Series[S].SimL1Misses[C] = M.stats().L1Misses;
+        Series[S].SimL2Misses[C] = M.stats().L2Misses;
+        Series[S].SimTlbMisses[C] = M.stats().TlbMisses;
+      }
     });
   }
 

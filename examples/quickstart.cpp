@@ -70,7 +70,7 @@ int main() {
   int SameBlock = 0;
   int Links = 0;
   for (ListCell *C = Head; C->Forward; C = C->Forward) {
-    SameBlock += Alloc.sameBlock(C, C->Forward) ? 1 : 0;
+    SameBlock += Alloc.heap().blockOf(C) == Alloc.heap().blockOf(C->Forward);
     ++Links;
   }
   std::printf("list links sharing an L2 block: %d of %d (%.0f%%)\n",

@@ -6,10 +6,10 @@
 # Builds the release and asan presets and runs the full test suite on
 # both, then builds the tsan preset and runs the thread-sensitive tests
 # (the SweepRunner/simulator suite) under ThreadSanitizer, runs the
-# layout lint, diffs fig7 and fig10 across sweep thread counts, renders
-# fig7's bench and metrics artifacts through cclstat, and runs each
-# perfbench workload briefly to check that replay still equals live
-# simulation. Any failure aborts the script.
+# layout lint, diffs fig7, fig10 and the ccmorph ablations across sweep
+# thread counts, renders fig7's bench and metrics artifacts through
+# cclstat, and runs each perfbench workload briefly to check that replay
+# still equals live simulation. Any failure aborts the script.
 #
 # Usage: scripts/ci.sh [--advisory] [jobs]
 #
@@ -60,11 +60,13 @@ echo "=== [lint] clang-tidy (scripts/lint.sh) ==="
 scripts/lint.sh
 
 # Thread-count determinism: a figure's stdout must not depend on how
-# many sweep workers ran its cells. fig7 (the ccmalloc figure) and
-# fig10 are diffed; fig5 prints native timings and fig6's simulated
+# many sweep workers ran its cells. fig7 (the ccmalloc figure), fig10
+# and the three ablations that sweep ccmorph over many K, p and profile
+# cells are diffed; fig5 prints native timings and fig6's simulated
 # columns still follow host heap placement, so neither is checked yet.
 DET_DIR="$(mktemp -d)"
-for fig in fig7_olden fig10_model_validation; do
+for fig in fig7_olden fig10_model_validation ablation_subtree_size \
+    ablation_coloring ablation_profile_guided; do
   echo "=== [determinism] $fig at CCL_SWEEP_THREADS=1 vs 4 ==="
   CCL_SWEEP_THREADS=1 "build-release/bench/$fig" > "$DET_DIR/$fig.1"
   CCL_SWEEP_THREADS=4 "build-release/bench/$fig" > "$DET_DIR/$fig.4"

@@ -61,11 +61,6 @@ public:
   const heap::HeapStats &stats() const { return Heap.stats(); }
   uint64_t footprintBytes() const { return Heap.footprintBytes(); }
 
-  /// True if \p A and \p B were placed in the same L2 cache block.
-  bool sameBlock(const void *A, const void *B) const {
-    return Heap.blockOf(A) == Heap.blockOf(B);
-  }
-
 private:
   heap::CcHeap Heap;
   heap::CcStrategy Strategy;

@@ -34,23 +34,24 @@
 /// guarantees the move is safe. Lists are unary trees; chained hash
 /// tables are forests (use reorganizeForest).
 ///
-/// Hot-path layout: a reorganization is one structure traversal (cluster
-/// formation over flat, index-cursor work queues — no deques), one copy
-/// pass, and one linear fixup sweep. The traversal already knows every
-/// (parent, slot, child) edge and the placement index each node will
-/// get, so forwarding is a flat edge list indexed into the new-node
-/// array — the fixup performs no address lookups at all (the old
-/// old->new hash map survives only as a debug-build DAG check). The
-/// scratch buffers keep their capacity across calls, so the paper's
-/// "periodically invoked" usage does not re-pay allocation churn. The
-/// source structure is never written (concurrent morphs may share one
-/// source).
+/// Hot-path layout: a reorganization is one structure traversal (the
+/// shared ClusterOrder planner), one placement pass through the colored
+/// arena (OffsetLayout's offsets on live frames), one copy pass, and one
+/// linear fixup sweep. The planner reports every node's parent position
+/// and kid slot, and each node's placement index is its position, so
+/// forwarding is a flat walk indexed into the new-node array — the
+/// fixup performs no address lookups at all (the old->new hash map
+/// survives only as a debug-build DAG check). The scratch buffers keep
+/// their capacity across calls, so the paper's "periodically invoked"
+/// usage does not re-pay allocation churn. The source structure is
+/// never written (concurrent morphs may share one source).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCL_CORE_CCMORPH_H
 #define CCL_CORE_CCMORPH_H
 
+#include "core/ClusterOrder.h"
 #include "core/ColoredArena.h"
 #include "support/FlatMap.h"
 #include "support/Metrics.h"
@@ -59,39 +60,11 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <type_traits>
 #include <vector>
 
 namespace ccl {
-
-/// How nodes are grouped into cache blocks.
-enum class LayoutScheme {
-  /// Pack subtrees into cache blocks (the paper's technique, §2.1).
-  Subtree,
-  /// Pack consecutive depth-first (preorder) nodes into blocks — the
-  /// comparison layout of §2.1 whose expected block reuse is < 2.
-  DepthFirst,
-  /// Pack consecutive breadth-first nodes into blocks.
-  Bfs,
-  /// Pack a random permutation of nodes into blocks (no locality); the
-  /// "randomly clustered" baseline of Figure 5.
-  Random,
-};
-
-/// Returns a short human-readable scheme name.
-inline const char *layoutSchemeName(LayoutScheme Scheme) {
-  switch (Scheme) {
-  case LayoutScheme::Subtree:
-    return "subtree";
-  case LayoutScheme::DepthFirst:
-    return "depth-first";
-  case LayoutScheme::Bfs:
-    return "bfs";
-  case LayoutScheme::Random:
-    return "random";
-  }
-  return "unknown";
-}
 
 /// Options controlling one reorganization.
 struct MorphOptions {
@@ -115,8 +88,8 @@ struct MorphStats {
   uint64_t ColdNodes = 0;
   size_t NodesPerBlock = 0;
   uint64_t ArenaFrames = 0;
-  /// Largest BFS frontier the clustering traversal held (subtree and
-  /// breadth-first schemes; 0 for depth-first/random).
+  /// Largest BFS frontier the clustering traversal held (subtree,
+  /// breadth-first and random schemes; 0 for depth-first).
   uint64_t FrontierPeak = 0;
 };
 
@@ -196,201 +169,16 @@ public:
   const CacheParams &params() const { return Params; }
 
 private:
-  /// A pending traversal item: the node plus the placement index of the
-  /// parent that queued it (NoParent for forest roots) and the kid slot
-  /// it occupies there.
-  struct WorkItem {
-    Node *N;
-    uint32_t ParentIdx;
-    uint32_t Slot;
-  };
-  /// One discovered edge: ClusterNodes[Parent]'s kid \p Slot is
-  /// ClusterNodes[Kid]. Indices double as NewNodes indices, which is
-  /// what makes the fixup sweep lookup-free.
-  struct Edge {
-    uint32_t Parent;
-    uint32_t Kid;
-    uint32_t Slot;
-  };
-  static constexpr uint32_t NoParent = ~uint32_t(0);
+  using Planner = ClusterOrder<Node *>;
+  static constexpr uint32_t NoParent = Planner::NoParent;
   /// How far ahead the copy pass pulls scattered source nodes.
   static constexpr size_t CopyPrefetchDist = 8;
-  /// How many clusters ahead the subtree traversal pulls cluster roots.
-  static constexpr size_t RootPrefetchDist = 6;
 
-  /// Groups the forest's nodes into clusters of at most NodesPerBlock,
-  /// ordered root-outward so early clusters are the hot ones. Results
-  /// land in ClusterNodes/ClusterEnds.
-  void formClusters(const std::vector<Node *> &Roots,
-                    const MorphOptions &Options) {
-    switch (Options.Scheme) {
-    case LayoutScheme::Subtree:
-      formSubtreeClusters(Roots, Stats.NodesPerBlock);
-      break;
-    case LayoutScheme::DepthFirst:
-      for (Node *Root : Roots)
-        depthFirstOrder(Root);
-      chunk(Stats.NodesPerBlock);
-      break;
-    case LayoutScheme::Bfs:
-      for (Node *Root : Roots)
-        breadthFirstOrder(Root);
-      chunk(Stats.NodesPerBlock);
-      break;
-    case LayoutScheme::Random: {
-      for (Node *Root : Roots)
-        breadthFirstOrder(Root);
-      // Shuffle an index vector, not the nodes: the Fisher-Yates swap
-      // sequence depends only on the seed and the length, so the node
-      // permutation is identical to shuffling ClusterNodes directly,
-      // and the inverse permutation lets the recorded edges and root
-      // positions follow their nodes to the shuffled slots.
-      size_t N = ClusterNodes.size();
-      Xoshiro256 Rng(Options.Seed);
-      IndexBuf.resize(N);
-      for (size_t I = 0; I < N; ++I)
-        IndexBuf[I] = static_cast<uint32_t>(I);
-      Rng.shuffle(IndexBuf);
-      PermBuf.resize(N);
-      InvBuf.resize(N);
-      for (size_t I = 0; I < N; ++I) {
-        PermBuf[I] = ClusterNodes[IndexBuf[I]];
-        InvBuf[IndexBuf[I]] = static_cast<uint32_t>(I);
-      }
-      ClusterNodes.swap(PermBuf);
-      for (Edge &E : Edges) {
-        E.Parent = InvBuf[E.Parent];
-        E.Kid = InvBuf[E.Kid];
-      }
-      for (uint32_t &Pos : RootPositions)
-        Pos = InvBuf[Pos];
-      chunk(Stats.NodesPerBlock);
-      break;
-    }
-    }
-  }
-
-  /// Subtree clustering (§2.1, Figure 1): each cluster root absorbs its
-  /// subtree in breadth-first order until the cluster holds K nodes; the
-  /// children that did not fit become roots of subsequent clusters.
-  /// Clusters themselves are discovered breadth-first from the tree root
-  /// so hot-region assignment follows root distance. Both work queues
-  /// are flat vectors drained by a head cursor (FIFO without deque
-  /// segment churn); the scratch buffers persist across reorganizations.
-  void formSubtreeClusters(const std::vector<Node *> &Roots, size_t K) {
-    ClusterRootsBuf.clear();
-    for (Node *Root : Roots)
-      if (Root)
-        ClusterRootsBuf.push_back({Root, NoParent, 0});
-
-    size_t Head = 0;
-    while (Head < ClusterRootsBuf.size()) {
-      WorkItem Top = ClusterRootsBuf[Head++];
-      // Clusters are small (a block's worth), so the cluster-root queue
-      // is the traversal's real FIFO; distance 1 cannot hide a DRAM
-      // fetch behind one cluster's work.
-      if (Head + RootPrefetchDist < ClusterRootsBuf.size())
-        __builtin_prefetch(ClusterRootsBuf[Head + RootPrefetchDist].N);
-
-      // BFS from Top: FrontierBuf[0, Taken) is the cluster, the
-      // remainder seeds later clusters.
-      FrontierBuf.clear();
-      FrontierBuf.push_back(Top);
-      size_t Taken = 0;
-      while (Taken < FrontierBuf.size() && Taken < K) {
-        WorkItem Item = FrontierBuf[Taken++];
-        if (Taken + 3 < FrontierBuf.size())
-          __builtin_prefetch(FrontierBuf[Taken + 3].N);
-        uint32_t At = emit(Item);
-        for (unsigned I = 0; I < Adapter::MaxKids; ++I)
-          if (Node *Kid = A.getKid(Item.N, I)) {
-            // Pull the kid in now: it is visited within this cluster a
-            // couple of iterations from here, or shortly after as one
-            // of the next cluster roots.
-            __builtin_prefetch(Kid);
-            FrontierBuf.push_back({Kid, At, I});
-          }
-      }
-      // Whatever is left on the frontier starts new clusters.
-      ClusterRootsBuf.insert(ClusterRootsBuf.end(),
-                             FrontierBuf.begin() + ptrdiff_t(Taken),
-                             FrontierBuf.end());
-      ClusterEnds.push_back(ClusterNodes.size());
-      Stats.FrontierPeak =
-          std::max<uint64_t>(Stats.FrontierPeak, FrontierBuf.size());
-    }
-  }
-
-  void depthFirstOrder(Node *Root) {
-    if (!Root)
-      return;
-    std::vector<WorkItem> &Stack = FrontierBuf;
-    Stack.clear();
-    Stack.push_back({Root, NoParent, 0});
-    while (!Stack.empty()) {
-      WorkItem Item = Stack.back();
-      Stack.pop_back();
-      uint32_t At = emit(Item);
-      // Push kids in reverse so kid 0 is visited first (preorder).
-      for (unsigned I = Adapter::MaxKids; I > 0; --I)
-        if (Node *Kid = A.getKid(Item.N, I - 1))
-          Stack.push_back({Kid, At, I - 1});
-    }
-  }
-
-  /// BFS over an index-cursor FIFO; emits into ClusterNodes.
-  void breadthFirstOrder(Node *Root) {
-    if (!Root)
-      return;
-    FrontierBuf.clear();
-    FrontierBuf.push_back({Root, NoParent, 0});
-    size_t Head = 0;
-    while (Head < FrontierBuf.size()) {
-      WorkItem Item = FrontierBuf[Head++];
-      if (Head + 3 < FrontierBuf.size())
-        __builtin_prefetch(FrontierBuf[Head + 3].N);
-      uint32_t At = emit(Item);
-      for (unsigned I = 0; I < Adapter::MaxKids; ++I)
-        if (Node *Kid = A.getKid(Item.N, I))
-          FrontierBuf.push_back({Kid, At, I});
-    }
-    // Index-cursor FIFO: live frontier is [Head, size), maximal at the
-    // end of the walk for a full tree; the buffer size bounds it.
-    Stats.FrontierPeak =
-        std::max<uint64_t>(Stats.FrontierPeak, FrontierBuf.size());
-  }
-
-  /// Appends \p Item's node to ClusterNodes, recording the edge that
-  /// led to it (or its position, for forest roots). The returned index
-  /// also names the node's slot in NewNodes after the copy pass.
-  uint32_t emit(const WorkItem &Item) {
-    uint32_t At = static_cast<uint32_t>(ClusterNodes.size());
-    ClusterNodes.push_back(Item.N);
-    ++Stats.NodeCount;
-    if (Item.ParentIdx == NoParent)
-      RootPositions.push_back(At);
-    else
-      Edges.push_back({Item.ParentIdx, At, Item.Slot});
-    return At;
-  }
-
-  /// Delimits ClusterNodes into consecutive clusters of K.
-  void chunk(size_t K) {
-    for (size_t End = 0; End < ClusterNodes.size();) {
-      End = std::min(End + K, ClusterNodes.size());
-      ClusterEnds.push_back(End);
-    }
-  }
-
-  size_t clusterBegin(size_t I) const {
-    return I == 0 ? size_t(0) : ClusterEnds[I - 1];
-  }
-
-  /// The address plan: one traversal (cluster formation), the hot/cold
+  /// The address plan: one traversal (the shared planner), the hot/cold
   /// decision, and per-cluster placement into a fresh arena. After it
-  /// returns, NewNodes[I] is the destination address of ClusterNodes[I]
-  /// — every byte of the final layout is determined, but nothing has
-  /// been copied yet. The fixup needs exactly this: an edge's kid may be
+  /// returns, NewNodes[I] is the destination address of the planner's
+  /// item I — every byte of the final layout is determined, but nothing
+  /// has been copied yet. The fixup needs exactly this: a kid may be
   /// placed after its parent, so forwarding can start only once every
   /// destination is known.
   std::unique_ptr<ColoredArena> planForest(const std::vector<Node *> &Roots,
@@ -410,44 +198,64 @@ private:
                                // contiguous placement, no gaps.
     auto Fresh = std::make_unique<ColoredArena>(ArenaParams);
 
-    // One traversal: clusters land flat in ClusterNodes, delimited by
-    // ClusterEnds (exclusive end offsets), hot-assignment order. The
-    // traversal also records every parent/child edge and each forest
-    // root's placement index, so no later pass needs to look anything up.
-    ClusterNodes.clear();
-    ClusterEnds.clear();
-    Edges.clear();
-    RootPositions.clear();
-    formClusters(Roots, Options);
-    size_t NumClusters = ClusterEnds.size();
+    LiveRoots.clear();
+    for (Node *Root : Roots)
+      if (Root)
+        LiveRoots.push_back(Root);
+    bool Random = Options.Scheme == LayoutScheme::Random;
+    Order.plan(LiveRoots, Random ? LayoutScheme::Bfs : Options.Scheme,
+               Stats.NodesPerBlock, [this](Node *N, auto &&Visit) {
+                 for (unsigned I = 0; I < Adapter::MaxKids; ++I)
+                   if (Node *Kid = A.getKid(N, I))
+                     Visit(I, Kid);
+               });
+    const auto &Items = Order.items();
+    size_t NumClusters = Order.clusters();
+    Stats.NodeCount = Items.size();
     Stats.ClusterCount = NumClusters;
+    Stats.FrontierPeak = Order.frontierPeak();
 
-    // Decide which clusters are hot. Default: discovery order (nearest
-    // the roots first). Profiled: rank clusters by measured accesses per
-    // byte and grant the budget to the heaviest ones.
-    uint64_t HotBudget = Options.Color ? Params.hotCapacityBytes() : 0;
+    // The random scheme shuffles the breadth-first order: layout slot S
+    // holds item Shuffle[S]. Permuting the slots rather than the items
+    // leaves every parent position and the root order as planned.
+    if (Random) {
+      Shuffle.resize(Items.size());
+      std::iota(Shuffle.begin(), Shuffle.end(), 0u);
+      Xoshiro256 Rng(Options.Seed);
+      Rng.shuffle(Shuffle);
+    }
+    auto ItemAt = [&](size_t Slot) {
+      return Random ? size_t(Shuffle[Slot]) : Slot;
+    };
+
+    // Decide which clusters are hot. Default: the arena's budget rule,
+    // in discovery order (nearest the roots first). Profiled: rank
+    // clusters by measured accesses per byte and grant the budget to
+    // the heaviest ones.
+    bool Profiled = Counts && Options.Color;
     std::vector<bool> HotFlag(NumClusters, false);
-    if (Counts && Options.Color) {
+    if (Profiled) {
       std::vector<std::pair<double, size_t>> Ranked;
       Ranked.reserve(NumClusters);
-      for (size_t I = 0; I < NumClusters; ++I) {
+      for (size_t C = 0; C < NumClusters; ++C) {
         uint64_t Weight = 0;
-        size_t Size = ClusterEnds[I] - clusterBegin(I);
-        for (size_t At = clusterBegin(I); At < ClusterEnds[I]; ++At)
-          if (const uint64_t *Count = Counts->find(ClusterNodes[At]))
+        for (size_t S = Order.clusterBegin(C); S < Order.clusterEnd(C); ++S)
+          if (const uint64_t *Count = Counts->find(Items[ItemAt(S)].Node))
             Weight += *Count;
-        Ranked.push_back({double(Weight) / double(Size), I});
+        size_t Size = Order.clusterEnd(C) - Order.clusterBegin(C);
+        Ranked.push_back({double(Weight) / double(Size), C});
       }
       std::sort(Ranked.begin(), Ranked.end(),
                 [](const auto &A, const auto &B) {
                   return A.first > B.first ||
                          (A.first == B.first && A.second < B.second);
                 });
-      uint64_t Budget = HotBudget;
+      uint64_t Budget = Params.hotCapacityBytes();
       for (const auto &[Weight, Index] : Ranked) {
-        uint64_t Footprint =
-            alignUp((ClusterEnds[Index] - clusterBegin(Index)) * sizeof(Node),
-                    Params.BlockBytes);
+        uint64_t Footprint = alignUp(
+            (Order.clusterEnd(Index) - Order.clusterBegin(Index)) *
+                sizeof(Node),
+            Params.BlockBytes);
         if (Weight <= 0.0 || Budget < Footprint)
           continue;
         Budget -= Footprint;
@@ -456,54 +264,40 @@ private:
     }
 
     // Placement: assign each cluster its arena address and record the
-    // destination of every node. NewNodes[I] is where ClusterNodes[I]
-    // will be copied, so the traversal's recorded edges forward by
-    // index. The DAG check rides along: a node reachable twice would
-    // get two destinations.
+    // destination of every node. NewNodes[I] is where item I will be
+    // copied, so the planned parent positions forward by index. The DAG
+    // check rides along: a node reachable twice would get two
+    // destinations.
 #ifndef NDEBUG
     Remap.clear();
     Remap.reserve(Stats.NodeCount);
 #endif
-    NewNodes.clear();
-    NewNodes.reserve(ClusterNodes.size());
-
-    for (size_t ClusterIdx = 0; ClusterIdx < NumClusters; ++ClusterIdx) {
-      size_t Begin = clusterBegin(ClusterIdx);
-      size_t Size = ClusterEnds[ClusterIdx] - Begin;
+    NewNodes.resize(Items.size());
+    for (size_t C = 0; C < NumClusters; ++C) {
+      size_t Begin = Order.clusterBegin(C);
+      size_t Size = Order.clusterEnd(C) - Begin;
       size_t Bytes = Size * sizeof(Node);
-      // Budget by the block-aligned footprint: a cluster occupies a whole
-      // block in the hot region regardless of slack.
-      uint64_t Footprint = alignUp(Bytes, Params.BlockBytes);
-      bool Hot;
-      if (Counts && Options.Color) {
-        Hot = HotFlag[ClusterIdx];
-      } else {
-        Hot = HotBudget >= Footprint;
-      }
-      char *Memory;
       // Clusters are packed: small clusters share a block, but no
       // cluster ever straddles a block boundary.
-      if (Hot) {
-        Memory = static_cast<char *>(
-            Fresh->allocateHot(Bytes, alignof(Node), Params.BlockBytes));
-        HotBudget -= Footprint;
-        Stats.HotNodes += Size;
-      } else {
-        Memory = static_cast<char *>(
-            Fresh->allocateCold(Bytes, alignof(Node), Params.BlockBytes));
-        Stats.ColdNodes += Size;
-      }
+      bool Hot = HotFlag[C];
+      char *Memory = static_cast<char *>(
+          Profiled ? Fresh->allocateIn(Bytes, Hot)
+                   : Fresh->allocate(Bytes, Hot));
+      // Offsets are sums of whole nodes from block-aligned starts.
+      assert(isAligned(addrOf(Memory), alignof(Node)));
+      (Hot ? Stats.HotNodes : Stats.ColdNodes) += Size;
       for (size_t I = 0; I < Size; ++I) {
+        size_t At = ItemAt(Begin + I);
         Node *NewNode = reinterpret_cast<Node *>(Memory + I * sizeof(Node));
 #ifndef NDEBUG
-        bool Inserted = Remap.tryInsert(
-            reinterpret_cast<uint64_t>(ClusterNodes[Begin + I]),
-            reinterpret_cast<uint64_t>(NewNode));
+        bool Inserted =
+            Remap.tryInsert(reinterpret_cast<uint64_t>(Items[At].Node),
+                            reinterpret_cast<uint64_t>(NewNode));
         assert(Inserted && "node reachable twice: ccmorph requires a tree, "
                            "not a DAG (paper §3.1.1)");
         (void)Inserted;
 #endif
-        NewNodes.push_back(NewNode);
+        NewNodes[At] = NewNode;
       }
     }
     return Fresh;
@@ -512,27 +306,35 @@ private:
   /// Copy phase: pure memcpy of every planned node into its
   /// already-assigned destination.
   void copyNodes() {
-    size_t Count = NewNodes.size();
+    const auto &Items = Order.items();
+    size_t Count = Items.size();
     for (size_t At = 0; At < Count; ++At) {
       // The sources are scattered (that is why ccmorph exists); pull
       // them in ahead of the copy.
       if (At + CopyPrefetchDist < Count)
-        __builtin_prefetch(ClusterNodes[At + CopyPrefetchDist]);
+        __builtin_prefetch(Items[At + CopyPrefetchDist].Node);
       std::memcpy(static_cast<void *>(NewNodes[At]),
-                  static_cast<const void *>(ClusterNodes[At]), sizeof(Node));
+                  static_cast<const void *>(Items[At].Node), sizeof(Node));
     }
   }
 
-  /// Fixup sweep over the recorded edges: rewrite child (and
-  /// optionally parent) pointers. Every edge names the parent's and
-  /// child's placement indices, so the sweep is one linear walk over a
-  /// flat array — no per-edge address lookup. Null kid slots keep the
-  /// null copied from the source.
+  /// Fixup sweep over the planned items: rewrite child (and optionally
+  /// parent) pointers. Every item names its parent's position, so the
+  /// sweep is one linear walk over a flat array — no per-edge address
+  /// lookup. Null kid slots keep the null copied from the source. The
+  /// forest roots, which have no parent, are collected in order.
   void forwardEdges(bool UpdateParents) {
-    for (const Edge &E : Edges) {
-      Node *Parent = NewNodes[E.Parent];
-      Node *Kid = NewNodes[E.Kid];
-      A.setKid(Parent, E.Slot, Kid);
+    const auto &Items = Order.items();
+    RootPositions.clear();
+    for (size_t At = 0; At < Items.size(); ++At) {
+      const typename Planner::Item &It = Items[At];
+      if (It.Parent == NoParent) {
+        RootPositions.push_back(static_cast<uint32_t>(At));
+        continue;
+      }
+      Node *Parent = NewNodes[It.Parent];
+      Node *Kid = NewNodes[At];
+      A.setKid(Parent, It.Slot, Kid);
       if constexpr (Adapter::HasParent)
         if (UpdateParents)
           A.setParent(Kid, Parent);
@@ -569,16 +371,11 @@ private:
   std::unique_ptr<ColoredArena> Current;
   MorphStats Stats;
   /// Scratch state reused across reorganizations (capacity persists).
-  std::vector<Node *> ClusterNodes; ///< All nodes, cluster by cluster.
-  std::vector<size_t> ClusterEnds;  ///< Exclusive end of each cluster.
-  std::vector<WorkItem> ClusterRootsBuf;
-  std::vector<WorkItem> FrontierBuf;
-  std::vector<Node *> NewNodes;        ///< New nodes in placement order.
-  std::vector<Edge> Edges;             ///< All parent/child edges.
-  std::vector<uint32_t> RootPositions; ///< Forest roots' indices.
-  std::vector<uint32_t> IndexBuf;      ///< Random-scheme permutation.
-  std::vector<uint32_t> InvBuf;        ///< ... and its inverse.
-  std::vector<Node *> PermBuf;
+  Planner Order;                       ///< All nodes, cluster by cluster.
+  std::vector<Node *> LiveRoots;       ///< The forest's non-null roots.
+  std::vector<uint32_t> Shuffle;       ///< Random-scheme layout slots.
+  std::vector<Node *> NewNodes;        ///< Destination of each item.
+  std::vector<uint32_t> RootPositions; ///< Forest roots' item positions.
 #ifndef NDEBUG
   FlatMap64 Remap; ///< Debug-build DAG check (old -> new address).
 #endif

@@ -6,12 +6,16 @@
 
 #include "core/ColoredArena.h"
 
+#include <bit>
+
 using namespace ccl;
 
 ColoredArena::ColoredArena(const CacheParams &ParamsIn)
     : Params(ParamsIn),
       FrameBytes(Params.CacheSets * Params.BlockBytes),
       HotBytes(Params.HotSets * Params.BlockBytes),
+      FrameShift(static_cast<unsigned>(std::countr_zero(FrameBytes))),
+      Layout(Params, /*Color=*/true),
       Backing(/*SlabBytes=*/FrameBytes, /*SlabAlign=*/FrameBytes) {
   assert(Params.isValid() && "invalid cache parameters");
   assert(FrameBytes >= 4096 && "cache too small to frame-align");

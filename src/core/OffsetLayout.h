@@ -1,16 +1,22 @@
-//===- core/OffsetLayout.h - Colored layout over byte offsets --*- C++ -*-===//
+//===- core/OffsetLayout.h - Colored cluster placement ---------*- C++ -*-===//
 //
 // Part of the cache-conscious structure layout library (PLDI'99 repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Offset-space layout engine: mirrors ColoredArena's hot/cold frame
-/// cursors, but assigns byte offsets within a single (not yet allocated)
-/// region instead of live memory. Used by the 32-bit-offset structures
-/// (CompactTree, the implicit octree) where child links are offsets from
-/// a region base, so the whole layout must be planned before the region
-/// is materialized.
+/// The one colored placement (paper §2.2, Figure 2): assigns each
+/// cluster a byte offset in a region made of cache-capacity frames,
+/// where the offset within a frame decides the cache set. Offsets
+/// mapping to sets [0, p) are hot slots, the rest cold, and no cluster
+/// straddles a cache block. The hot-budget rule lives here too: a
+/// cluster goes hot while the hot region's conflict-free capacity
+/// (p * a * b bytes) lasts.
+///
+/// The 32-bit-offset structures (CompactTree, CompactBTree, the implicit
+/// octree) plan their whole region with it before allocating it, since
+/// their links are offsets from the region base; ColoredArena backs the
+/// same offsets with live frames for ccmorph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,16 +41,26 @@ public:
         BlockBytes(Params.BlockBytes),
         HotBudget(Color ? Params.hotCapacityBytes() : 0) {}
 
-  /// Returns the byte offset for a cluster of \p Bytes; sets \p WasHot.
+  /// Returns the byte offset for a cluster of \p Bytes, hot while the
+  /// budget lasts (a cluster is charged its block-aligned footprint);
+  /// sets \p WasHot.
   uint64_t place(size_t Bytes, bool &WasHot) {
     uint64_t Footprint = alignUp(Bytes, BlockBytes);
     WasHot = HotBytes > 0 && HotBudget >= Footprint;
     if (WasHot)
       HotBudget -= Footprint;
-    Cursor &C = WasHot ? Hot : Cold;
-    uint64_t RegionBase = WasHot ? 0 : HotBytes;
-    uint64_t RegionSize = WasHot ? HotBytes : FrameBytes - HotBytes;
-    assert(Bytes <= RegionSize && "cluster exceeds colored region");
+    return placeIn(Bytes, WasHot);
+  }
+
+  /// Returns the byte offset for a cluster of \p Bytes in the region the
+  /// caller chose; the budget is not charged (profile-guided coloring
+  /// ranks clusters itself).
+  uint64_t placeIn(size_t Bytes, bool Hot) {
+    Cursor &C = Hot ? HotCursor : ColdCursor;
+    uint64_t RegionBase = Hot ? 0 : HotBytes;
+    uint64_t RegionSize = Hot ? HotBytes : FrameBytes - HotBytes;
+    assert(Bytes > 0 && Bytes <= RegionSize &&
+           "cluster exceeds colored region");
 
     for (;;) {
       uint64_t Offset = C.Frame * FrameBytes + RegionBase + C.Pos;
@@ -58,6 +74,8 @@ public:
         End = std::max(End, Offset + Bytes);
         return Offset;
       }
+      // This frame's region is exhausted: the skipped tail is an
+      // address-space gap, never touched.
       ++C.Frame;
       C.Pos = 0;
     }
@@ -82,8 +100,8 @@ private:
   uint64_t HotBytes;
   uint32_t BlockBytes;
   uint64_t HotBudget;
-  Cursor Hot;
-  Cursor Cold;
+  Cursor HotCursor;
+  Cursor ColdCursor;
   uint64_t End = 0;
 };
 

@@ -492,7 +492,7 @@ private:
   /// Metrics cells, cached at construction from the creating thread's
   /// shard (CcHeap is single-threaded, see the class comment). One
   /// relaxed per-thread increment on the fast paths — no TLS lookup,
-  /// no lock prefix; compiled out entirely when CCL_METRICS_ENABLED=0.
+  /// no lock prefix.
   metrics::Cell *MAllocFast = nullptr;
   metrics::Cell *MAllocSlow = nullptr;
   metrics::Cell *MNearFast = nullptr;

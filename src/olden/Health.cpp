@@ -9,7 +9,6 @@
 #include "support/Reflect.h"
 #include "support/Timer.h"
 
-#include <cstdlib>
 
 #include <vector>
 
@@ -130,9 +129,6 @@ private:
     auto *Cell = static_cast<ListCell *>(
         benchAlloc(Alloc, V, sizeof(ListCell), Near, A));
     noteAlloc(Cell, "ListCell");
-    ++DebugAppends;
-    if (Prev && Alloc.sameBlock(Prev, Cell))
-      ++DebugAdjacent;
     A.store(&Cell->Forward, static_cast<ListCell *>(nullptr));
     A.store(&Cell->Back, Prev);
     A.store(&Cell->Pat, P);
@@ -310,8 +306,7 @@ private:
     // from the previous morph arena died when the arena was replaced.)
     for (ListCell *C : OldCells)
       freeCell(C);
-    MorphArenaBytes =
-        Morph.arena()->hotBytesUsed() + Morph.arena()->coldBytesUsed();
+    MorphArenaBytes = Morph.stats().NodeCount * sizeof(ListCell);
   }
 
   const HealthConfig &Config;
@@ -327,30 +322,11 @@ private:
   uint32_t NextPatientId = 0;
   uint32_t CurrentStep = 0;
 
-public:
-  uint64_t DebugAppends = 0;
-  uint64_t DebugAdjacent = 0;
-
-private:
   uint64_t Completed = 0;
   uint64_t TotalTime = 0;
   uint64_t TotalHops = 0;
   uint64_t MorphArenaBytes = 0;
 };
-
-template <typename Access>
-BenchResult runImpl(const HealthConfig &Config, Variant V,
-                    const sim::HierarchyConfig *Sim, Access &A) {
-  HealthSim<Access> Sim2(Config, V, Sim, A);
-  BenchResult R = Sim2.run();
-  if (std::getenv("CCL_HEALTH_DEBUG"))
-    std::fprintf(stderr, "health %s: appends=%llu adjacent=%llu (%.2f)\n",
-                 variantName(V), (unsigned long long)Sim2.DebugAppends,
-                 (unsigned long long)Sim2.DebugAdjacent,
-                 double(Sim2.DebugAdjacent) /
-                     double(std::max<uint64_t>(1, Sim2.DebugAppends)));
-  return R;
-}
 
 } // namespace
 
@@ -359,13 +335,13 @@ BenchResult ccl::olden::runHealth(const HealthConfig &Config, Variant V,
   if (Sim) {
     sim::MemoryHierarchy Hierarchy(hierarchyFor(*Sim, V));
     sim::SimAccess A(Hierarchy);
-    BenchResult Result = runImpl(Config, V, Sim, A);
+    BenchResult Result = HealthSim<sim::SimAccess>(Config, V, Sim, A).run();
     Result.Stats = Hierarchy.stats();
     return Result;
   }
   sim::NativeAccess A;
   Timer T;
-  BenchResult Result = runImpl(Config, V, Sim, A);
+  BenchResult Result = HealthSim<sim::NativeAccess>(Config, V, Sim, A).run();
   Result.NativeSeconds = T.elapsedSec();
   return Result;
 }

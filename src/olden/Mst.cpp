@@ -163,8 +163,7 @@ private:
     A.tick(Morph.stats().NodeCount * MorphPerNodeTicks);
     for (size_t I = 0; I < Slots.size(); ++I)
       *Slots[I] = NewRoots[I];
-    MorphArenaBytes =
-        Morph.arena()->hotBytesUsed() + Morph.arena()->coldBytesUsed();
+    MorphArenaBytes = Morph.stats().NodeCount * sizeof(HashEntry);
   }
 
   /// Prim's algorithm in Olden's BlueRule form: after adding a vertex,

@@ -193,8 +193,7 @@ public:
     Result.Heap = Alloc.stats();
     Result.HeapFootprintBytes = Alloc.footprintBytes();
     if (usesCcMorph(V))
-      Result.HeapFootprintBytes =
-          Morph.arena()->hotBytesUsed() + Morph.arena()->coldBytesUsed();
+      Result.HeapFootprintBytes = Morph.stats().NodeCount * sizeof(QuadNode);
     return Result;
   }
 

@@ -95,8 +95,7 @@ BenchResult runImpl(const TreeAddConfig &Config, Variant V,
   Result.Heap = Alloc.stats();
   Result.HeapFootprintBytes = Alloc.footprintBytes();
   if (usesCcMorph(V))
-    Result.HeapFootprintBytes =
-        Morph.arena()->hotBytesUsed() + Morph.arena()->coldBytesUsed();
+    Result.HeapFootprintBytes = Morph.stats().NodeCount * sizeof(TreeNode);
   return Result;
 }
 

@@ -21,6 +21,7 @@
 
 #include "raytrace/Raytrace.h"
 
+#include "core/ClusterOrder.h"
 #include "core/OffsetLayout.h"
 #include "sim/AccessPolicy.h"
 #include "support/Random.h"
@@ -31,7 +32,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 
 using namespace ccl;
 using namespace ccl::raytrace;
@@ -220,70 +220,51 @@ private:
     return Index;
   }
 
-  /// Forms the group placement order and clusters, then fills the
-  /// region of 4-byte entries. Subtree clustering packs K =
-  /// BlockBytes/32 groups (a parent group and its first child groups)
-  /// into one cache block; Base keeps depth-first creation order.
-  void materialize(int64_t RootIdx) {
+  /// Each group's byte offset in the region. The groups are ordered
+  /// through the shared planner — Base keeps depth-first creation order
+  /// (the preorder of the group tree), the clustered layouts use subtree
+  /// clustering (§2.1) — and placed through \p Plan.
+  std::vector<uint32_t> placeGroups(int64_t RootIdx, OffsetLayout &Plan) {
     // Cluster whole subtrees at page granularity: an octree's branching
     // factor of 8 defeats block-sized clusters (k = 2 groups), but a
     // page holds a depth-2..3 subtree, so every descent touches a few
     // pages instead of one per level — and within the page, parents sit
     // beside their children, so block sharing falls out as well.
     size_t K = std::max<size_t>(2, Params.PageBytes / GroupBytes);
-    std::vector<std::vector<int64_t>> Clusters;
-    if (Layout == RtLayout::Base) {
-      // Creation (depth-first) order, densely packed.
-      std::vector<int64_t> Run;
-      for (int64_t G = 0; G < static_cast<int64_t>(Groups.size()); ++G) {
-        Run.push_back(G);
-        if (Run.size() == K) {
-          Clusters.push_back(std::move(Run));
-          Run.clear();
-        }
-      }
-      if (!Run.empty())
-        Clusters.push_back(std::move(Run));
-    } else {
-      // Subtree clustering over the group tree (§2.1).
-      std::deque<int64_t> ClusterRoots;
-      if (Temp[RootIdx].KidsGroup >= 0)
-        ClusterRoots.push_back(Temp[RootIdx].KidsGroup);
-      while (!ClusterRoots.empty()) {
-        int64_t Top = ClusterRoots.front();
-        ClusterRoots.pop_front();
-        std::vector<int64_t> Cluster;
-        std::deque<int64_t> Frontier{Top};
-        while (!Frontier.empty() && Cluster.size() < K) {
-          int64_t G = Frontier.front();
-          Frontier.pop_front();
-          Cluster.push_back(G);
-          for (int64_t Kid : Groups[G])
-            if (Temp[Kid].KidsGroup >= 0)
-              Frontier.push_back(Temp[Kid].KidsGroup);
-        }
-        for (int64_t Rest : Frontier)
-          ClusterRoots.push_back(Rest);
-        Clusters.push_back(std::move(Cluster));
-      }
-      // Reorganization cost: the implicit octree is reorganized with an
-      // index permutation and one copy pass (no pointer remapping table).
-      A.tick(Groups.size() * 10);
-    }
-
-    bool Color = Layout == RtLayout::ClusterColor;
-    OffsetLayout Plan(Params, Color);
     std::vector<uint32_t> GroupOffset(Groups.size());
-    for (const auto &Cluster : Clusters) {
+    const int64_t TopGroup = Temp[RootIdx].KidsGroup;
+    ClusterOrder<int64_t> Order;
+    Order.plan({&TopGroup, TopGroup >= 0 ? 1u : 0u},
+               Layout == RtLayout::Base ? LayoutScheme::DepthFirst
+                                        : LayoutScheme::Subtree,
+               K, [&](int64_t G, auto &&Visit) {
+                 for (unsigned I = 0; I < 8; ++I)
+                   if (Temp[Groups[G][I]].KidsGroup >= 0)
+                     Visit(I, Temp[Groups[G][I]].KidsGroup);
+               });
+    for (size_t C = 0; C < Order.clusters(); ++C) {
+      size_t Begin = Order.clusterBegin(C);
+      size_t Size = Order.clusterEnd(C) - Begin;
       bool WasHot = false;
-      uint64_t Offset = Plan.place(Cluster.size() * GroupBytes, WasHot);
-      for (size_t I = 0; I < Cluster.size(); ++I) {
+      uint64_t Offset = Plan.place(Size * GroupBytes, WasHot);
+      for (size_t I = 0; I < Size; ++I) {
         uint64_t GO = Offset + I * GroupBytes;
         assert(GO / GroupBytes < (1ULL << 31) &&
                "octree exceeds 31-bit group offsets");
-        GroupOffset[Cluster[I]] = static_cast<uint32_t>(GO);
+        GroupOffset[Order.items()[Begin + I].Node] = static_cast<uint32_t>(GO);
       }
     }
+    return GroupOffset;
+  }
+
+  /// Places the groups, then fills the region of 4-byte entries.
+  void materialize(int64_t RootIdx) {
+    OffsetLayout Plan(Params, /*Color=*/Layout == RtLayout::ClusterColor);
+    std::vector<uint32_t> GroupOffset = placeGroups(RootIdx, Plan);
+    // Reorganization cost: the implicit octree is reorganized with an
+    // index permutation and one copy pass (no pointer remapping table).
+    if (Layout != RtLayout::Base)
+      A.tick(Groups.size() * 10);
 
     RegionBytes = Plan.regionBytes();
     Base = static_cast<char *>(

@@ -40,8 +40,8 @@ std::vector<Sphere> makeScene(unsigned NumSpheres, uint64_t Seed);
 /// Octree layout under test.
 enum class RtLayout {
   Base,         ///< Construction (preorder) order.
-  Cluster,      ///< ccmorph subtree clustering only.
-  ClusterColor, ///< ccmorph clustering + coloring.
+  Cluster,      ///< Subtree clustering only (the shared ClusterOrder).
+  ClusterColor, ///< Subtree clustering + coloring (OffsetLayout).
 };
 
 inline const char *rtLayoutName(RtLayout Layout) {

@@ -80,11 +80,11 @@ public:
     accessRange(Addr, Size, true);
   }
 
-  /// Replays a recorded trace (or prefix view of one): bit-identical to
-  /// issuing the same read()/write()/prefetch()/tick() calls in recorded
-  /// order, but decoded a block at a time — the record-once/replay-many
-  /// engine the figure benches use to evaluate many sweep points against
-  /// one native recording. Because replay preserves the recorded order, the
+  /// Replays a recorded trace: bit-identical to issuing the same
+  /// read()/write()/prefetch()/tick() calls in recorded order, but
+  /// decoded a block at a time — the record-once/replay-many engine the
+  /// figure benches use to evaluate many sweep points against one native
+  /// recording. Because replay preserves the recorded order, the
   /// canonical first-touch address remap resolves identically to a live
   /// run (locked down by tests/trace_test.cpp and sim_golden_test).
   ///

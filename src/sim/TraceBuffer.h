@@ -38,14 +38,14 @@
 /// branchless pass (TraceCursor::openBlock); seal() leaves TracePadBytes
 /// of zero padding so that pass may load 8 bytes at the last payload.
 ///
-/// A sealed buffer is immutable; TraceView (a borrowed prefix) and
+/// A sealed buffer is immutable; TraceView (the borrowed recording) and
 /// TraceCursor (a decoding position) are cheap value types, so many
 /// SweepRunner workers can replay the same recording concurrently, each
-/// with its own cursor and hierarchy. Prefix views cost nothing beyond a
-/// record count: because a view always decodes from the start, replaying
-/// "the first N searches" of fig5's seeded key stream needs no
-/// per-record index, and a phase boundary inside one recording (fig10's
-/// warmup, then its window) is a bounded replay through one cursor.
+/// with its own cursor and hierarchy. A bounded replay through one
+/// cursor stops at any record count and resumes from there, so a mark
+/// inside one recording needs no per-record index: fig5 reads its
+/// cycle and miss counts at each search-count mark of a single replay,
+/// and fig10 splits one recording into its warmup and its window.
 /// Encode/decode round-trips exactly — including size-0 touches and
 /// full-range addresses — locked down by tests/trace_test.cpp and
 /// tests/trace_v2_test.cpp.
@@ -88,9 +88,9 @@ struct TraceRecord {
   Kind K = Kind::Read;
 };
 
-/// A borrowed, immutable prefix of a sealed TraceBuffer: its first
-/// NumRecords records. Copyable and trivially shareable across threads;
-/// the owning buffer must outlive it.
+/// A borrowed, immutable view of a sealed TraceBuffer's NumRecords
+/// records. Copyable and trivially shareable across threads; the owning
+/// buffer must outlive it.
 struct TraceView {
   const uint8_t *Data = nullptr;
   size_t NumRecords = 0;
@@ -246,8 +246,8 @@ public:
     ++NumRecords;
   }
 
-  /// Number of records written so far — also the `mark` to pass to
-  /// prefix() for "everything recorded up to this point".
+  /// Number of records written so far — also the mark a bounded replay
+  /// stops at for "everything recorded up to this point".
   size_t records() const { return NumRecords; }
 
   /// Encoded size, including the not-yet-flushed block and excluding
@@ -270,13 +270,9 @@ public:
   bool sealed() const { return Sealed; }
 
   /// View over the whole recording.
-  TraceView view() const { return prefix(NumRecords); }
-
-  /// View over the first \p Records records.
-  TraceView prefix(size_t Records) const {
-    assert(Records <= NumRecords && "prefix longer than the recording");
+  TraceView view() const {
     assert(Sealed && "seal() the buffer before taking views");
-    return {Data.data(), Records};
+    return {Data.data(), NumRecords};
   }
 
   void clear() {

@@ -202,7 +202,6 @@ uint64_t metrics::clockNs() {
 
 void metrics::recordSpan(const char *Name, uint64_t StartNs,
                          uint64_t DurNs) {
-#if CCL_METRICS_ENABLED
   uint32_t Tid = acquireShard()->Tid;
   RegistryState &R = state();
   MutexLock Lock(R.Mutex);
@@ -211,11 +210,6 @@ void metrics::recordSpan(const char *Name, uint64_t StartNs,
     return;
   }
   R.Spans[R.NumSpans++] = SpanRec{Name, StartNs, DurNs, Tid};
-#else
-  (void)Name;
-  (void)StartNs;
-  (void)DurNs;
-#endif
 }
 
 uint32_t HistogramSnapshot::usedBuckets() const {

@@ -35,10 +35,6 @@
 // ccl_obs links against those libraries. The ccl-metrics-v1 exporter
 // and the hardware-counter wrapper live in src/obs.
 //
-// Compile out every increment by defining CCL_METRICS_ENABLED=0: the
-// handles still exist, but add()/record()/bump() become empty inline
-// functions and cell() returns a shared sink cell.
-//
 //===----------------------------------------------------------------------===//
 
 #ifndef CCL_SUPPORT_METRICS_H
@@ -49,10 +45,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#ifndef CCL_METRICS_ENABLED
-#define CCL_METRICS_ENABLED 1
-#endif
 
 namespace ccl::metrics {
 
@@ -101,13 +93,8 @@ inline constexpr uint32_t HistogramStride = HistogramBuckets + 1;
 /// Owner-thread increment on a cached cell. Relaxed load+store: the
 /// owning thread is the only writer, so no RMW atomicity is needed.
 inline void bump(Cell *C, uint64_t N = 1) {
-#if CCL_METRICS_ENABLED
   C->store(C->load(std::memory_order_relaxed) + N,
            std::memory_order_relaxed);
-#else
-  (void)C;
-  (void)N;
-#endif
 }
 
 /// This thread's cell for a counter. The pointer stays valid for the
@@ -115,37 +102,21 @@ inline void bump(Cell *C, uint64_t N = 1) {
 /// only in objects used from a single thread (e.g. CcHeap, which is
 /// documented single-threaded).
 inline Cell *cell(Counter C) {
-#if CCL_METRICS_ENABLED
   uint32_t Id = C.Id < MaxCounters ? C.Id : MaxCounters - 1;
   return &detail::counterCells()[Id];
-#else
-  (void)C;
-  static Cell Sink{0};
-  return &Sink;
-#endif
 }
 
 /// Increment a counter on the calling thread's shard.
 inline void add(Counter C, uint64_t N = 1) {
-#if CCL_METRICS_ENABLED
   bump(cell(C), N);
-#else
-  (void)C;
-  (void)N;
-#endif
 }
 
 /// Record a value into a power-of-two-bucket histogram.
 inline void record(Histogram H, uint64_t Value) {
-#if CCL_METRICS_ENABLED
   uint32_t Id = H.Id < MaxHistograms ? H.Id : MaxHistograms - 1;
   Cell *Base = &detail::histogramCells()[Id * detail::HistogramStride];
   bump(&Base[std::bit_width(Value)]);
   bump(&Base[HistogramBuckets], Value); // running sum
-#else
-  (void)H;
-  (void)Value;
-#endif
 }
 
 /// Monotonic nanoseconds since the process metrics epoch (first use).

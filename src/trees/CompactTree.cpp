@@ -6,6 +6,7 @@
 
 #include "trees/CompactTree.h"
 
+#include "core/ClusterOrder.h"
 #include "core/OffsetLayout.h"
 
 #include "support/Random.h"
@@ -16,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <numeric>
 
 using namespace ccl;
@@ -46,77 +46,6 @@ int64_t buildTemp(std::vector<TempNode> &Nodes, uint64_t Lo, uint64_t Hi) {
   return Index;
 }
 
-/// Subtree clustering over index-linked nodes (the CcMorph algorithm,
-/// restated for offsets).
-std::vector<std::vector<int64_t>>
-formClusters(const std::vector<TempNode> &Nodes, LayoutScheme Scheme,
-             size_t K, uint64_t Seed) {
-  std::vector<std::vector<int64_t>> Clusters;
-  auto Chunk = [&](const std::vector<int64_t> &Order) {
-    for (size_t Begin = 0; Begin < Order.size(); Begin += K)
-      Clusters.emplace_back(
-          Order.begin() + Begin,
-          Order.begin() + std::min(Begin + K, Order.size()));
-  };
-
-  switch (Scheme) {
-  case LayoutScheme::Subtree: {
-    std::deque<int64_t> ClusterRoots{0};
-    while (!ClusterRoots.empty()) {
-      int64_t Top = ClusterRoots.front();
-      ClusterRoots.pop_front();
-      std::vector<int64_t> Cluster;
-      std::deque<int64_t> Frontier{Top};
-      while (!Frontier.empty() && Cluster.size() < K) {
-        int64_t N = Frontier.front();
-        Frontier.pop_front();
-        Cluster.push_back(N);
-        if (Nodes[N].Left >= 0)
-          Frontier.push_back(Nodes[N].Left);
-        if (Nodes[N].Right >= 0)
-          Frontier.push_back(Nodes[N].Right);
-      }
-      for (int64_t Rest : Frontier)
-        ClusterRoots.push_back(Rest);
-      Clusters.push_back(std::move(Cluster));
-    }
-    break;
-  }
-  case LayoutScheme::DepthFirst: {
-    // Creation order is preorder already.
-    std::vector<int64_t> Order(Nodes.size());
-    std::iota(Order.begin(), Order.end(), 0);
-    Chunk(Order);
-    break;
-  }
-  case LayoutScheme::Bfs: {
-    std::vector<int64_t> Order;
-    Order.reserve(Nodes.size());
-    std::deque<int64_t> Queue{0};
-    while (!Queue.empty()) {
-      int64_t N = Queue.front();
-      Queue.pop_front();
-      Order.push_back(N);
-      if (Nodes[N].Left >= 0)
-        Queue.push_back(Nodes[N].Left);
-      if (Nodes[N].Right >= 0)
-        Queue.push_back(Nodes[N].Right);
-    }
-    Chunk(Order);
-    break;
-  }
-  case LayoutScheme::Random: {
-    std::vector<int64_t> Order(Nodes.size());
-    std::iota(Order.begin(), Order.end(), 0);
-    Xoshiro256 Rng(Seed);
-    Rng.shuffle(Order);
-    Chunk(Order);
-    break;
-  }
-  }
-  return Clusters;
-}
-
 char *allocRegion(uint64_t Bytes, uint64_t Align) {
   void *Memory = std::aligned_alloc(Align, Bytes);
   if (!Memory) {
@@ -143,28 +72,44 @@ CompactTree CompactTree::build(uint64_t NumKeys, const CacheParams &Params,
   Temp.reserve(NumKeys);
   buildTemp(Temp, 0, NumKeys);
 
-  std::vector<std::vector<int64_t>> Clusters =
-      formClusters(Temp, Scheme, Tree.NodesPerBlock, Seed);
+  // Random shuffles the preorder (creation order) of the nodes.
+  ClusterOrder<int64_t> Order;
+  const int64_t Root = 0;
+  Order.plan({&Root, 1},
+             Scheme == LayoutScheme::Random ? LayoutScheme::DepthFirst
+                                            : Scheme,
+             Tree.NodesPerBlock, [&](int64_t N, auto &&Visit) {
+               if (Temp[N].Left >= 0)
+                 Visit(0, Temp[N].Left);
+               if (Temp[N].Right >= 0)
+                 Visit(1, Temp[N].Right);
+             });
+  std::vector<uint32_t> Slots(Temp.size());
+  std::iota(Slots.begin(), Slots.end(), 0u);
+  if (Scheme == LayoutScheme::Random) {
+    Xoshiro256 Rng(Seed);
+    Rng.shuffle(Slots);
+  }
 
   OffsetLayout Layout(Params, Color);
   std::vector<uint32_t> Offsets(Temp.size());
-  for (const auto &Cluster : Clusters) {
+  for (size_t C = 0; C < Order.clusters(); ++C) {
+    size_t Begin = Order.clusterBegin(C);
+    size_t Size = Order.clusterEnd(C) - Begin;
     bool WasHot = false;
-    uint64_t Offset =
-        Layout.place(Cluster.size() * sizeof(CompactBstNode), WasHot);
+    uint64_t Offset = Layout.place(Size * sizeof(CompactBstNode), WasHot);
     if (WasHot)
-      Tree.HotNodes += Cluster.size();
-    for (size_t I = 0; I < Cluster.size(); ++I) {
+      Tree.HotNodes += Size;
+    for (size_t I = 0; I < Size; ++I) {
       uint64_t NodeOffset = Offset + I * sizeof(CompactBstNode);
       assert(NodeOffset < CompactNull && "region exceeds 32-bit offsets");
-      Offsets[Cluster[I]] = static_cast<uint32_t>(NodeOffset);
+      Offsets[Order.items()[Slots[Begin + I]].Node] =
+          static_cast<uint32_t>(NodeOffset);
     }
   }
 
   Tree.RegionBytes = Layout.regionBytes();
-  uint64_t Align = std::max<uint64_t>(Params.CacheSets * Params.BlockBytes,
-                                      Params.PageBytes);
-  Tree.Base.reset(allocRegion(Tree.RegionBytes, Align));
+  Tree.Base.reset(allocRegion(Tree.RegionBytes, Layout.regionAlign(Params)));
 
   for (size_t I = 0; I < Temp.size(); ++I) {
     auto *N = reinterpret_cast<CompactBstNode *>(Tree.Base.get() +
@@ -253,35 +198,30 @@ CompactBTree CompactBTree::buildFromSorted(
   }
   int64_t RootIndex = Level[0];
 
-  // BFS placement, one block-aligned node per cluster, colored top-down.
-  std::vector<int64_t> Order;
-  Order.reserve(Pool.size());
-  std::deque<int64_t> Queue{RootIndex};
-  while (!Queue.empty()) {
-    int64_t N = Queue.front();
-    Queue.pop_front();
-    Order.push_back(N);
-    if (!Pool[N].Leaf)
-      for (unsigned I = 0; I <= Pool[N].Count; ++I)
-        if (Pool[N].Kids[I] >= 0)
-          Queue.push_back(Pool[N].Kids[I]);
-  }
-
+  // Breadth-first placement, one block-aligned node per cluster,
+  // colored top-down.
+  ClusterOrder<int64_t> Order;
+  Order.plan({&RootIndex, 1}, LayoutScheme::Bfs, 1,
+             [&](int64_t N, auto &&Visit) {
+               if (!Pool[N].Leaf)
+                 for (unsigned I = 0; I <= Pool[N].Count; ++I)
+                   if (Pool[N].Kids[I] >= 0)
+                     Visit(I, Pool[N].Kids[I]);
+             });
   OffsetLayout Layout(Params, Color);
   std::vector<uint32_t> Offsets(Pool.size());
-  for (int64_t Index : Order) {
+  for (const auto &It : Order.items()) {
     bool WasHot = false;
     uint64_t Offset = Layout.place(sizeof(CompactBTreeNode), WasHot);
     assert(Offset < CompactNull && "region exceeds 32-bit offsets");
-    Offsets[Index] = static_cast<uint32_t>(Offset);
+    Offsets[It.Node] = static_cast<uint32_t>(Offset);
   }
 
   CompactBTree Tree;
   Tree.NumNodes = Pool.size();
   Tree.Height = Height;
-  uint64_t Align = std::max<uint64_t>(Params.CacheSets * Params.BlockBytes,
-                                      Params.PageBytes);
-  Tree.Base.reset(allocRegion(Layout.regionBytes(), Align));
+  Tree.Base.reset(
+      allocRegion(Layout.regionBytes(), Layout.regionAlign(Params)));
   for (size_t I = 0; I < Pool.size(); ++I) {
     auto *N = reinterpret_cast<CompactBTreeNode *>(Tree.Base.get() +
                                                    Offsets[I]);

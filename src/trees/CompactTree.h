@@ -25,7 +25,8 @@
 #ifndef CCL_TREES_COMPACTTREE_H
 #define CCL_TREES_COMPACTTREE_H
 
-#include "core/CcMorph.h"
+#include "core/CacheParams.h"
+#include "core/ClusterOrder.h"
 
 #include <cstdint>
 #include <memory>

@@ -27,7 +27,7 @@ TEST(CcAllocator, CoLocatesWithHint) {
   CcAllocator Alloc;
   void *A = Alloc.ccmalloc(16);
   void *B = Alloc.ccmalloc(16, A);
-  EXPECT_TRUE(Alloc.sameBlock(A, B));
+  EXPECT_EQ(Alloc.heap().blockOf(A), Alloc.heap().blockOf(B));
   EXPECT_NE(Alloc.heap().pageOf(A), 0u);
   EXPECT_EQ(Alloc.heap().pageOf(A), Alloc.heap().pageOf(B));
 }
@@ -53,7 +53,8 @@ TEST(CcAllocator, PaperFigure4Pattern) {
   // blocks, a good fraction of consecutive pairs must share a block.
   int SameBlock = 0;
   for (size_t I = 1; I < Cells.size(); ++I)
-    SameBlock += Alloc.sameBlock(Cells[I - 1], Cells[I]) ? 1 : 0;
+    SameBlock +=
+        Alloc.heap().blockOf(Cells[I - 1]) == Alloc.heap().blockOf(Cells[I]);
   EXPECT_GE(SameBlock, 8);
   // And all cells should sit on very few pages.
   EXPECT_LE(Alloc.stats().PagesAllocated, 2u);
@@ -93,14 +94,15 @@ TEST(CcAllocator, BlockBytesFollowCacheParams) {
   void *A = Alloc.ccmalloc(40);
   void *B = Alloc.ccmalloc(40, A);
   // 48B chunks: two fit in a 128B block.
-  EXPECT_TRUE(Alloc.sameBlock(A, B));
+  EXPECT_EQ(Alloc.heap().blockOf(A), Alloc.heap().blockOf(B));
 }
 
 TEST(CcAllocatorGlobal, DefaultInstanceWorks) {
   void *A = ccl::ccmalloc(16, nullptr);
   ASSERT_NE(A, nullptr);
   void *B = ccl::ccmalloc(16, A);
-  EXPECT_TRUE(defaultAllocator().sameBlock(A, B));
+  EXPECT_EQ(defaultAllocator().heap().blockOf(A),
+            defaultAllocator().heap().blockOf(B));
   ccl::ccfree(B);
   ccl::ccfree(A);
 }
@@ -109,7 +111,7 @@ TEST(CcAllocator, SameBlockFalseForDistantObjects) {
   CcAllocator Alloc;
   void *A = Alloc.ccmalloc(56);
   void *B = Alloc.ccmalloc(56); // Next block (56+8 = 64 fills a block).
-  EXPECT_FALSE(Alloc.sameBlock(A, B));
+  EXPECT_NE(Alloc.heap().blockOf(A), Alloc.heap().blockOf(B));
 }
 
 TEST(CcAllocator, SamePageFalseForForeign) {

@@ -16,8 +16,10 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -367,6 +369,187 @@ TEST(CcMorphProfiled, RespectsHotBudget) {
 // Placement parity: flat-map/vector CcMorph vs the seed implementation
 //===----------------------------------------------------------------------===//
 
+//===----------------------------------------------------------------------===//
+// ClusterOrder: the shared planner, on small hand-checked index trees.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Kids of each node as (slot, kid), in slot order; absent = leaf.
+using Adjacency = std::map<int64_t, std::vector<std::pair<uint32_t, int64_t>>>;
+
+/// Heap-numbered complete binary tree of \p Size nodes: node N's kids
+/// are 2N (slot 0) and 2N+1 (slot 1).
+Adjacency heapTree(int64_t Size) {
+  Adjacency Tree;
+  for (int64_t N = 1; 2 * N <= Size; ++N)
+    for (uint32_t Slot = 0; Slot < 2 && 2 * N + Slot <= Size; ++Slot)
+      Tree[N].push_back({Slot, 2 * N + Slot});
+  return Tree;
+}
+
+ClusterOrder<int64_t> planOver(const Adjacency &Tree,
+                               const std::vector<int64_t> &Roots,
+                               LayoutScheme Scheme, size_t K) {
+  ClusterOrder<int64_t> Order;
+  Order.plan(Roots, Scheme, K, [&](int64_t N, auto &&Visit) {
+    if (auto It = Tree.find(N); It != Tree.end())
+      for (auto [Slot, Kid] : It->second)
+        Visit(Slot, Kid);
+  });
+  return Order;
+}
+
+constexpr uint32_t Root = ClusterOrder<int64_t>::NoParent;
+
+struct Want {
+  int64_t Node;
+  uint32_t Parent; ///< Position of the parent item (Root for a root).
+  uint32_t Slot;
+};
+
+void expectPlan(const ClusterOrder<int64_t> &Order,
+                const std::vector<Want> &Items,
+                const std::vector<size_t> &Ends) {
+  ASSERT_EQ(Order.items().size(), Items.size());
+  for (size_t At = 0; At < Items.size(); ++At) {
+    SCOPED_TRACE("position " + std::to_string(At));
+    EXPECT_EQ(Order.items()[At].Node, Items[At].Node);
+    EXPECT_EQ(Order.items()[At].Parent, Items[At].Parent);
+    EXPECT_EQ(Order.items()[At].Slot, Items[At].Slot);
+  }
+  ASSERT_EQ(Order.clusters(), Ends.size());
+  for (size_t C = 0; C < Ends.size(); ++C) {
+    EXPECT_EQ(Order.clusterBegin(C), C == 0 ? 0 : Ends[C - 1]);
+    EXPECT_EQ(Order.clusterEnd(C), Ends[C]);
+  }
+}
+
+} // namespace
+
+TEST(ClusterOrder, SubtreeClustersCompleteBinaryTree) {
+  // K = 3 on 15 nodes: {1,2,3}, then one cluster per level-2 subtree,
+  // {4,8,9}, {5,10,11}, {6,12,13}, {7,14,15}.
+  ClusterOrder<int64_t> Order =
+      planOver(heapTree(15), {1}, LayoutScheme::Subtree, 3);
+  expectPlan(Order,
+             {{1, Root, 0},
+              {2, 0, 0},
+              {3, 0, 1},
+              {4, 1, 0},
+              {8, 3, 0},
+              {9, 3, 1},
+              {5, 1, 1},
+              {10, 6, 0},
+              {11, 6, 1},
+              {6, 2, 0},
+              {12, 9, 0},
+              {13, 9, 1},
+              {7, 2, 1},
+              {14, 12, 0},
+              {15, 12, 1}},
+             {3, 6, 9, 12, 15});
+  // The first cluster leaves 4..7 queued behind its three nodes.
+  EXPECT_EQ(Order.frontierPeak(), 7u);
+}
+
+TEST(ClusterOrder, EightAryTreeReportsSparseSlots) {
+  // Root 0 fills all eight slots with 1..8; node 1 has kids only in
+  // slots 3 and 6. Eight-way branching defeats small clusters: after
+  // {0,1,2} every remaining node is a cluster of its own.
+  Adjacency Tree;
+  for (uint32_t Slot = 0; Slot < 8; ++Slot)
+    Tree[0].push_back({Slot, int64_t(Slot) + 1});
+  Tree[1] = {{3, 9}, {6, 10}};
+  std::vector<Want> Bfs = {{0, Root, 0}, {1, 0, 0}, {2, 0, 1},  {3, 0, 2},
+                           {4, 0, 3},    {5, 0, 4}, {6, 0, 5},  {7, 0, 6},
+                           {8, 0, 7},    {9, 1, 3}, {10, 1, 6}};
+  expectPlan(planOver(Tree, {0}, LayoutScheme::Subtree, 3), Bfs,
+             {3, 4, 5, 6, 7, 8, 9, 10, 11});
+  // The same order, cut every three nodes: the last cluster is short.
+  expectPlan(planOver(Tree, {0}, LayoutScheme::Bfs, 3), Bfs, {3, 6, 9, 11});
+  expectPlan(planOver(Tree, {0}, LayoutScheme::DepthFirst, 3),
+             {{0, Root, 0},
+              {1, 0, 0},
+              {9, 1, 3},
+              {10, 1, 6},
+              {2, 0, 1},
+              {3, 0, 2},
+              {4, 0, 3},
+              {5, 0, 4},
+              {6, 0, 5},
+              {7, 0, 6},
+              {8, 0, 7}},
+             {3, 6, 9, 11});
+}
+
+TEST(ClusterOrder, TwoRootForest) {
+  // Tree 1: 1 -> (0:2, 1:3), 2 -> (0:4). Tree 2: 10 -> (1:11),
+  // 11 -> (0:12, 1:13).
+  Adjacency Tree;
+  Tree[1] = {{0, 2}, {1, 3}};
+  Tree[2] = {{0, 4}};
+  Tree[10] = {{1, 11}};
+  Tree[11] = {{0, 12}, {1, 13}};
+  // Subtree: both roots' clusters come first, then the leftovers in
+  // discovery order.
+  expectPlan(planOver(Tree, {1, 10}, LayoutScheme::Subtree, 2),
+             {{1, Root, 0},
+              {2, 0, 0},
+              {10, Root, 0},
+              {11, 2, 1},
+              {3, 0, 1},
+              {4, 1, 0},
+              {12, 3, 0},
+              {13, 3, 1}},
+             {2, 4, 5, 6, 7, 8});
+  // Bfs and DepthFirst walk tree after tree; the middle cluster spans
+  // both trees and the last one is short.
+  expectPlan(planOver(Tree, {1, 10}, LayoutScheme::Bfs, 3),
+             {{1, Root, 0},
+              {2, 0, 0},
+              {3, 0, 1},
+              {4, 1, 0},
+              {10, Root, 0},
+              {11, 4, 1},
+              {12, 5, 0},
+              {13, 5, 1}},
+             {3, 6, 8});
+  expectPlan(planOver(Tree, {1, 10}, LayoutScheme::DepthFirst, 3),
+             {{1, Root, 0},
+              {2, 0, 0},
+              {4, 1, 0},
+              {3, 0, 1},
+              {10, Root, 0},
+              {11, 4, 1},
+              {12, 5, 0},
+              {13, 5, 1}},
+             {3, 6, 8});
+}
+
+TEST(ClusterOrder, OneNodeClusters) {
+  // K = 1: subtree clustering degenerates to breadth-first order.
+  std::vector<size_t> Ends = {1, 2, 3, 4, 5, 6, 7};
+  expectPlan(planOver(heapTree(7), {1}, LayoutScheme::Subtree, 1),
+             {{1, Root, 0},
+              {2, 0, 0},
+              {3, 0, 1},
+              {4, 1, 0},
+              {5, 1, 1},
+              {6, 2, 0},
+              {7, 2, 1}},
+             Ends);
+  expectPlan(planOver(heapTree(7), {1}, LayoutScheme::DepthFirst, 1),
+             {{1, Root, 0},
+              {2, 0, 0},
+              {4, 1, 0},
+              {5, 1, 1},
+              {3, 0, 1},
+              {6, 4, 0},
+              {7, 4, 1}},
+             Ends);
+}
+
 namespace seedref {
 
 /// Placement key invariant under arena base addresses: (frame index in
@@ -530,12 +713,10 @@ std::unordered_map<const Node *, Placement> referencePlacements(
                                        : HotBudget >= Footprint;
     char *Memory;
     if (Hot) {
-      Memory = static_cast<char *>(
-          Arena.allocateHot(Bytes, alignof(Node), Params.BlockBytes));
+      Memory = static_cast<char *>(Arena.allocateIn(Bytes, /*Hot=*/true));
       HotBudget -= Footprint;
     } else {
-      Memory = static_cast<char *>(
-          Arena.allocateCold(Bytes, alignof(Node), Params.BlockBytes));
+      Memory = static_cast<char *>(Arena.allocateIn(Bytes, /*Hot=*/false));
     }
     for (size_t I = 0; I < Cluster.size(); ++I)
       Placements[Cluster[I]] =

@@ -52,7 +52,7 @@ TEST(CacheParams, FromHierarchy) {
 TEST(ColoredArena, HotAllocationsMapToHotSets) {
   ColoredArena Arena(smallParams());
   for (int I = 0; I < 500; ++I) {
-    void *P = Arena.allocateHot(24);
+    void *P = Arena.allocateIn(24, /*Hot=*/true);
     EXPECT_LT(Arena.setOf(P), 64u);
     EXPECT_TRUE(Arena.isHot(P));
   }
@@ -61,7 +61,7 @@ TEST(ColoredArena, HotAllocationsMapToHotSets) {
 TEST(ColoredArena, ColdAllocationsMapToColdSets) {
   ColoredArena Arena(smallParams());
   for (int I = 0; I < 500; ++I) {
-    void *P = Arena.allocateCold(24);
+    void *P = Arena.allocateIn(24, /*Hot=*/false);
     EXPECT_GE(Arena.setOf(P), 64u);
     EXPECT_FALSE(Arena.isHot(P));
   }
@@ -73,8 +73,7 @@ TEST(ColoredArena, AllocationsNeverOverlap) {
   std::vector<std::pair<uint64_t, uint64_t>> Ranges;
   for (int I = 0; I < 2000; ++I) {
     size_t Bytes = 1 + Rng.nextBounded(100);
-    void *P = Rng.nextBounded(2) ? Arena.allocateHot(Bytes)
-                                 : Arena.allocateCold(Bytes);
+    void *P = Arena.allocateIn(Bytes, Rng.nextBounded(2) != 0);
     std::fill(static_cast<char *>(P), static_cast<char *>(P) + Bytes, 'z');
     Ranges.push_back({addrOf(P), addrOf(P) + Bytes});
   }
@@ -83,12 +82,28 @@ TEST(ColoredArena, AllocationsNeverOverlap) {
     EXPECT_LE(Ranges[I - 1].second, Ranges[I].first);
 }
 
-TEST(ColoredArena, RespectsAlignment) {
+TEST(ColoredArena, NeverStraddlesABlock) {
   ColoredArena Arena(smallParams());
-  for (size_t Align : {8ULL, 16ULL, 64ULL, 256ULL}) {
-    EXPECT_TRUE(isAligned(addrOf(Arena.allocateHot(10, Align)), Align));
-    EXPECT_TRUE(isAligned(addrOf(Arena.allocateCold(10, Align)), Align));
+  Xoshiro256 Rng(7);
+  for (int I = 0; I < 2000; ++I) {
+    size_t Bytes = 1 + Rng.nextBounded(64);
+    uint64_t First = addrOf(Arena.allocateIn(Bytes, Rng.nextBounded(2) != 0));
+    EXPECT_EQ(First / 64, (First + Bytes - 1) / 64) << Bytes << " bytes";
   }
+}
+
+TEST(ColoredArena, AllocateGoesHotWhileTheBudgetLasts) {
+  // Hot capacity = 64 sets * 1 way * 64B = 4096 bytes: 64 one-block
+  // clusters, each charged its block-aligned footprint.
+  ColoredArena Arena(smallParams());
+  for (int I = 0; I < 64; ++I) {
+    bool WasHot = false;
+    EXPECT_TRUE(Arena.isHot(Arena.allocate(40, WasHot)));
+    EXPECT_TRUE(WasHot);
+  }
+  bool WasHot = true;
+  EXPECT_FALSE(Arena.isHot(Arena.allocate(40, WasHot)));
+  EXPECT_FALSE(WasHot);
 }
 
 TEST(ColoredArena, HotRegionOverflowAdvancesFrame) {
@@ -96,19 +111,11 @@ TEST(ColoredArena, HotRegionOverflowAdvancesFrame) {
   // Hot region per frame = 64 sets * 64B = 4096 bytes.
   uint64_t FramesBefore = Arena.framesAllocated();
   for (int I = 0; I < 100; ++I)
-    Arena.allocateHot(64, 64);
+    Arena.allocateIn(64, /*Hot=*/true);
   EXPECT_GT(Arena.framesAllocated(), FramesBefore);
   // Still hot after crossing frames.
-  void *P = Arena.allocateHot(64, 64);
+  void *P = Arena.allocateIn(64, /*Hot=*/true);
   EXPECT_TRUE(Arena.isHot(P));
-}
-
-TEST(ColoredArena, UsageCountersTrack) {
-  ColoredArena Arena(smallParams());
-  Arena.allocateHot(100);
-  Arena.allocateCold(200);
-  EXPECT_EQ(Arena.hotBytesUsed(), 100u);
-  EXPECT_EQ(Arena.coldBytesUsed(), 200u);
 }
 
 TEST(ColoredArena, GapPageMultipleDetection) {
@@ -128,15 +135,15 @@ TEST(ColoredArena, ZeroHotSetsMeansContiguousCold) {
   ColoredArena Arena(P);
   // Cold region covers whole frames: back-to-back block-aligned
   // allocations are contiguous.
-  auto *A = static_cast<char *>(Arena.allocateCold(64, 64));
-  auto *B = static_cast<char *>(Arena.allocateCold(64, 64));
+  auto *A = static_cast<char *>(Arena.allocateIn(64, /*Hot=*/false));
+  auto *B = static_cast<char *>(Arena.allocateIn(64, /*Hot=*/false));
   EXPECT_EQ(B, A + 64);
 }
 
 TEST(ColoredArena, LargeAllocationSkipsToFreshFrame) {
   ColoredArena Arena(smallParams());
-  Arena.allocateHot(4000);          // Nearly fills frame 0's hot region.
-  void *P = Arena.allocateHot(3000); // Doesn't fit: next frame.
+  Arena.allocateIn(4000, /*Hot=*/true); // Nearly fills frame 0's hot region.
+  void *P = Arena.allocateIn(3000, /*Hot=*/true); // Doesn't fit: next frame.
   EXPECT_TRUE(Arena.isHot(P));
   EXPECT_GE(Arena.framesAllocated(), 2u);
 }
@@ -166,10 +173,10 @@ TEST_P(ColoringSweep, PartitionInvariant) {
     size_t Bytes = 1 + Rng.nextBounded(Block * 2);
     if (Hot > 0 && Rng.nextBounded(2)) {
       size_t Capped = std::min<size_t>(Bytes, Hot * Block);
-      EXPECT_LT(Arena.setOf(Arena.allocateHot(Capped)), Hot);
+      EXPECT_LT(Arena.setOf(Arena.allocateIn(Capped, /*Hot=*/true)), Hot);
     } else if (Hot < Sets) {
       size_t Capped = std::min<size_t>(Bytes, (Sets - Hot) * Block);
-      EXPECT_GE(Arena.setOf(Arena.allocateCold(Capped)), Hot);
+      EXPECT_GE(Arena.setOf(Arena.allocateIn(Capped, /*Hot=*/false)), Hot);
     }
   }
 }

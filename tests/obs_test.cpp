@@ -153,8 +153,8 @@ TEST(RegionRegistry, RegistersColoredArenaHotAndCold) {
   Params.HotSets = 32;
   ASSERT_TRUE(Params.isValid());
   ColoredArena Storage(Params);
-  void *Hot = Storage.allocateHot(64);
-  void *Cold = Storage.allocateCold(64);
+  void *Hot = Storage.allocateIn(64, /*Hot=*/true);
+  void *Cold = Storage.allocateIn(64, /*Hot=*/false);
   ASSERT_TRUE(Storage.isHot(Hot));
   ASSERT_FALSE(Storage.isHot(Cold));
 
