@@ -15,6 +15,9 @@
 ///    compiled. google-benchmark's own library_build_type reflects the
 ///    (system) benchmark library, which on Debian reports "debug" even
 ///    for optimized binaries, so it cannot gate artifact acceptance;
+///  * `cpu_model` (the first "model name" in /proc/cpuinfo) and `kernel`
+///    (the uname release) context fields, so scripts/bench_compare.py can
+///    say when a fresh run and its reference come from different hosts;
 ///  * a startup warning on stderr when NDEBUG is unset, so debug numbers
 ///    never silently become reference artifacts.
 ///
@@ -31,11 +34,34 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sys/utsname.h>
+
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 namespace ccl::bench {
+
+/// The first "model name" in /proc/cpuinfo, or "unknown".
+inline std::string cpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line)) {
+    size_t Colon = Line.find(':');
+    if (Line.rfind("model name", 0) != 0 || Colon == std::string::npos)
+      continue;
+    size_t Value = Line.find_first_not_of(" \t", Colon + 1);
+    return Value == std::string::npos ? "unknown" : Line.substr(Value);
+  }
+  return "unknown";
+}
+
+/// The running kernel's release string, or "unknown".
+inline std::string kernelRelease() {
+  utsname Name;
+  return uname(&Name) == 0 ? Name.release : "unknown";
+}
 
 inline int runMicroBenchmark(int Argc, char **Argv) {
   warnIfDebugBuild();
@@ -58,6 +84,8 @@ inline int runMicroBenchmark(int Argc, char **Argv) {
     Args.push_back(FormatFlag.data());
   }
   benchmark::AddCustomContext("ccl_build_type", buildType());
+  benchmark::AddCustomContext("cpu_model", cpuModel());
+  benchmark::AddCustomContext("kernel", kernelRelease());
   int N = int(Args.size());
   benchmark::Initialize(&N, Args.data());
   if (benchmark::ReportUnrecognizedArguments(N, Args.data()))

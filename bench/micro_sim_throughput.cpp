@@ -121,11 +121,11 @@ void SimPointerChaseReplay(benchmark::State &State) {
   State.SetLabel(State.range(0) == 0 ? "e5000" : "rsim");
 }
 
-// Pure decode throughput: stream the recorded pointer chase through a
-// TraceCursor and discard the records — no cache probes — so codec wins
-// are measured separately from probe wins. The Arg is unused; it keeps
-// the row name, SimTraceDecodeOnly/2, that BENCH_sim_throughput.json
-// compares against.
+// Pure decode throughput: stream the recorded pointer chase through
+// TraceCursor::consume and discard the records — no cache probes — so
+// codec wins are measured separately from probe wins. The Arg is
+// unused; it keeps the row name, SimTraceDecodeOnly/2, that
+// BENCH_sim_throughput.json compares against.
 void SimTraceDecodeOnly(benchmark::State &State) {
   const std::vector<uint64_t> Addrs =
       makeTrace(TraceKind::PointerChase, 1 << 20);
@@ -136,11 +136,10 @@ void SimTraceDecodeOnly(benchmark::State &State) {
   uint64_t Sink = 0;
   for (auto _ : State) {
     TraceCursor Cursor(Buf.view());
-    TraceRecord Batch[TraceBlockCap];
-    size_t Got;
-    while ((Got = Cursor.nextBatch(Batch, TraceBlockCap)) != 0)
-      for (size_t I = 0; I < Got; ++I)
-        Sink += Batch[I].Addr;
+    Cursor.consume(Buf.records(),
+                   [&Sink](TraceRecord::Kind, uint64_t Addr, uint64_t) {
+                     Sink += Addr;
+                   });
     benchmark::DoNotOptimize(Sink);
   }
   State.SetItemsProcessed(int64_t(State.iterations()) *

@@ -21,14 +21,19 @@ items_per_second count as higher-is-better; time / nanos / cycles / _ns
 / _ms as lower-is-better. Other fields (checksums, miss counts, bytes)
 are informational and not gated.
 
-When both documents are google-benchmark runs whose context.num_cpus
-differ, one HOST MISMATCH line names both values: the deltas may then
-come from the host rather than the code. The exit status is unchanged.
+When both documents are google-benchmark runs whose context differs in
+num_cpus, cpu_model or kernel, one HOST MISMATCH line per differing
+field names both values: the deltas may then come from the host rather
+than the code. A field only one document carries is not compared. The
+exit status is unchanged.
 """
 
 import argparse
 import json
 import sys
+
+# google-benchmark context fields that identify the host a run came from.
+HOST_FIELDS = ("num_cpus", "cpu_model", "kernel")
 
 # Metric-name fragments that pick the comparison direction.
 HIGHER_BETTER = ("per_second", "speedup", "gain", "throughput")
@@ -50,10 +55,10 @@ def load(path):
         return json.load(f)
 
 
-def host_cpus(doc):
-    """context.num_cpus of a google-benchmark document, or None."""
+def host_field(doc, key):
+    """context[key] of a google-benchmark document, or None."""
     context = doc.get("context")
-    return context.get("num_cpus") if isinstance(context, dict) else None
+    return context.get(key) if isinstance(context, dict) else None
 
 
 def rows_google(doc):
@@ -120,10 +125,13 @@ def main():
     new_doc = load(args.fresh)
     ref = extract(ref_doc, args.reference)
     new = extract(new_doc, args.fresh)
-    ref_cpus, new_cpus = host_cpus(ref_doc), host_cpus(new_doc)
-    if ref_cpus is not None and new_cpus is not None and ref_cpus != new_cpus:
-        print("HOST MISMATCH num_cpus: reference %s, fresh %s -- deltas "
-              "may come from the host, not the code" % (ref_cpus, new_cpus))
+    for key in HOST_FIELDS:
+        ref_host, new_host = host_field(ref_doc, key), host_field(new_doc, key)
+        if ref_host is not None and new_host is not None \
+                and ref_host != new_host:
+            print("HOST MISMATCH %s: reference %s, fresh %s -- deltas "
+                  "may come from the host, not the code"
+                  % (key, ref_host, new_host))
 
     compared = 0
     regressions = []

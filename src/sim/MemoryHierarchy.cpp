@@ -30,35 +30,29 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &Config)
 
 template <bool Observed>
 void MemoryHierarchy::replayRecords(TraceCursor &Cursor, size_t MaxRecords) {
-  // Decode a block, then probe it.
-  TraceRecord Batch[TraceBlockCap];
-  while (size_t Got = Cursor.nextBatch(Batch, std::min(MaxRecords,
-                                                       TraceBlockCap))) {
-    MaxRecords -= Got;
-    for (size_t I = 0; I < Got; ++I) {
-      const TraceRecord &R = Batch[I];
-      switch (R.K) {
-      case TraceRecord::Kind::Read:
-        if constexpr (Observed)
-          accessRangeObserved(R.Addr, R.Arg, false);
-        else
-          accessRange(R.Addr, R.Arg, false);
-        break;
-      case TraceRecord::Kind::Write:
-        if constexpr (Observed)
-          accessRangeObserved(R.Addr, R.Arg, true);
-        else
-          accessRange(R.Addr, R.Arg, true);
-        break;
-      case TraceRecord::Kind::Prefetch:
-        prefetch(R.Addr);
-        break;
-      case TraceRecord::Kind::Tick:
-        tick(R.Arg);
-        break;
-      }
+  Cursor.consume(MaxRecords, [this](TraceRecord::Kind K, uint64_t Addr,
+                                    uint64_t Arg) {
+    switch (K) {
+    case TraceRecord::Kind::Read:
+      if constexpr (Observed)
+        accessRangeObserved(Addr, Arg, false);
+      else
+        accessRange(Addr, Arg, false);
+      break;
+    case TraceRecord::Kind::Write:
+      if constexpr (Observed)
+        accessRangeObserved(Addr, Arg, true);
+      else
+        accessRange(Addr, Arg, true);
+      break;
+    case TraceRecord::Kind::Prefetch:
+      prefetch(Addr);
+      break;
+    case TraceRecord::Kind::Tick:
+      tick(Arg);
+      break;
     }
-  }
+  });
 }
 
 void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
@@ -90,8 +84,9 @@ void MemoryHierarchy::accessRangeObserved(uint64_t Addr, uint64_t Size,
     uint64_t Lo = std::max(Addr, Base);
     uint64_t Hi = std::min(Addr + Size, Base + Config.L1.BlockBytes);
     uint64_t Mapped = translate(Base);
-    uint64_t Before = Cycle;
+    uint64_t Before = now();
     BlockOutcome Out = accessBlock(Mapped, IsWrite);
+    uint64_t Now = now();
 
     obs::AccessEvent Event;
     Event.VAddr = Lo;
@@ -100,15 +95,15 @@ void MemoryHierarchy::accessRangeObserved(uint64_t Addr, uint64_t Size,
     Event.IsWrite = IsWrite;
     Event.TlbMiss = Out.TlbMiss;
     Event.Level = Out.Level;
-    Event.Cycles = uint32_t(Cycle - Before);
-    Event.Now = Cycle;
+    Event.Cycles = uint32_t(Now - Before);
+    Event.Now = Now;
     Obs->onAccess(Event);
     // Eviction events follow the access that caused them; the evicted
     // block is always distinct from the one just filled.
     if (Out.L1Evicted)
-      Obs->onEvict({1, Out.L1Writeback, Out.L1Victim, Cycle});
+      Obs->onEvict({1, Out.L1Writeback, Out.L1Victim, Now});
     if (Out.L2Evicted)
-      Obs->onEvict({2, Out.L2Writeback, Out.L2Victim, Cycle});
+      Obs->onEvict({2, Out.L2Writeback, Out.L2Victim, Now});
   }
 }
 
@@ -116,24 +111,23 @@ ccl::obs::AccessLevel MemoryHierarchy::handleL2Miss(uint64_t Block) {
   if (uint64_t *ReadyAt = InFlight.find(Block)) {
     uint64_t Ready = *ReadyAt;
     InFlight.erase(Block);
-    if (Ready <= Cycle) {
+    uint64_t Now = now();
+    if (Ready <= Now) {
       // Prefetch completed before the demand access: a free L2 hit.
       ++Stats.L2Hits;
       ++Stats.PrefetchFullHits;
       return obs::AccessLevel::PrefetchFull;
     }
     // Partial overlap: stall only for the residual fill latency.
-    uint64_t Residual = Ready - Cycle;
     ++Stats.L2Misses;
     ++Stats.PrefetchPartialHits;
-    Stats.L2StallCycles += Residual;
-    Cycle += Residual;
+    Stats.L2StallCycles += Ready - Now;
     return obs::AccessLevel::PrefetchPartial;
   }
 
   ++Stats.L2Misses;
   Stats.L2StallCycles += Config.MemoryLatency;
-  Cycle += Config.MemoryLatency;
+  uint64_t Now = now();
 
   // Hardware next-line prefetcher: on a demand L2 miss, schedule the next
   // NextLineDegree sequential blocks as in-flight fills.
@@ -141,11 +135,11 @@ ccl::obs::AccessLevel MemoryHierarchy::handleL2Miss(uint64_t Block) {
     uint64_t NextAddr = (Block + I) << L2BlockShift;
     if (L2.contains(NextAddr))
       continue;
-    if (InFlight.tryInsert(Block + I, Cycle + Config.MemoryLatency)) {
+    if (InFlight.tryInsert(Block + I, Now + Config.MemoryLatency)) {
       ++Stats.HwPrefetches;
       if (Obs != nullptr) [[unlikely]]
         // Next-line prefetches exist only in mapped space; no VAddr.
-        Obs->onPrefetch({0, NextAddr, false, Cycle});
+        Obs->onPrefetch({0, NextAddr, false, Now});
     }
   }
   sweepInFlight();
@@ -160,10 +154,10 @@ void MemoryHierarchy::installBoth(uint64_t Addr, bool Dirty) {
   if (Obs != nullptr) [[unlikely]] {
     if (L2Result.Evicted)
       Obs->onEvict({2, L2Result.WritebackVictim,
-                    L2Result.VictimBlock * Config.L2.BlockBytes, Cycle});
+                    L2Result.VictimBlock * Config.L2.BlockBytes, now()});
     if (L1Result.Evicted)
       Obs->onEvict({1, L1Result.WritebackVictim,
-                    L1Result.VictimBlock * Config.L1.BlockBytes, Cycle});
+                    L1Result.VictimBlock * Config.L1.BlockBytes, now()});
   }
 }
 
@@ -172,13 +166,13 @@ void MemoryHierarchy::prefetch(uint64_t Addr) {
   Addr = translate(Addr);
   ++Stats.SwPrefetches;
   Stats.PrefetchIssueCycles += Config.PrefetchIssueCost;
-  Cycle += Config.PrefetchIssueCost;
+  uint64_t Now = now();
   if (Obs != nullptr) [[unlikely]]
-    Obs->onPrefetch({VAddr, Addr, true, Cycle});
+    Obs->onPrefetch({VAddr, Addr, true, Now});
 
   if (L1.contains(Addr) || L2.contains(Addr))
     return;
-  if (!InFlight.tryInsert(Addr >> L2BlockShift, Cycle + Config.MemoryLatency))
+  if (!InFlight.tryInsert(Addr >> L2BlockShift, Now + Config.MemoryLatency))
     return;
   sweepInFlight();
 }
@@ -189,8 +183,9 @@ void MemoryHierarchy::sweepInFlight() {
   // Retire completed fills into L2 (in deterministic table order); keep
   // the still-outstanding ones.
   std::vector<uint64_t> Completed;
+  uint64_t Now = now();
   InFlight.forEach([&](uint64_t Block, uint64_t Ready) {
-    if (Ready <= Cycle)
+    if (Ready <= Now)
       Completed.push_back(Block);
   });
   for (uint64_t Block : Completed) {
@@ -207,7 +202,6 @@ void MemoryHierarchy::reset() {
   InFlight.clear();
   UnitMap.clear();
   NextUnit = 1;
-  Cycle = 0;
   Stats = SimStats();
 }
 

@@ -17,10 +17,15 @@
 /// (accessRange -> accessBlock). Each L1 block is translated through a
 /// 16-entry memo of the first-touch unit map, then probes the TLB's
 /// most-recently-used page, L1 and, on an L1 miss, L2; each cache probe
-/// is an inline scan of one set's tag words. Only translation-memo
-/// misses, TLB misses and L2 misses leave the header. replay() has one
-/// batched decode loop, instantiated once without and once with an
-/// observer. tests/sim_golden_test.cpp locks the statistics down.
+/// is an inline scan of one set's tag words. An L2 miss with no
+/// prefetch in flight and no next-line prefetcher is charged inline
+/// too, so only translation-memo misses, TLB misses and the prefetch
+/// bookkeeping leave the header. replay() is one pass: the trace
+/// cursor decodes each record straight into the access body, with no
+/// decoded frame in between (one template, instantiated once without
+/// and once with an observer). There is no clock variable: every cycle
+/// charged lands in one SimStats field, and now() is their sum.
+/// tests/sim_golden_test.cpp locks the statistics down.
 ///
 /// Telemetry: attachObserver() hooks an obs::SimObserver into the
 /// hierarchy. Observed accesses, live or replayed, go through
@@ -60,10 +65,7 @@ public:
   const HierarchyConfig &config() const { return Config; }
 
   /// Advances the clock by \p Cycles of computation (busy) time.
-  void tick(uint64_t Cycles) {
-    Cycle += Cycles;
-    Stats.BusyCycles += Cycles;
-  }
+  void tick(uint64_t Cycles) { Stats.BusyCycles += Cycles; }
 
   /// Simulates a data read of \p Size bytes at \p Addr. Accesses that
   /// span multiple L1 blocks touch each block once.
@@ -81,10 +83,10 @@ public:
   }
 
   /// Replays a recorded trace: bit-identical to issuing the same
-  /// read()/write()/prefetch()/tick() calls in recorded order, but
-  /// decoded a block at a time — the record-once/replay-many engine the
-  /// figure benches use to evaluate many sweep points against one native
-  /// recording. Because replay preserves the recorded order, the
+  /// read()/write()/prefetch()/tick() calls in recorded order, each
+  /// record probed as soon as it is decoded — the record-once/replay-many
+  /// engine the figure benches use to evaluate many sweep points against
+  /// one native recording. Because replay preserves the recorded order, the
   /// canonical first-touch address remap resolves identically to a live
   /// run (locked down by tests/trace_test.cpp and sim_golden_test).
   ///
@@ -105,8 +107,8 @@ public:
   /// Issues a software prefetch for the L2 block containing \p Addr.
   void prefetch(uint64_t Addr);
 
-  /// Current simulated cycle.
-  uint64_t now() const { return Cycle; }
+  /// Current simulated cycle: the sum of the attributed cycles.
+  uint64_t now() const { return Stats.totalCycles(); }
 
   const SimStats &stats() const { return Stats; }
   const Cache &l1() const { return L1; }
@@ -159,9 +161,9 @@ private:
   /// events for every block touched.
   void accessRangeObserved(uint64_t Addr, uint64_t Size, bool IsWrite);
 
-  /// replay()'s decode loop: decodes up to \p MaxRecords records a
-  /// block at a time and issues each through accessRange, or through
-  /// accessRangeObserved when \p Observed.
+  /// replay()'s one pass: decodes up to \p MaxRecords records and issues
+  /// each through accessRange, or through accessRangeObserved when
+  /// \p Observed, as soon as it is decoded.
   template <bool Observed>
   void replayRecords(TraceCursor &Cursor, size_t MaxRecords);
 
@@ -177,13 +179,11 @@ private:
       Out.TlbMiss = true;
       ++Stats.TlbMisses;
       Stats.TlbStallCycles += Config.Tlb.MissLatency;
-      Cycle += Config.Tlb.MissLatency;
     }
 
     // The L1 hit latency is charged on every access as pipeline busy
     // time.
     Stats.BusyCycles += Config.L1.HitLatency;
-    Cycle += Config.L1.HitLatency;
 
     CacheAccessResult L1Result = L1.access(Addr, IsWrite);
     if (L1Result.Hit) {
@@ -192,7 +192,6 @@ private:
     }
     ++Stats.L1Misses;
     Stats.L1StallCycles += Config.L2.HitLatency;
-    Cycle += Config.L2.HitLatency;
     Out.L1Evicted = L1Result.Evicted;
     Out.L1Writeback = L1Result.WritebackVictim;
     Out.L1Victim = L1Result.VictimBlock << L1BlockShift;
@@ -208,11 +207,20 @@ private:
     Out.L2Evicted = L2Result.Evicted;
     Out.L2Writeback = L2Result.WritebackVictim;
     Out.L2Victim = L2Result.VictimBlock << L2BlockShift;
-    Out.Level = handleL2Miss(Addr >> L2BlockShift);
+    if (!InFlight.empty() || Config.Prefetch.NextLineDegree != 0) {
+      Out.Level = handleL2Miss(Addr >> L2BlockShift);
+      return Out;
+    }
+    // Nothing in flight can hide the latency and nothing is prefetched:
+    // a full memory stall.
+    ++Stats.L2Misses;
+    Stats.L2StallCycles += Config.MemoryLatency;
+    Out.Level = obs::AccessLevel::Memory;
     return Out;
   }
 
-  /// Handles an access to L2 block \p Block that missed both caches;
+  /// Handles an access to L2 block \p Block that missed both caches
+  /// while prefetches are in flight or the next-line prefetcher is on;
   /// charges residual latency if the block is in flight, otherwise a
   /// full memory stall, and asks the hardware prefetcher to act. Returns
   /// how the latency was (partially) hidden.
@@ -245,7 +253,6 @@ private:
   Cache L1;
   Cache L2;
   Tlb TlbModel;
-  uint64_t Cycle = 0;
   SimStats Stats;
   /// Telemetry sink; null (the common case) means fully disabled.
   obs::SimObserver *Obs = nullptr;

@@ -6,6 +6,8 @@
 
 #include "sim/Tlb.h"
 
+#include <algorithm>
+
 using namespace ccl::sim;
 
 Tlb::Tlb(const TlbConfig &Config)
@@ -18,17 +20,14 @@ Tlb::Tlb(const TlbConfig &Config)
 }
 
 bool Tlb::accessSlow(uint64_t Page) {
-  // The index is stale-tolerant: entries for evicted pages are left in
-  // place and filtered by the Pages[] check here, so the miss path never
-  // pays FlatMap64's backward-shift erase. The table is bounded by the
-  // number of distinct pages ever touched, not by TLB capacity. Hit/miss
-  // classification still depends only on the resident set and recency
-  // order, so statistics are unchanged. One probe finds the page's index
-  // entry or inserts it pointing at the sentinel, whose page never
-  // matches; a miss then repoints the same entry.
-  uint64_t &Slot = Index.findOrInsert(Page, Sentinel);
-  uint32_t N = uint32_t(Slot);
-  if (Pages[N] == Page) {
+  if (Page >= Index.size()) {
+    assert(Page < (uint64_t(1) << 28) &&
+           "page index is dense; pass translated addresses");
+    Index.resize(std::max<uint64_t>(Page + 1, 2 * Index.size()), Sentinel);
+  }
+  uint32_t &Slot = Index[Page];
+  uint32_t N = Slot;
+  if (N != Sentinel) {
     ++Hits;
     unlink(N);
     pushFront(N);
@@ -41,6 +40,7 @@ bool Tlb::accessSlow(uint64_t Page) {
   } else {
     N = Prev[Sentinel]; // True LRU victim.
     unlink(N);
+    Index[Pages[N]] = Sentinel;
   }
   Pages[N] = Page;
   Slot = N;
@@ -49,9 +49,11 @@ bool Tlb::accessSlow(uint64_t Page) {
 }
 
 void Tlb::reset() {
+  // Only resident pages have index entries.
+  for (uint32_t N = 0; N < Used; ++N)
+    Index[Pages[N]] = Sentinel;
   std::fill(Pages.begin(), Pages.end(), EmptyPage);
   Prev[Sentinel] = Next[Sentinel] = Sentinel;
-  Index.clear();
   Used = 0;
   Hits = Misses = 0;
 }

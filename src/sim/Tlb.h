@@ -12,14 +12,20 @@
 /// capture that effect.
 ///
 /// Hot-path design: instead of the textbook timestamp scan (O(entries)
-/// per access), the TLB keeps an open-addressing page index plus an
-/// intrusive doubly-linked recency list, making every access O(1). For a
-/// fully-associative LRU array the hit/miss sequence is a function of
+/// per access), the TLB keeps a page index plus an intrusive
+/// doubly-linked recency list, making every access O(1). The index is a
+/// dense vector keyed by page number: the hierarchy translates addresses
+/// into units handed out in first-touch order, so the pages it asks
+/// about are small integers packed near zero. The index holds exactly
+/// the resident pages (an eviction clears the victim's slot), so a
+/// lookup is one load with no hash and no stale entries to filter. For
+/// a fully-associative LRU array the hit/miss sequence is a function of
 /// only the resident page set and its recency order — both maintained
 /// exactly here — so the statistics are bit-identical to the scan-based
-/// implementation (locked down by tests/sim_golden_test.cpp). The common
-/// case — consecutive accesses to the most-recently-used page — is an
-/// inline compare against the list head.
+/// implementation (locked down by tests/sim_golden_test.cpp and
+/// tests/tlb_test.cpp's reference model). The common case — consecutive
+/// accesses to the most-recently-used page — is an inline compare
+/// against the list head.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,14 +33,15 @@
 #define CCL_SIM_TLB_H
 
 #include "sim/CacheConfig.h"
-#include "support/FlatMap.h"
 
 #include <cstdint>
 #include <vector>
 
 namespace ccl::sim {
 
-/// Fully-associative LRU TLB over fixed-size pages.
+/// Fully-associative LRU TLB over fixed-size pages. The page index
+/// grows to the largest page number seen, so callers pass translated
+/// (small) addresses, not raw host ones.
 class Tlb {
 public:
   explicit Tlb(const TlbConfig &Config);
@@ -61,7 +68,7 @@ private:
   /// PageShift >= 1.
   static constexpr uint64_t EmptyPage = ~0ULL;
 
-  /// Hash lookup + LRU-list maintenance for accesses off the MRU page.
+  /// Index lookup + LRU-list maintenance for accesses off the MRU page.
   bool accessSlow(uint64_t Page);
 
   void unlink(uint32_t N) {
@@ -84,8 +91,9 @@ private:
   std::vector<uint64_t> Pages;
   std::vector<uint32_t> Prev;
   std::vector<uint32_t> Next;
-  /// Page -> entry slot for O(1) associative lookup.
-  FlatMap64 Index;
+  /// Page number -> entry slot holding it, or Sentinel when the page is
+  /// not resident. Grown on demand to cover the largest page seen.
+  std::vector<uint32_t> Index;
   uint32_t Sentinel;
   /// Number of slots ever used; slots are claimed in order before any
   /// eviction happens.

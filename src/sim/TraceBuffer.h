@@ -34,9 +34,15 @@
 ///
 /// Reads, writes, and prefetches share one previous-address chain, so
 /// pointer-chase locality keeps deltas short. Because the widths sit in
-/// the control lane, a cursor decodes a whole block's payloads in one
-/// branchless pass (TraceCursor::openBlock); seal() leaves TracePadBytes
-/// of zero padding so that pass may load 8 bytes at the last payload.
+/// the control lane, a payload decodes without a branch on its width:
+/// load 8 bytes, keep the low 1 << w of them, step by 1 << w. seal()
+/// leaves TracePadBytes of zero padding so the load at the last payload
+/// stays inside the buffer.
+///
+/// TraceCursor::consume() decodes one record at a time and hands it
+/// straight to its visitor, so a replay probes each record as soon as
+/// it is decoded: there is no decoded frame in between, and the decode
+/// of the next record can overlap the stalls of the current probe.
 ///
 /// A sealed buffer is immutable; TraceView (the borrowed recording) and
 /// TraceCursor (a decoding position) are cheap value types, so many
@@ -65,18 +71,17 @@
 #include <vector>
 
 static_assert(std::endian::native == std::endian::little,
-              "data lanes store payloads little-endian; the block decode "
-              "loads them with memcpy");
+              "data lanes hold payloads little-endian; the encoder stores "
+              "and the decoder loads them with 8-byte memcpy");
 
 namespace ccl::sim {
 
-/// Records per block. Also the batch size of TraceCursor::nextBatch():
-/// one openBlock() pass decodes one block.
+/// Records per block.
 inline constexpr size_t TraceBlockCap = 64;
 
-/// Zero bytes seal() keeps past the encoded stream. The block decode
-/// loads 8 bytes at every payload, so a 1-byte payload at the very end
-/// reads 7 bytes beyond it.
+/// Zero bytes seal() keeps past the encoded stream. The decode loads 8
+/// bytes at every payload, so a 1-byte payload at the very end reads 7
+/// bytes beyond it.
 inline constexpr size_t TracePadBytes = 8;
 
 /// One decoded trace record. \p Arg holds the byte size for reads and
@@ -99,12 +104,12 @@ struct TraceView {
   bool empty() const { return NumRecords == 0; }
 };
 
-/// A decoding position inside a view. next() streams records in order;
-/// nextBatch() hands out up to a block at a time (the replay loop's
-/// consumption path); MemoryHierarchy::replay(cursor, n) consumes a
-/// bounded number, so one recording can be replayed in phases (e.g.
-/// fig10's warmup, then its measured window) with cycle snapshots taken
-/// in between.
+/// A decoding position inside a view. consume() hands out a bounded
+/// number of records to a visitor (the replay loop's consumption path);
+/// next() is a one-record consume(). MemoryHierarchy::replay(cursor, n)
+/// consumes a bounded number, so one recording can be replayed in
+/// phases (e.g. fig10's warmup, then its measured window) with cycle
+/// snapshots taken in between.
 class TraceCursor {
 public:
   TraceCursor() = default;
@@ -116,41 +121,62 @@ public:
 
   /// Decodes the next record into \p Out; returns false when exhausted.
   bool next(TraceRecord &Out) {
-    if (RecordsLeft == 0)
-      return false;
-    --RecordsLeft;
-    if (BlockIdx == BlockLen)
-      openBlock();
-    finalizeRecord(BlockIdx++, Out);
-    return true;
+    return consume(1, [&Out](TraceRecord::Kind K, uint64_t Addr,
+                             uint64_t Arg) { Out = {Addr, Arg, K}; }) != 0;
   }
 
-  /// Decodes up to \p Max records into \p Out and returns how many were
-  /// produced (0 only when exhausted). Returns at most the rest of the
-  /// current block, so after the first call batches align with blocks;
-  /// callers loop until satisfied.
-  size_t nextBatch(TraceRecord *Out, size_t Max) {
+  /// Decodes up to \p Max records in order, calling
+  /// \p Visit(Kind, Addr, Arg) on each as soon as it is decoded (Arg as
+  /// in TraceRecord; Addr is 0 for ticks). Returns how many were
+  /// visited: \p Max, or the rest of the view if fewer remain. Block
+  /// boundaries are invisible to the caller, and a bounded call may
+  /// stop mid-block; the next call resumes there.
+  template <typename VisitFn> size_t consume(size_t Max, VisitFn &&Visit) {
     if (Max > RecordsLeft)
       Max = RecordsLeft;
-    if (Max == 0)
-      return 0;
-    if (BlockIdx == BlockLen)
-      openBlock();
-    size_t Take = BlockLen - BlockIdx;
-    if (Take > Max)
-      Take = Max;
-    for (size_t I = 0; I < Take; ++I)
-      finalizeRecord(BlockIdx + uint32_t(I), Out[I]);
-    BlockIdx += uint32_t(Take);
-    RecordsLeft -= Take;
-    return Take;
+    RecordsLeft -= Max;
+    for (size_t Left = Max; Left != 0;) {
+      if (BlockLeft == 0)
+        openBlock();
+      uint32_t Take = Left < BlockLeft ? uint32_t(Left) : BlockLeft;
+      Left -= Take;
+      BlockLeft -= Take;
+      // Locals, not members: the visitor's stores (the hierarchy's
+      // counters) may alias the cursor's fields as far as the compiler
+      // knows, which would force a reload per record.
+      const uint8_t *C = Ctrl, *D = Data, *E = Extra;
+      uint64_t Prev = PrevAddr;
+      for (const uint8_t *End = C + Take; C != End; ++C) {
+        uint32_t Width = (*C >> 5) & 0x3;
+        uint64_t Raw;
+        std::memcpy(&Raw, D, sizeof(Raw));
+        Raw &= WidthMask[Width];
+        D += size_t(1) << Width;
+        auto Kind = TraceRecord::Kind(*C & 0x3);
+        if (Kind == TraceRecord::Kind::Tick) {
+          Visit(Kind, uint64_t(0), Raw);
+          continue;
+        }
+        Prev += uint64_t(zigzagDecode(Raw));
+        uint64_t Arg = 0;
+        if (Kind != TraceRecord::Kind::Prefetch) {
+          uint32_t SizeCode = (*C >> 2) & 0x7;
+          Arg = SizeCode != 0 ? uint64_t(1) << (SizeCode - 1)
+                              : varintDecode(E);
+        }
+        Visit(Kind, Prev, Arg);
+      }
+      Ctrl = C;
+      Data = D;
+      Extra = E;
+      PrevAddr = Prev;
+      assert((BlockLeft != 0 || E == Pos) && "block lane length mismatch");
+    }
+    return Max;
   }
 
 private:
-  /// Opens the block at Pos: parses the header, locates the lanes, and
-  /// decodes every payload in one branchless pass — load 8 bytes, keep
-  /// the low 1 << w of them, step by 1 << w. Loads past the last payload
-  /// read the extra lane, the next block, or seal()'s tail padding.
+  /// Opens the block at Pos: parses the header and locates its lanes.
   void openBlock() {
     const uint8_t *P = Pos;
     uint64_t N = varintDecode(P);
@@ -158,41 +184,10 @@ private:
     uint64_t ExtraBytes = varintDecode(P);
     assert(N != 0 && N <= TraceBlockCap && "corrupt block header");
     Ctrl = P;
-    const uint8_t *Data = Ctrl + N;
+    Data = Ctrl + N;
     Extra = Data + DataBytes;
     Pos = Extra + ExtraBytes;
-    BlockLen = uint32_t(N);
-    BlockIdx = 0;
-    for (uint32_t I = 0; I < BlockLen; ++I) {
-      uint32_t Width = (Ctrl[I] >> 5) & 0x3;
-      uint64_t Raw;
-      std::memcpy(&Raw, Data, sizeof(Raw));
-      Payloads[I] = Raw & WidthMask[Width];
-      Data += size_t(1) << Width;
-    }
-    assert(Data == Extra && "block data lane length mismatch");
-  }
-
-  /// Turns decoded payload \p I of the open block into a TraceRecord,
-  /// advancing the delta chain and the extra-lane cursor.
-  void finalizeRecord(uint32_t I, TraceRecord &Out) {
-    uint8_t C = Ctrl[I];
-    auto Kind = TraceRecord::Kind(C & 0x3);
-    Out.K = Kind;
-    if (Kind == TraceRecord::Kind::Tick) {
-      Out.Addr = 0;
-      Out.Arg = Payloads[I];
-      return;
-    }
-    PrevAddr += uint64_t(zigzagDecode(Payloads[I]));
-    Out.Addr = PrevAddr;
-    if (Kind == TraceRecord::Kind::Prefetch) {
-      Out.Arg = 0;
-      return;
-    }
-    uint32_t SizeCode = (C >> 2) & 0x7;
-    Out.Arg = SizeCode != 0 ? uint64_t(1) << (SizeCode - 1)
-                            : varintDecode(Extra);
+    BlockLeft = uint32_t(N);
   }
 
   /// Payload bits kept for each width code (1, 2, 4, 8 bytes).
@@ -203,13 +198,12 @@ private:
   const uint8_t *Pos = nullptr;
   size_t RecordsLeft = 0;
   uint64_t PrevAddr = 0;
-  // The open block.
-  const uint8_t *Ctrl = nullptr;     ///< Control lane.
-  const uint8_t *Extra = nullptr;    ///< Extra-lane read position.
-  uint32_t BlockLen = 0;
-  uint32_t BlockIdx = 0;
-  /// Decoded raw payloads of the open block.
-  uint64_t Payloads[TraceBlockCap];
+  // Read positions in the open block's lanes.
+  const uint8_t *Ctrl = nullptr;
+  const uint8_t *Data = nullptr;
+  const uint8_t *Extra = nullptr;
+  /// Records of the open block not yet decoded.
+  uint32_t BlockLeft = 0;
 };
 
 /// Append-only recorded access stream. Fill through the record*() calls
@@ -258,7 +252,7 @@ public:
 
   /// Freezes the buffer (and trims its allocation). Required before
   /// views may be taken. Keeps TracePadBytes of zero padding past the
-  /// encoded bytes for the block decode's 8-byte loads.
+  /// encoded bytes for the decode's 8-byte loads.
   void seal() {
     flushBlock();
     Sealed = true;
@@ -324,19 +318,19 @@ private:
   void flushBlock() {
     if (PendingCount == 0)
       return;
-    uint8_t *P = grab(pendingEncodedBytes());
+    // Each payload is stored as one 8-byte word and the write position
+    // then steps by its width; the next payload, the extra lane, the
+    // next block or seal()'s padding overwrites the excess, so the block
+    // reserves 8 spare bytes.
+    uint8_t *P = grab(pendingEncodedBytes() + sizeof(uint64_t));
     P = varintEncode(P, PendingCount);
     P = varintEncode(P, PendingDataBytes);
     P = varintEncode(P, PendingExtra.size());
     std::memcpy(P, PendingCtrl, PendingCount);
     P += PendingCount;
     for (uint32_t I = 0; I < PendingCount; ++I) {
-      uint64_t V = PendingPayload[I];
-      uint32_t W = 1u << ((PendingCtrl[I] >> 5) & 0x3);
-      // Byte-by-byte keeps the lane explicitly little-endian; the
-      // compiler collapses the fixed-width cases to single stores.
-      for (uint32_t B = 0; B < W; ++B)
-        *P++ = uint8_t(V >> (8 * B));
+      std::memcpy(P, &PendingPayload[I], sizeof(uint64_t));
+      P += size_t(1) << ((PendingCtrl[I] >> 5) & 0x3);
     }
     if (!PendingExtra.empty()) { // data() is null when the lane is empty
       std::memcpy(P, PendingExtra.data(), PendingExtra.size());

@@ -3,20 +3,26 @@
 
 Part of the cache-conscious structure layout library (PLDI'99 repro).
 
-Two cases:
+Cases:
   * A fresh throughput of zero must be reported as a REGRESSED row with
     exit status 1, not crash the gate with a ZeroDivisionError.
   * Documents from hosts with different context.num_cpus must produce
     exactly one HOST MISMATCH line naming both values, and the exit
     status must stay what the metrics alone decide (0 here: the rows
     are identical).
+  * Documents stamped with different cpu_model and kernel values must
+    produce one HOST MISMATCH line for each field; a reference without
+    those fields (as the committed BENCH_*.json are) produces none.
 
 Usage: bench_compare_test.py <bench_compare.py> <reference.json>
        <fresh_zero_throughput.json> <fresh_4cpu.json>
 """
 
+import json
+import os
 import subprocess
 import sys
+import tempfile
 
 
 def run(script, reference, fresh):
@@ -30,6 +36,18 @@ def run(script, reference, fresh):
 def lines_starting(proc, prefix):
     return [line for line in proc.stdout.splitlines()
             if line.startswith(prefix)]
+
+
+def host_stamped(reference, directory, name, cpu_model, kernel):
+    """Writes a copy of the reference stamped with a CPU model and a
+    kernel release; returns its path."""
+    with open(reference, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["context"].update(cpu_model=cpu_model, kernel=kernel)
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    return path
 
 
 def main():
@@ -57,6 +75,30 @@ def main():
               "line naming num_cpus 1 and 4, got exit %d and %r"
               % (proc.returncode, mismatch))
         failed = True
+
+    with tempfile.TemporaryDirectory() as tmp:
+        host_a = host_stamped(reference, tmp, "a.json", "Xeon A", "6.1.0")
+        host_b = host_stamped(reference, tmp, "b.json", "Xeon B", "6.18.0")
+
+        proc = run(script, host_a, host_b)
+        mismatch = lines_starting(proc, "HOST MISMATCH")
+        expected = ["HOST MISMATCH cpu_model: reference Xeon A, fresh Xeon B",
+                    "HOST MISMATCH kernel: reference 6.1.0, fresh 6.18.0"]
+        if proc.returncode != 0 or len(mismatch) != 2 or not all(
+                line.startswith(want)
+                for line, want in zip(mismatch, expected)):
+            print("bench_compare_test: expected exit 0 with HOST MISMATCH "
+                  "lines for cpu_model and kernel, got exit %d and %r"
+                  % (proc.returncode, mismatch))
+            failed = True
+
+        proc = run(script, reference, host_a)
+        mismatch = lines_starting(proc, "HOST MISMATCH")
+        if proc.returncode != 0 or mismatch:
+            print("bench_compare_test: a reference without cpu_model and "
+                  "kernel must compare without HOST MISMATCH, got exit %d "
+                  "and %r" % (proc.returncode, mismatch))
+            failed = True
     return 1 if failed else 0
 
 

@@ -6,10 +6,11 @@
 //
 // The blocked trace codec's contract: every record stream round-trips
 // exactly, whatever mix of payload widths it holds and wherever its
-// blocks end; the block decode's 8-byte loads stay inside the sealed
-// buffer; batched decode matches single stepping; and replay — serial,
-// bounded, phased, or many concurrent cells sharing one buffer at any
-// worker count — is bit-identical to issuing the same stream live
+// blocks end; the decode's 8-byte loads stay inside the sealed buffer;
+// a bounded consume() visits exactly its budget and resumes where it
+// stopped, matching single stepping; and replay — serial, bounded,
+// phased, or many concurrent cells sharing one buffer at any worker
+// count — is bit-identical to issuing the same stream live
 // through read()/write()/tick(), and an observed replay delivers the
 // same events as the observed live run. This suite locks each of those
 // properties down with randomized streams and adversarial
@@ -268,7 +269,7 @@ TEST(TraceV2, PayloadWidthEdgesRoundTrip) {
 }
 
 TEST(TraceV2, OneBytePayloadAtTheEndStaysInsidePadding) {
-  // The block decode loads 8 bytes at every payload. When the last
+  // The decode loads 8 bytes at every payload. When the last
   // encoded byte of a sealed buffer is a 1-byte payload (its block has
   // no explicit sizes, so no extra lane follows), that load reaches 7
   // bytes past the stream — inside seal()'s padding. Under asan an
@@ -311,35 +312,83 @@ TEST(TraceV2, CompactnessHoldsOnPointerChase) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched decode.
+// consume(): the replay loop's decode.
 //===----------------------------------------------------------------------===//
 
-TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
-  // nextBatch must produce the same stream as next(), and a batch never
-  // crosses a block boundary (so replay batches align with decoded
-  // blocks after the first call).
+namespace {
+
+/// The whole view decoded one next() at a time.
+std::vector<TraceRecord> stepAll(TraceView View) {
+  std::vector<TraceRecord> Out;
+  TraceCursor Cursor(View);
+  TraceRecord R;
+  while (Cursor.next(R))
+    Out.push_back(R);
+  return Out;
+}
+
+void expectRecord(const TraceRecord &Expected, TraceRecord::Kind K,
+                  uint64_t Addr, uint64_t Arg) {
+  EXPECT_EQ(K, Expected.K);
+  EXPECT_EQ(Addr, Expected.Addr);
+  EXPECT_EQ(Arg, Expected.Arg);
+}
+
+} // namespace
+
+TEST(TraceV2, ConsumeVisitsExactlyMaxAndMatchesNext) {
+  // Every consume(Max) call visits min(Max, remaining) records, whatever
+  // block boundaries lie inside its range, and the calls together yield
+  // the stream next() yields.
   std::vector<RawRecord> Stream = randomStream(0xBA7C4, 1000);
   TraceBuffer Buf = recordAll(Stream);
+  std::vector<TraceRecord> Stepped = stepAll(Buf.view());
+  ASSERT_EQ(Stepped.size(), Stream.size());
 
-  for (size_t Max : {size_t(1), size_t(7), size_t(63), size_t(64),
-                     size_t(200)}) {
+  for (size_t Max : {size_t(0), size_t(1), size_t(7), size_t(63),
+                     size_t(64), size_t(65), size_t(200),
+                     Stream.size() + 5}) {
     SCOPED_TRACE("max " + std::to_string(Max));
     TraceCursor Cursor(Buf.view());
-    TraceRecord Batch[256];
     size_t Seen = 0;
-    size_t Got;
-    while ((Got = Cursor.nextBatch(Batch, Max)) != 0) {
-      ASSERT_LE(Got, std::min(Max, TraceBlockCap));
-      for (size_t I = 0; I < Got; ++I, ++Seen) {
-        SCOPED_TRACE("record " + std::to_string(Seen));
-        EXPECT_EQ(Batch[I].K, Stream[Seen].K);
-        if (Stream[Seen].K != TraceRecord::Kind::Tick) {
-          EXPECT_EQ(Batch[I].Addr, Stream[Seen].Addr);
-        }
-        EXPECT_EQ(Batch[I].Arg, Stream[Seen].Arg);
-      }
+    do {
+      size_t Expected = std::min(Max, Cursor.remaining());
+      size_t Visited = 0;
+      size_t Got = Cursor.consume(
+          Max, [&](TraceRecord::Kind K, uint64_t Addr, uint64_t Arg) {
+            ASSERT_LT(Seen, Stepped.size());
+            SCOPED_TRACE("record " + std::to_string(Seen));
+            expectRecord(Stepped[Seen++], K, Addr, Arg);
+            ++Visited;
+          });
+      EXPECT_EQ(Got, Expected);
+      EXPECT_EQ(Visited, Expected);
+      EXPECT_EQ(Cursor.remaining(), Stream.size() - Seen);
+    } while (Max != 0 && !Cursor.done());
+    EXPECT_EQ(Seen, Max == 0 ? 0 : Stream.size());
+  }
+}
+
+TEST(TraceV2, NextResumesWhereABoundedConsumeStopped) {
+  // A bounded consume may stop mid-block; next() continues from the
+  // following record, in the same block or the one after it.
+  std::vector<RawRecord> Stream = randomStream(0x5E5E, 200);
+  TraceBuffer Buf = recordAll(Stream);
+  std::vector<TraceRecord> Stepped = stepAll(Buf.view());
+  for (size_t Stop : {size_t(1), size_t(30), size_t(63), size_t(64),
+                      size_t(100), size_t(199)}) {
+    SCOPED_TRACE("stop " + std::to_string(Stop));
+    TraceCursor Cursor(Buf.view());
+    ASSERT_EQ(Cursor.consume(Stop, [](TraceRecord::Kind, uint64_t,
+                                      uint64_t) {}),
+              Stop);
+    TraceRecord R;
+    for (size_t I = Stop; I < Stepped.size(); ++I) {
+      SCOPED_TRACE("record " + std::to_string(I));
+      ASSERT_TRUE(Cursor.next(R));
+      expectRecord(Stepped[I], R.K, R.Addr, R.Arg);
     }
-    EXPECT_EQ(Seen, Stream.size());
+    EXPECT_FALSE(Cursor.next(R));
   }
 }
 
