@@ -379,8 +379,10 @@ int main(int Argc, char **Argv) {
     const uint64_t ProfileSearches = Full ? 200000 : 50000;
 
     obs::RegionRegistry Registry;
-    Registry.registerArena(RandomTree.storage(), "random binary tree");
-    Registry.registerArena(DfsTree.storage(), "depth-first binary tree");
+    Registry.registerRange(RandomTree.nodes(), RandomTree.storageBytes(),
+                           {"random binary tree", {}, {}});
+    Registry.registerRange(DfsTree.nodes(), DfsTree.storageBytes(),
+                           {"depth-first binary tree", {}, {}});
     if (const ColoredArena *A = Btree.arena())
       Registry.registerColoredArena(*A, "in-core B-tree");
     if (const ColoredArena *A = Ctree.arena())

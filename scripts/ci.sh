@@ -6,11 +6,11 @@
 # Builds the release and asan presets and runs the full test suite on
 # both, then builds the tsan preset and runs the thread-sensitive tests
 # (the SweepRunner/simulator suite) under ThreadSanitizer, runs the
-# layout lint, diffs fig7, fig10, the ccmorph ablations and fig5's
-# simulated tables across sweep thread counts, renders fig7's bench and
-# metrics artifacts through
-# cclstat, and runs each perfbench workload briefly to check that replay
-# still equals live simulation. Any failure aborts the script.
+# layout lint, diffs fig7, fig10, the ccmorph ablations, fig5's
+# simulated tables and fig6's VIS section across sweep thread counts,
+# renders fig7's bench and metrics artifacts through cclstat, and runs
+# each perfbench workload briefly to check that replay still equals live
+# simulation. Any failure aborts the script.
 #
 # Usage: scripts/ci.sh [--advisory] [jobs]
 #
@@ -64,10 +64,12 @@ scripts/lint.sh
 # many sweep workers ran its cells. fig7 (the ccmalloc figure), fig10
 # and the three ablations that sweep ccmorph over many K, p and profile
 # cells are diffed whole. fig5 is diffed without its host-timed table
-# and with ASLR off on both sides: its binary-tree slabs are only 4 KiB
-# aligned, so two of its simulated columns follow where the process
-# maps them (ROADMAP item 1). fig6's simulated columns still follow
-# host heap placement, so it is not checked yet.
+# and with ASLR off on both sides: its binary-tree node arrays are only
+# 4 KiB aligned, so two of its simulated columns follow where the
+# process maps them (ROADMAP item 1). fig6 is diffed from its VIS
+# section on, with ASLR on: every byte the BDD runs touch comes from
+# their own heap's 1 MiB slabs. Its RADIANCE section stays out: the
+# scene arrays are host vectors.
 DET_DIR="$(mktemp -d)"
 det_diff() {
   if ! diff "$DET_DIR/$1.1" "$DET_DIR/$1.4"; then
@@ -88,6 +90,13 @@ for threads in 1 4; do
   CCL_SWEEP_THREADS=$threads setarch "$(uname -m)" -R \
     "build-release/bench/$fig" |
     sed '/^Native nanoseconds per search/,/^$/d' > "$DET_DIR/$fig.$threads"
+done
+det_diff "$fig"
+fig=fig6_macrobenchmarks
+echo "=== [determinism] $fig VIS section at CCL_SWEEP_THREADS=1 vs 4 ==="
+for threads in 1 4; do
+  CCL_SWEEP_THREADS=$threads "build-release/bench/$fig" |
+    sed -n '/^VIS substitute/,$p' > "$DET_DIR/$fig.$threads"
 done
 det_diff "$fig"
 rm -rf "$DET_DIR"

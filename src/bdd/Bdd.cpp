@@ -18,8 +18,9 @@ using namespace ccl::bdd;
 BddManager::BddManager(unsigned NumVars, CcAllocator &Alloc,
                        sim::MemoryHierarchy *Hierarchy, bool UseNearHints)
     : NumVars(NumVars), Alloc(Alloc), Hierarchy(Hierarchy),
-      UseNearHints(UseNearHints), VarNodes(NumVars, nullptr),
-      NVarNodes(NumVars, nullptr) {
+      UseNearHints(UseNearHints),
+      Terminal(static_cast<BddNode *>(Alloc.ccmalloc(2 * sizeof(BddNode)))),
+      VarNodes(NumVars, nullptr), NVarNodes(NumVars, nullptr) {
   Terminal[0] = {TerminalVar, 0, nullptr, nullptr};
   Terminal[1] = {TerminalVar, 1, nullptr, nullptr};
 }

@@ -149,7 +149,9 @@ private:
   CcAllocator &Alloc;
   sim::MemoryHierarchy *Hierarchy;
   bool UseNearHints;
-  BddNode Terminal[2];
+  /// Zero and one, one chunk from Alloc: the simulator loads their
+  /// fields, so they must not live wherever the manager does (a stack).
+  BddNode *Terminal;
   /// Unique table: an external index from (Var, Low, High) to the
   /// canonical node; probes are charged as fixed manager overhead.
   std::unordered_map<UniqueKey, BddNode *, UniqueKeyHash> Unique;

@@ -21,13 +21,15 @@
 ///     static constexpr bool HasParent = true;
 ///     Quadtree *getKid(Quadtree *N, unsigned I) const { ... }
 ///     void setKid(Quadtree *N, unsigned I, Quadtree *Kid) const { ... }
-///     Quadtree *getParent(Quadtree *N) const { return N->Parent; }
 ///     void setParent(Quadtree *N, Quadtree *P) const { N->Parent = P; }
 ///   };
 ///
 ///   CcMorph<Quadtree, QuadAdapter> Morph(CacheParams::fromHierarchy(C));
 ///   Root = Morph.reorganize(Root);
 /// \endcode
+///
+/// An adapter with HasParent set defines setParent, and ccmorph rewrites
+/// every copied node's parent pointer through it; the others define none.
 ///
 /// Requirements (paper §3.1.1): homogeneous elements, no external
 /// pointers into the middle of the structure, and the programmer
@@ -76,8 +78,6 @@ struct MorphOptions {
   size_t NodesPerBlock = 0;
   /// Seed for LayoutScheme::Random.
   uint64_t Seed = 0x5eedULL;
-  /// Rewrite parent pointers too (requires Adapter::HasParent).
-  bool UpdateParents = false;
 };
 
 /// Statistics from the last reorganization.
@@ -160,7 +160,7 @@ public:
     metrics::ScopedSpan PassSpan("ccmorph.pass");
     auto Fresh = planForest(Roots, Options, Counts);
     copyNodes();
-    forwardEdges(Options.UpdateParents);
+    forwardEdges();
     return finishForest(Roots, std::move(Fresh));
   }
 
@@ -318,12 +318,12 @@ private:
     }
   }
 
-  /// Fixup sweep over the planned items: rewrite child (and optionally
+  /// Fixup sweep over the planned items: rewrite child (and HasParent
   /// parent) pointers. Every item names its parent's position, so the
   /// sweep is one linear walk over a flat array — no per-edge address
   /// lookup. Null kid slots keep the null copied from the source. The
   /// forest roots, which have no parent, are collected in order.
-  void forwardEdges(bool UpdateParents) {
+  void forwardEdges() {
     const auto &Items = Order.items();
     RootPositions.clear();
     for (size_t At = 0; At < Items.size(); ++At) {
@@ -336,10 +336,8 @@ private:
       Node *Kid = NewNodes[At];
       A.setKid(Parent, It.Slot, Kid);
       if constexpr (Adapter::HasParent)
-        if (UpdateParents)
-          A.setParent(Kid, Parent);
+        A.setParent(Kid, Parent);
     }
-    (void)UpdateParents;
   }
 
   /// Publishes the completed pass: new roots, arena swap, metrics.

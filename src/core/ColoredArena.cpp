@@ -15,15 +15,14 @@ ColoredArena::ColoredArena(const CacheParams &ParamsIn)
       FrameBytes(Params.CacheSets * Params.BlockBytes),
       HotBytes(Params.HotSets * Params.BlockBytes),
       FrameShift(static_cast<unsigned>(std::countr_zero(FrameBytes))),
-      Layout(Params, /*Color=*/true),
-      Backing(/*SlabBytes=*/FrameBytes, /*SlabAlign=*/FrameBytes) {
+      Layout(Params, /*Color=*/true) {
   assert(Params.isValid() && "invalid cache parameters");
   assert(FrameBytes >= 4096 && "cache too small to frame-align");
 }
 
 void ColoredArena::ensureFrame(size_t Index) {
   while (Frames.size() <= Index)
-    Frames.push_back(static_cast<char *>(Backing.allocateSlab(FrameBytes)));
+    Frames.push_back(allocateAligned(FrameBytes, FrameBytes));
 }
 
 uint64_t ColoredArena::setOf(const void *Ptr) const {

@@ -23,7 +23,7 @@
 
 #include "core/CacheParams.h"
 #include "core/OffsetLayout.h"
-#include "support/Arena.h"
+#include "support/Align.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -85,8 +85,8 @@ public:
   /// allocated frame: [FrameBase, FrameBase + HotBytes) are the frame's
   /// hot slots, the rest is cold. Used for telemetry region registration.
   template <typename Fn> void forEachFrame(Fn &&Callback) const {
-    for (const char *Frame : Frames)
-      Callback(Frame, FrameBytes, HotBytes);
+    for (const AlignedBuffer &Frame : Frames)
+      Callback(Frame.get(), FrameBytes, HotBytes);
   }
 
 private:
@@ -96,7 +96,7 @@ private:
     uint64_t Frame = Offset >> FrameShift;
     if (Frame >= Frames.size())
       ensureFrame(Frame);
-    return Frames[Frame] + (Offset & (FrameBytes - 1));
+    return Frames[Frame].get() + (Offset & (FrameBytes - 1));
   }
   void ensureFrame(size_t Index);
 
@@ -105,8 +105,7 @@ private:
   uint64_t HotBytes;   // HotSets * BlockBytes.
   unsigned FrameShift; // log2(FrameBytes).
   OffsetLayout Layout;
-  Arena Backing;
-  std::vector<char *> Frames;
+  std::vector<AlignedBuffer> Frames;
 };
 
 } // namespace ccl

@@ -23,8 +23,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace ccl;
@@ -89,21 +87,11 @@ CcHeap::CcHeap(HeapConfig ConfigIn) : Config(ConfigIn) {
   MSlabAcquires = metrics::cell(M.SlabAcquires);
 }
 
-CcHeap::~CcHeap() {
-  for (void *Slab : Slabs)
-    std::free(Slab);
-}
-
 CcHeap::PageInfo *CcHeap::newPage() {
   if (!SlabCursor || SlabCursor + Config.PageBytes > SlabEnd) {
-    void *Slab = std::aligned_alloc(SlabBytes, SlabBytes);
-    if (!Slab) {
-      std::fprintf(stderr, "ccl: heap out of memory\n");
-      std::abort();
-    }
-    Slabs.push_back(Slab);
+    Slabs.push_back(allocateAligned(SlabBytes, SlabBytes));
     metrics::bump(MSlabAcquires);
-    SlabCursor = static_cast<char *>(Slab);
+    SlabCursor = Slabs.back().get();
     SlabEnd = SlabCursor + SlabBytes;
   }
   char *Memory = SlabCursor;
@@ -194,7 +182,7 @@ int64_t CcHeap::findEmptyRun(const PageInfo &Page, uint32_t RunBlocks) const {
 }
 
 void *CcHeap::bumpAllocate(PageInfo *&Cursor, size_t Rounded,
-                           size_t Requested, bool EmptyBlockOnly) {
+                           bool EmptyBlockOnly) {
   size_t Need = HeaderBytes + Rounded;
   if (!Cursor)
     Cursor = newPage();
@@ -210,13 +198,13 @@ void *CcHeap::bumpAllocate(PageInfo *&Cursor, size_t Rounded,
     }
     if (Idx >= 0) {
       Cursor->ScanHint = uint32_t(Idx);
-      return carve(*Cursor, uint32_t(Idx), Rounded, Requested);
+      return carve(*Cursor, uint32_t(Idx), Rounded);
     }
     Cursor = newPage();
   }
 }
 
-void *CcHeap::allocateLarge(size_t Rounded, size_t Requested) {
+void *CcHeap::allocateLarge(size_t Rounded) {
   size_t Need = HeaderBytes + Rounded;
   assert(Need <= Config.PageBytes &&
          "CcHeap serves chunks up to one page; allocate bulk arrays "
@@ -249,7 +237,6 @@ void *CcHeap::allocateLarge(size_t Rounded, size_t Requested) {
   Header->Size = static_cast<uint32_t>(Rounded);
   Header->Magic = HeaderMagic;
   Stats.BytesLive += Need;
-  (void)Requested;
   return Chunk + HeaderBytes;
 }
 
@@ -313,15 +300,15 @@ void *CcHeap::popFreeList(size_t Rounded, const PageInfo *PageFilter) {
   return Chunk.Payload;
 }
 
-void *CcHeap::allocateSlow(size_t Rounded, size_t Requested) {
+void *CcHeap::allocateSlow(size_t Rounded) {
   metrics::bump(MAllocSlow);
   // Recycle an exact-size chunk if one is free.
   if (void *Reused = popFreeList(Rounded, /*PageFilter=*/nullptr))
     return Reused;
 
   if (HeaderBytes + Rounded > Config.BlockBytes)
-    return allocateLarge(Rounded, Requested);
-  return bumpAllocate(PlainCursor, Rounded, Requested);
+    return allocateLarge(Rounded);
+  return bumpAllocate(PlainCursor, Rounded);
 }
 
 int64_t CcHeap::findBlock(const PageInfo &Page, uint32_t NearBlock,
@@ -374,8 +361,7 @@ int64_t CcHeap::findBlock(const PageInfo &Page, uint32_t NearBlock,
 }
 
 void *CcHeap::allocateNearSlow(PageInfo &Page, uint32_t NearBlock,
-                               size_t Rounded, size_t Requested,
-                               CcStrategy Strategy) {
+                               size_t Rounded, CcStrategy Strategy) {
   metrics::bump(MNearSlow);
   // Fallback: same page, block chosen by strategy. Same-page placement
   // keeps the working set small and cannot conflict in the cache with
@@ -383,7 +369,7 @@ void *CcHeap::allocateNearSlow(PageInfo &Page, uint32_t NearBlock,
   int64_t BlockIdx = findBlock(Page, NearBlock, Rounded, Strategy);
   if (BlockIdx >= 0) {
     ++Stats.SamePage;
-    return carve(Page, static_cast<uint32_t>(BlockIdx), Rounded, Requested);
+    return carve(Page, static_cast<uint32_t>(BlockIdx), Rounded);
   }
 
   // Page full: recycle a freed chunk on the hint's page if one exists
@@ -403,10 +389,9 @@ void *CcHeap::allocateNearSlow(PageInfo &Page, uint32_t NearBlock,
     auto [PoolPage, PoolIdx] = FreeBlockPool.back();
     FreeBlockPool.pop_back();
     if (PoolPage->Meta[PoolIdx].Used == 0)
-      return carve(*PoolPage, PoolIdx, Rounded, Requested);
+      return carve(*PoolPage, PoolIdx, Rounded);
   }
-  return bumpAllocate(SpillCursor, Rounded, Requested,
-                      /*EmptyBlockOnly=*/true);
+  return bumpAllocate(SpillCursor, Rounded, /*EmptyBlockOnly=*/true);
 }
 
 void CcHeap::reclaimBlocks(PageInfo &Page, uint32_t BlockIdx, size_t Need) {

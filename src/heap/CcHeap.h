@@ -100,8 +100,6 @@ struct HeapStats {
 class CcHeap {
 public:
   explicit CcHeap(HeapConfig Config = HeapConfig());
-  /// Frees every slab the heap drew.
-  ~CcHeap();
 
   CcHeap(const CcHeap &) = delete;
   CcHeap &operator=(const CcHeap &) = delete;
@@ -137,7 +135,7 @@ public:
           uint32_t Idx = Page.ScanHint;
           if (Page.Meta[Idx].Used + Need <= Config.BlockBytes) {
             metrics::bump(MAllocFast);
-            return carve(Page, Idx, Rounded, Size);
+            return carve(Page, Idx, Rounded);
           }
           // Sequential fill: the hint block just filled up, the next
           // block is the scan's first candidate (no earlier FitBits bit
@@ -147,7 +145,7 @@ public:
               Page.Meta[NextIdx].Used + Need <= Config.BlockBytes) {
             Page.ScanHint = NextIdx;
             metrics::bump(MAllocFast);
-            return carve(Page, NextIdx, Rounded, Size);
+            return carve(Page, NextIdx, Rounded);
           }
         }
       } else if (void *Reused = popFreeListFast(Bin, Need)) {
@@ -156,7 +154,7 @@ public:
         return Reused;
       }
     }
-    return allocateSlow(Rounded, Size);
+    return allocateSlow(Rounded);
   }
 
   /// Cache-conscious allocation: places the new object in the same L2
@@ -177,14 +175,14 @@ public:
     Stats.BytesRequested += Size;
     size_t Need = HeaderBytes + Rounded;
     if (Need > Config.BlockBytes)
-      return allocateLarge(Rounded, Size);
+      return allocateLarge(Rounded);
     uint32_t NearBlock = static_cast<uint32_t>(
         (addrOf(Near) - addrOf(Page->Base)) >> BlockShift);
     // Primary goal: same cache block as the hint.
     if (Page->Meta[NearBlock].Used + Need <= Config.BlockBytes) {
       ++Stats.SameBlock;
       metrics::bump(MNearFast);
-      return carve(*Page, NearBlock, Rounded, Size);
+      return carve(*Page, NearBlock, Rounded);
     }
     // Closest-strategy distance-1 shortcut, the common case when a chain
     // streams down a page: findBlock() visits candidates by distance
@@ -197,17 +195,17 @@ public:
         if (Page->Meta[NearBlock - 1].Used + Need <= Config.BlockBytes) {
           ++Stats.SamePage;
           metrics::bump(MNearFast);
-          return carve(*Page, NearBlock - 1, Rounded, Size);
+          return carve(*Page, NearBlock - 1, Rounded);
         }
       } else if (NearBlock + 1 < BlocksPerPage &&
                  testBit(Page->FitBits, NearBlock + 1) &&
                  Page->Meta[NearBlock + 1].Used + Need <= Config.BlockBytes) {
         ++Stats.SamePage;
         metrics::bump(MNearFast);
-        return carve(*Page, NearBlock + 1, Rounded, Size);
+        return carve(*Page, NearBlock + 1, Rounded);
       }
     }
-    return allocateNearSlow(*Page, NearBlock, Rounded, Size, Strategy);
+    return allocateNearSlow(*Page, NearBlock, Rounded, Strategy);
   }
 
   /// Returns the chunk to the heap. \p Ptr must come from this heap
@@ -355,9 +353,7 @@ private:
     return Found ? reinterpret_cast<PageInfo *>(*Found) : nullptr;
   }
   /// Carves a chunk of \p Rounded bytes at block \p BlockIdx of \p Page.
-  void *carve(PageInfo &Page, uint32_t BlockIdx, size_t Rounded,
-              size_t Requested) {
-    (void)Requested;
+  void *carve(PageInfo &Page, uint32_t BlockIdx, size_t Rounded) {
     size_t Need = HeaderBytes + Rounded;
     assert(BlockIdx < BlocksPerPage && "block index out of range");
     BlockMeta &M = Page.Meta[BlockIdx];
@@ -406,11 +402,11 @@ private:
   }
   /// The allocate() continuation once the inline fast path misses:
   /// free-list recycle, the large-chunk path, or a full bump scan.
-  void *allocateSlow(size_t Rounded, size_t Requested);
+  void *allocateSlow(size_t Rounded);
   /// The allocateNear() continuation once the hinted block is full:
   /// strategy search, same-page recycle, then the spill path.
   void *allocateNearSlow(PageInfo &Page, uint32_t NearBlock, size_t Rounded,
-                         size_t Requested, CcStrategy Strategy);
+                         CcStrategy Strategy);
   /// Reclaims the dead block run starting at \p BlockIdx (large chunks
   /// span several blocks) and invalidates its free-list entries.
   void reclaimBlocks(PageInfo &Page, uint32_t BlockIdx, size_t Need);
@@ -418,14 +414,14 @@ private:
   /// needed. When \p EmptyBlockOnly is set, only fully-empty blocks are
   /// used (the near-spill path: the block's remainder stays reserved for
   /// the spilled chain's future co-locations, not for the spill stream).
-  void *bumpAllocate(PageInfo *&Cursor, size_t Rounded, size_t Requested,
+  void *bumpAllocate(PageInfo *&Cursor, size_t Rounded,
                      bool EmptyBlockOnly = false);
   /// Finds a block in \p Page with \p Rounded free bytes per \p Strategy,
   /// or a negative value if none fits.
   int64_t findBlock(const PageInfo &Page, uint32_t NearBlock, size_t Rounded,
                     CcStrategy Strategy) const;
   /// Allocates a run of fully-empty blocks for oversized chunks.
-  void *allocateLarge(size_t Rounded, size_t Requested);
+  void *allocateLarge(size_t Rounded);
   size_t roundSize(size_t Size) const {
     if (Size == 0)
       Size = 1;
@@ -483,9 +479,9 @@ private:
   /// Reclaimed blocks (page, block index) available for spill
   /// allocations; entries are validated against Used == 0 when popped.
   std::vector<std::pair<PageInfo *, uint32_t>> FreeBlockPool;
-  /// Every slab drawn so far, freed by the destructor; newPage() carves
-  /// pages from the last one between SlabCursor and SlabEnd.
-  std::vector<void *> Slabs;
+  /// Every slab drawn so far; newPage() carves pages from the last one
+  /// between SlabCursor and SlabEnd.
+  std::vector<AlignedBuffer> Slabs;
   char *SlabCursor = nullptr;
   char *SlabEnd = nullptr;
 

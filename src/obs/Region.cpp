@@ -8,7 +8,6 @@
 
 #include "core/ColoredArena.h"
 #include "heap/CcHeap.h"
-#include "support/Arena.h"
 
 #include <algorithm>
 #include <cassert>
@@ -76,14 +75,6 @@ void RegionRegistry::clear() {
   Regions.resize(1);
   Ranges.clear();
   LastRange = 0;
-}
-
-uint32_t RegionRegistry::registerArena(const Arena &Storage, std::string Name,
-                                       std::string CallSite) {
-  uint32_t Id = define(RegionInfo{std::move(Name), {}, std::move(CallSite)});
-  Storage.forEachSlab(
-      [&](const void *Base, size_t Bytes) { addRange(Base, Bytes, Id); });
-  return Id;
 }
 
 uint32_t RegionRegistry::registerColoredArena(const ColoredArena &Storage,

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Maps simulated virtual addresses back to the structure that owns them.
-/// Allocators register the address ranges they hand out under a label
+/// Structures register the address ranges they own under a label
 /// (structure name, optional call site, optional color class), and the
 /// attribution sinks resolve every access event to its owner — the
 /// missing half of a profiler: the simulator knows *that* an access
@@ -27,7 +27,6 @@
 #include <vector>
 
 namespace ccl {
-class Arena;
 class ColoredArena;
 namespace heap {
 class CcHeap;
@@ -49,7 +48,7 @@ struct RegionInfo {
 ///
 /// resolve() is on the observed hot path; ranges are kept sorted for
 /// binary search and the last hit is cached (structure traversals have
-/// strong range locality). Registration is rare (per page/frame/slab)
+/// strong range locality). Registration is rare (per page/frame/array)
 /// and may interleave with resolution.
 class RegionRegistry {
 public:
@@ -101,12 +100,8 @@ public:
 
   //===--------------------------------------------------------------===//
   // Allocator registration helpers. Each is idempotent: call again after
-  // the allocator grew to pick up new pages/frames/slabs.
+  // the allocator grew to pick up new pages/frames.
   //===--------------------------------------------------------------===//
-
-  /// Registers every slab of a bump arena under \p Name.
-  uint32_t registerArena(const Arena &Storage, std::string Name,
-                         std::string CallSite = {});
 
   /// Registers a colored arena's frames as two regions: "<Name>" with
   /// color class "hot" for the hot slots and "cold" for the rest.

@@ -58,7 +58,6 @@ struct CellAdapter {
   void setKid(ListCell *N, unsigned, ListCell *Kid) const {
     N->Forward = Kid;
   }
-  ListCell *getParent(ListCell *N) const { return N->Back; }
   void setParent(ListCell *N, ListCell *P) const { N->Back = P; }
 };
 
@@ -290,9 +289,8 @@ private:
     if (Roots.empty())
       return;
 
-    MorphOptions Options = morphOptionsFor(V);
-    Options.UpdateParents = true;
-    std::vector<ListCell *> NewRoots = Morph.reorganizeForest(Roots, Options);
+    std::vector<ListCell *> NewRoots =
+        Morph.reorganizeForest(Roots, morphOptionsFor(V));
     A.tick(Morph.stats().NodeCount * MorphPerNodeTicks);
 
     for (size_t I = 0; I < Lists.size(); ++I) {

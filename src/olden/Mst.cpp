@@ -38,8 +38,6 @@ struct EntryAdapter {
   void setKid(HashEntry *N, unsigned, HashEntry *Kid) const {
     N->Next = Kid;
   }
-  HashEntry *getParent(HashEntry *) const { return nullptr; }
-  void setParent(HashEntry *, HashEntry *) const {}
 };
 
 constexpr uint32_t Infinity = std::numeric_limits<uint32_t>::max();

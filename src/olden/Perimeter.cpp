@@ -38,7 +38,6 @@ struct QuadAdapter {
   void setKid(QuadNode *N, unsigned I, QuadNode *Kid) const {
     N->Kids[I] = Kid;
   }
-  QuadNode *getParent(QuadNode *N) const { return N->Parent; }
   void setParent(QuadNode *N, QuadNode *P) const { N->Parent = P; }
 };
 
@@ -178,9 +177,7 @@ public:
     QuadNode *Root = buildTree(nullptr, NW, 0, 0, Dim);
 
     if (usesCcMorph(V)) {
-      MorphOptions Options = morphOptionsFor(V);
-      Options.UpdateParents = true;
-      Root = Morph.reorganize(Root, Options);
+      Root = Morph.reorganize(Root, morphOptionsFor(V));
       A.tick(Morph.stats().NodeCount * MorphPerNodeTicks);
     }
 

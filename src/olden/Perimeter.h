@@ -11,7 +11,7 @@
 /// (preorder, the dominant traversal order) and then traversed with
 /// Samet's neighbor-finding algorithm, which walks *up* parent pointers
 /// and back down — the reason perimeter nodes carry parent pointers and
-/// the reason ccmorph must rewrite them (UpdateParents).
+/// the reason ccmorph must rewrite them (the adapter's HasParent).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -30,8 +30,6 @@ struct TreeAdapter {
   void setKid(TreeNode *N, unsigned I, TreeNode *Kid) const {
     (I == 0 ? N->Left : N->Right) = Kid;
   }
-  TreeNode *getParent(TreeNode *) const { return nullptr; }
-  void setParent(TreeNode *, TreeNode *) const {}
 };
 
 /// Preorder recursive construction — Olden's creation order, which is

@@ -24,13 +24,13 @@
 #include "core/ClusterOrder.h"
 #include "core/OffsetLayout.h"
 #include "sim/AccessPolicy.h"
+#include "support/Align.h"
 #include "support/Random.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 using namespace ccl;
@@ -266,13 +266,7 @@ private:
     if (Layout != RtLayout::Base)
       A.tick(Groups.size() * 10);
 
-    RegionBytes = Plan.regionBytes();
-    Base = static_cast<char *>(
-        std::aligned_alloc(Plan.regionAlign(Params), RegionBytes));
-    if (!Base) {
-      std::fprintf(stderr, "ccl: octree region allocation failed\n");
-      std::abort();
-    }
+    Base = allocateAligned(Plan.regionAlign(Params), Plan.regionBytes());
 
     // Fill entries: +childGroupOffset/32, -(leafRun+1), or 0.
     auto entryFor = [&](int64_t TempIdx) -> int32_t {
@@ -285,7 +279,8 @@ private:
       return -static_cast<int32_t>(LeafRuns.size());
     };
     for (size_t G = 0; G < Groups.size(); ++G) {
-      auto *Entries = reinterpret_cast<int32_t *>(Base + GroupOffset[G]);
+      auto *Entries =
+          reinterpret_cast<int32_t *>(Base.get() + GroupOffset[G]);
       for (unsigned I = 0; I < 8; ++I)
         Entries[I] = entryFor(Groups[G][I]);
       A.touch(Entries, GroupBytes); // Construction writes.
@@ -356,7 +351,7 @@ private:
                           (PY >= C.Y + Half ? 2u : 0u) |
                           (PZ >= C.Z + Half ? 4u : 0u);
         const auto *Entries =
-            reinterpret_cast<const int32_t *>(Base + Group);
+            reinterpret_cast<const int32_t *>(Base.get() + Group);
         E = A.load(&Entries[Octant]);
         A.tick(6);
         C = kidCube(C, Octant);
@@ -386,13 +381,9 @@ private:
   std::vector<TempNode> Temp;
   std::vector<std::array<int64_t, 8>> Groups;
   std::vector<LeafRun> LeafRuns;
-  char *Base = nullptr;
+  AlignedBuffer Base;
   int64_t RootGroup = -1;
   LeafRun RootLeaf{0, 0};
-  uint64_t RegionBytes = 0;
-
-public:
-  ~RaytraceRun() { std::free(Base); }
 };
 
 } // namespace

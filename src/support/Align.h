@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Power-of-two alignment arithmetic used throughout the heap, arena, and
-/// cache-simulator code. All helpers assert that the alignment is a power
-/// of two.
+/// Power-of-two alignment arithmetic used throughout the heap, layout and
+/// cache-simulator code, and allocateAligned, the one source of memory
+/// whose address the repo picks. All helpers assert that the alignment is
+/// a power of two.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 
 namespace ccl {
 
@@ -65,6 +69,23 @@ constexpr uint64_t nextPowerOf2(uint64_t Value) {
 /// Reinterprets a pointer as an integer address.
 inline uint64_t addrOf(const void *Ptr) {
   return reinterpret_cast<uint64_t>(Ptr);
+}
+
+/// Frees allocateAligned's memory.
+struct FreeDeleter {
+  void operator()(void *Ptr) const { std::free(Ptr); }
+};
+using AlignedBuffer = std::unique_ptr<char, FreeDeleter>;
+
+/// \p Bytes, rounded up to a multiple of \p Align, at an address aligned
+/// to \p Align. Never null: running out of memory aborts.
+inline AlignedBuffer allocateAligned(uint64_t Align, uint64_t Bytes) {
+  void *Memory = std::aligned_alloc(Align, alignUp(Bytes, Align));
+  if (!Memory) {
+    std::fprintf(stderr, "ccl: out of memory (%zu bytes)\n", size_t(Bytes));
+    std::abort();
+  }
+  return AlignedBuffer(static_cast<char *>(Memory));
 }
 
 } // namespace ccl

@@ -50,8 +50,6 @@ struct BTreeAdapter {
   void setKid(BTreeNode *N, unsigned I, BTreeNode *Kid) const {
     N->Kids[I] = Kid;
   }
-  BTreeNode *getParent(BTreeNode *) const { return nullptr; }
-  void setParent(BTreeNode *, BTreeNode *) const {}
 };
 
 /// Bulk-loaded, search-optimized in-core B-tree. Matching the paper's

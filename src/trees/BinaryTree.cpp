@@ -79,8 +79,8 @@ BinarySearchTree BinarySearchTree::build(uint64_t NumNodes,
   assert(NumNodes > 0 && "tree must be nonempty");
   BinarySearchTree Tree;
   Tree.NumNodes = NumNodes;
-  auto *Nodes = static_cast<BstNode *>(
-      Tree.Storage.allocate(NumNodes * sizeof(BstNode), alignof(BstNode)));
+  Tree.Storage = allocateAligned(4096, Tree.storageBytes());
+  auto *Nodes = reinterpret_cast<BstNode *>(Tree.Storage.get());
 
   switch (Scheme) {
   case LayoutScheme::DepthFirst: {

@@ -20,7 +20,7 @@
 #define CCL_TREES_BINARYTREE_H
 
 #include "core/CcMorph.h"
-#include "support/Arena.h"
+#include "support/Align.h"
 #include "support/FlatMap.h"
 
 #include <cstdint>
@@ -47,8 +47,6 @@ struct BstAdapter {
   void setKid(BstNode *N, unsigned I, BstNode *Kid) const {
     (I == 0 ? N->Left : N->Right) = Kid;
   }
-  BstNode *getParent(BstNode *) const { return nullptr; }
-  void setParent(BstNode *, BstNode *) const {}
 };
 
 /// Searches the subtree rooted at \p Root for \p Key through access
@@ -119,13 +117,17 @@ public:
   /// Bytes consumed by node storage.
   uint64_t storageBytes() const { return NumNodes * sizeof(BstNode); }
 
-  /// Backing arena of the nodes (telemetry region registration).
-  const Arena &storage() const { return Storage; }
+  /// The node array, storageBytes() long.
+  const BstNode *nodes() const {
+    return reinterpret_cast<const BstNode *>(Storage.get());
+  }
 
 private:
   BinarySearchTree() = default;
 
-  Arena Storage{/*SlabBytes=*/1 << 22, /*SlabAlign=*/4096};
+  /// Aligned to 4 KiB only: its offset inside a simulated 1 MiB unit
+  /// follows where the host maps it.
+  AlignedBuffer Storage;
   BstNode *Root = nullptr;
   uint64_t NumNodes = 0;
 };

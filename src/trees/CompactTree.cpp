@@ -14,8 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
@@ -44,15 +42,6 @@ int64_t buildTemp(std::vector<TempNode> &Nodes, uint64_t Lo, uint64_t Hi) {
   Nodes[Index].Left = Left;
   Nodes[Index].Right = Right;
   return Index;
-}
-
-char *allocRegion(uint64_t Bytes, uint64_t Align) {
-  void *Memory = std::aligned_alloc(Align, Bytes);
-  if (!Memory) {
-    std::fprintf(stderr, "ccl: compact tree region allocation failed\n");
-    std::abort();
-  }
-  return static_cast<char *>(Memory);
 }
 
 } // namespace
@@ -109,7 +98,7 @@ CompactTree CompactTree::build(uint64_t NumKeys, const CacheParams &Params,
   }
 
   Tree.RegionBytes = Layout.regionBytes();
-  Tree.Base.reset(allocRegion(Tree.RegionBytes, Layout.regionAlign(Params)));
+  Tree.Base = allocateAligned(Layout.regionAlign(Params), Tree.RegionBytes);
 
   for (size_t I = 0; I < Temp.size(); ++I) {
     auto *N = reinterpret_cast<CompactBstNode *>(Tree.Base.get() +
@@ -220,8 +209,7 @@ CompactBTree CompactBTree::buildFromSorted(
   CompactBTree Tree;
   Tree.NumNodes = Pool.size();
   Tree.Height = Height;
-  Tree.Base.reset(
-      allocRegion(Layout.regionBytes(), Layout.regionAlign(Params)));
+  Tree.Base = allocateAligned(Layout.regionAlign(Params), Layout.regionBytes());
   for (size_t I = 0; I < Pool.size(); ++I) {
     auto *N = reinterpret_cast<CompactBTreeNode *>(Tree.Base.get() +
                                                    Offsets[I]);

@@ -27,9 +27,9 @@
 
 #include "core/CacheParams.h"
 #include "core/ClusterOrder.h"
+#include "support/Align.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace ccl::trees {
@@ -86,10 +86,7 @@ public:
 private:
   CompactTree() = default;
 
-  struct Deleter {
-    void operator()(char *Ptr) const { std::free(Ptr); }
-  };
-  std::unique_ptr<char, Deleter> Base;
+  AlignedBuffer Base;
   uint32_t RootOffset = CompactNull;
   uint64_t NumNodes = 0;
   uint64_t RegionBytes = 0;
@@ -157,10 +154,7 @@ public:
 private:
   CompactBTree() = default;
 
-  struct Deleter {
-    void operator()(char *Ptr) const { std::free(Ptr); }
-  };
-  std::unique_ptr<char, Deleter> Base;
+  AlignedBuffer Base;
   uint32_t RootOffset = CompactNull;
   uint64_t NumNodes = 0;
   unsigned Height = 0;

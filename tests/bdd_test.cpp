@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace ccl;
 using namespace ccl::bdd;
 
@@ -21,6 +23,16 @@ struct Managed {
       : Alloc(), Mgr(Vars, Alloc, nullptr, Hints) {}
 };
 
+/// 5-queens plus random evaluations on the E5000 model; every terminal
+/// reached is loaded through the simulator.
+sim::SimStats simulatedQueens() {
+  sim::MemoryHierarchy Hierarchy(sim::HierarchyConfig::ultraSparcE5000());
+  CcAllocator Alloc;
+  BddManager Mgr(25, Alloc, &Hierarchy);
+  evalRandom(Mgr, buildNQueens(Mgr, 5), 5000, 11);
+  return Hierarchy.stats();
+}
+
 } // namespace
 
 TEST(Bdd, TerminalsAreDistinctAndTerminal) {
@@ -28,6 +40,12 @@ TEST(Bdd, TerminalsAreDistinctAndTerminal) {
   EXPECT_NE(M.Mgr.zero(), M.Mgr.one());
   EXPECT_TRUE(M.Mgr.isTerminal(M.Mgr.zero()));
   EXPECT_TRUE(M.Mgr.isTerminal(M.Mgr.one()));
+}
+
+TEST(Bdd, TerminalsComeFromTheAllocator) {
+  Managed M(4);
+  EXPECT_TRUE(M.Alloc.heap().owns(M.Mgr.zero()));
+  EXPECT_TRUE(M.Alloc.heap().owns(M.Mgr.one()));
 }
 
 TEST(Bdd, VarEvaluatesToItsBit) {
@@ -224,4 +242,19 @@ TEST(Bdd, StrategiesProduceSameFunctions) {
     BddNode *F = buildNQueens(Mgr, 4);
     EXPECT_DOUBLE_EQ(Mgr.satCount(F), 2.0);
   }
+}
+
+TEST(Bdd, SimulatedRunIsTheSameOnAnyThread) {
+  // Nothing the simulator sees may live on the calling thread's stack.
+  sim::SimStats Main = simulatedQueens();
+  sim::SimStats Worker;
+  std::thread T([&] { Worker = simulatedQueens(); });
+  T.join();
+  EXPECT_GT(Main.memoryReferences(), 0u);
+  EXPECT_EQ(Main.Reads, Worker.Reads);
+  EXPECT_EQ(Main.Writes, Worker.Writes);
+  EXPECT_EQ(Main.L1Misses, Worker.L1Misses);
+  EXPECT_EQ(Main.L2Misses, Worker.L2Misses);
+  EXPECT_EQ(Main.TlbMisses, Worker.TlbMisses);
+  EXPECT_EQ(Main.totalCycles(), Worker.totalCycles());
 }

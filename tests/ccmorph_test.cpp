@@ -52,7 +52,6 @@ struct CellAdapter {
   static constexpr bool HasParent = true;
   Cell *getKid(Cell *N, unsigned) const { return N->Next; }
   void setKid(Cell *N, unsigned, Cell *Kid) const { N->Next = Kid; }
-  Cell *getParent(Cell *N) const { return N->Prev; }
   void setParent(Cell *N, Cell *P) const { N->Prev = P; }
 };
 
@@ -202,9 +201,7 @@ TEST(CcMorph, ForestSharedArena) {
   }
 
   CcMorph<Cell, CellAdapter> Morph(smallParams());
-  MorphOptions Options;
-  Options.UpdateParents = true;
-  std::vector<Cell *> NewRoots = Morph.reorganizeForest(Roots, Options);
+  std::vector<Cell *> NewRoots = Morph.reorganizeForest(Roots);
   ASSERT_EQ(NewRoots.size(), 3u);
   EXPECT_EQ(Morph.stats().NodeCount, 30u);
 

@@ -21,7 +21,7 @@
 #include "obs/Region.h"
 #include "obs/TraceReader.h"
 #include "sim/MemoryHierarchy.h"
-#include "support/Arena.h"
+#include "support/Align.h"
 
 #include <gtest/gtest.h>
 
@@ -124,24 +124,6 @@ TEST(RegionRegistry, ResolvesRangeBoundaries) {
   EXPECT_EQ(Registry.regionCount(), 1u);
   EXPECT_EQ(Registry.rangeCount(), 0u);
   EXPECT_EQ(Registry.resolve(0x1000), RegionRegistry::Unknown);
-}
-
-TEST(RegionRegistry, RegistersArenaSlabsIdempotently) {
-  Arena Storage(/*SlabBytes=*/4096, /*SlabAlign=*/4096);
-  void *P = Storage.allocate(128);
-  RegionRegistry Registry;
-  uint32_t Id = Registry.registerArena(Storage, "nodes");
-  EXPECT_EQ(Registry.resolve(vaddr(P)), Id);
-
-  // Grow into a second slab, then re-register: same id, new slab covered,
-  // no duplicate ranges for the old one.
-  size_t RangesBefore = Registry.rangeCount();
-  void *Q = Storage.allocate(6000);
-  EXPECT_EQ(Registry.resolve(vaddr(Q)), RegionRegistry::Unknown);
-  EXPECT_EQ(Registry.registerArena(Storage, "nodes"), Id);
-  EXPECT_EQ(Registry.resolve(vaddr(Q)), Id);
-  EXPECT_EQ(Registry.resolve(vaddr(P)), Id);
-  EXPECT_GT(Registry.rangeCount(), RangesBefore);
 }
 
 TEST(RegionRegistry, RegistersColoredArenaHotAndCold) {
@@ -254,10 +236,11 @@ TEST(Attribution, BlockUtilizationTracksResidencies) {
 }
 
 TEST(Attribution, LiveSinkReconcilesWithSimStats) {
-  Arena Storage(1 << 16, 1 << 16);
-  char *Buffer = static_cast<char *>(Storage.allocate(16384, 16));
+  AlignedBuffer Storage = allocateAligned(1 << 16, 1 << 16);
+  char *Buffer = Storage.get();
   RegionRegistry Registry;
-  uint32_t Region = Registry.registerArena(Storage, "buffer");
+  uint32_t Region =
+      Registry.registerRange(Buffer, 1 << 16, {"buffer", {}, {}});
 
   sim::HierarchyConfig Config = sim::HierarchyConfig::ultraSparcE5000();
   sim::MemoryHierarchy M(Config);
@@ -362,10 +345,10 @@ TEST(TraceSink, SamplesEveryNthEvent) {
 }
 
 TEST(TraceExport, JsonlRoundTripRebuildsIdenticalProfile) {
-  Arena Storage(1 << 16, 1 << 16);
-  char *Buffer = static_cast<char *>(Storage.allocate(8192, 16));
+  AlignedBuffer Storage = allocateAligned(1 << 16, 1 << 16);
+  char *Buffer = Storage.get();
   RegionRegistry Registry;
-  Registry.registerArena(Storage, "tree");
+  Registry.registerRange(Buffer, 1 << 16, {"tree", {}, {}});
 
   sim::HierarchyConfig Config = sim::HierarchyConfig::ultraSparcE5000();
   Config.Prefetch.NextLineDegree = 1; // exercise hw-prefetch records too

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Align.h"
-#include "support/Arena.h"
 #include "support/FlatMap.h"
 #include "support/Random.h"
 #include "support/Stats.h"
@@ -87,6 +86,16 @@ TEST_P(AlignSweep, AlignUpIsLeastUpperMultiple) {
 
 INSTANTIATE_TEST_SUITE_P(Alignments, AlignSweep,
                          ::testing::Values(1, 2, 8, 16, 64, 4096, 65536));
+
+TEST(Align, AllocateAlignedRoundsUpAndAligns) {
+  for (uint64_t Align : {8ULL, 64ULL, 4096ULL, 1ULL << 16}) {
+    AlignedBuffer Buffer = allocateAligned(Align, 100);
+    ASSERT_NE(Buffer, nullptr);
+    EXPECT_TRUE(isAligned(addrOf(Buffer.get()), Align)) << "align " << Align;
+    // The whole rounded-up extent is the caller's.
+    std::fill(Buffer.get(), Buffer.get() + alignUp(100, Align), 'x');
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Random
@@ -248,84 +257,6 @@ TEST(Timer, RestartResets) {
   uint64_t Before = T.elapsedNs();
   T.restart();
   EXPECT_LE(T.elapsedNs(), Before + 1000000);
-}
-
-//===----------------------------------------------------------------------===//
-// Arena
-//===----------------------------------------------------------------------===//
-
-TEST(Arena, BasicAllocation) {
-  Arena A(1 << 16, 1 << 16);
-  void *P1 = A.allocate(100);
-  void *P2 = A.allocate(100);
-  ASSERT_NE(P1, nullptr);
-  ASSERT_NE(P2, nullptr);
-  EXPECT_NE(P1, P2);
-  EXPECT_GE(A.bytesAllocated(), 200u);
-}
-
-TEST(Arena, RespectsAlignment) {
-  Arena A(1 << 16, 1 << 16);
-  for (size_t Align : {8ULL, 16ULL, 64ULL, 256ULL, 4096ULL}) {
-    void *P = A.allocate(10, Align);
-    EXPECT_TRUE(isAligned(addrOf(P), Align)) << "align " << Align;
-  }
-}
-
-TEST(Arena, SlabBaseAligned) {
-  Arena A(1 << 16, 1 << 16);
-  void *Slab = A.allocateSlab(1000);
-  EXPECT_TRUE(isAligned(addrOf(Slab), 1 << 16));
-}
-
-TEST(Arena, AllocationsDoNotOverlap) {
-  Arena A(1 << 14, 1 << 14);
-  std::vector<std::pair<uint64_t, uint64_t>> Ranges;
-  Xoshiro256 Rng(5);
-  for (int I = 0; I < 500; ++I) {
-    size_t Bytes = 1 + Rng.nextBounded(300);
-    auto *P = static_cast<char *>(A.allocate(Bytes));
-    std::fill(P, P + Bytes, char(I)); // Must be writable.
-    Ranges.push_back({addrOf(P), addrOf(P) + Bytes});
-  }
-  std::sort(Ranges.begin(), Ranges.end());
-  for (size_t I = 1; I < Ranges.size(); ++I)
-    EXPECT_LE(Ranges[I - 1].second, Ranges[I].first);
-}
-
-TEST(Arena, OversizedAllocationGetsOwnSlab) {
-  Arena A(1 << 13, 1 << 13);
-  void *Big = A.allocate(1 << 16);
-  ASSERT_NE(Big, nullptr);
-  auto *P = static_cast<char *>(Big);
-  std::fill(P, P + (1 << 16), 'x');
-}
-
-TEST(Arena, ResetReleasesEverything) {
-  Arena A(1 << 14, 1 << 14);
-  A.allocate(1000);
-  A.reset();
-  EXPECT_EQ(A.bytesAllocated(), 0u);
-  EXPECT_EQ(A.slabCount(), 0u);
-  void *P = A.allocate(10);
-  EXPECT_NE(P, nullptr);
-}
-
-TEST(Arena, MoveTransfersOwnership) {
-  Arena A(1 << 14, 1 << 14);
-  void *P = A.allocate(100);
-  Arena B = std::move(A);
-  EXPECT_EQ(A.slabCount(), 0u);
-  EXPECT_GE(B.slabCount(), 1u);
-  // P must still be valid memory owned by B.
-  std::fill(static_cast<char *>(P), static_cast<char *>(P) + 100, 'y');
-}
-
-TEST(Arena, ReservedAtLeastAllocated) {
-  Arena A(1 << 14, 1 << 14);
-  for (int I = 0; I < 100; ++I)
-    A.allocate(100);
-  EXPECT_GE(A.bytesReserved(), A.bytesAllocated());
 }
 
 //===----------------------------------------------------------------------===//

@@ -143,8 +143,9 @@ void expectDecodesTo(TraceView View, const std::vector<RawRecord> &Expected,
     SCOPED_TRACE("record " + std::to_string(I));
     ASSERT_TRUE(Cursor.next(Out));
     EXPECT_EQ(Out.K, Expected[I].K);
-    if (Expected[I].K != TraceRecord::Kind::Tick)
+    if (Expected[I].K != TraceRecord::Kind::Tick) {
       EXPECT_EQ(Out.Addr, Expected[I].Addr);
+    }
     EXPECT_EQ(Out.Arg, Expected[I].Arg);
   }
   EXPECT_EQ(Cursor.remaining(), View.records() - Count);

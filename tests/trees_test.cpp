@@ -83,7 +83,10 @@ INSTANTIATE_TEST_SUITE_P(Layouts, BstLayouts,
 
 TEST(BinarySearchTree, DepthFirstLayoutIsPreorder) {
   auto Tree = BinarySearchTree::build(63, LayoutScheme::DepthFirst);
-  // Root occupies the first slot; its left child the next one.
+  // Root occupies the first slot of the page-aligned node array; its left
+  // child the next one.
+  EXPECT_EQ(Tree.root(), Tree.nodes());
+  EXPECT_TRUE(isAligned(addrOf(Tree.nodes()), 4096));
   EXPECT_EQ(addrOf(Tree.root()->Left),
             addrOf(Tree.root()) + sizeof(BstNode));
 }
