@@ -221,12 +221,11 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
 
 int main(int Argc, char **Argv) {
   bool Full = bench::fullScale(Argc, Argv);
-  obs::TraceSinkOptions TraceOptions;
+  uint64_t TraceSample = 1;
   std::string Sample = bench::flagValue(Argc, Argv, "--trace-sample");
   if (!Sample.empty()) {
     const char *End = Sample.data() + Sample.size();
-    auto [Ptr, Ec] =
-        std::from_chars(Sample.data(), End, TraceOptions.SampleInterval);
+    auto [Ptr, Ec] = std::from_chars(Sample.data(), End, TraceSample);
     if (Ec != std::errc() || Ptr != End) {
       std::fprintf(stderr, "fig5: --trace-sample needs a whole number, "
                            "got '%s'\n",
@@ -448,7 +447,7 @@ int main(int Argc, char **Argv) {
         return 1;
       }
       Tracer = std::make_unique<obs::TraceSink>(TraceFile, AConfig,
-                                                &Registry, TraceOptions);
+                                                &Registry, TraceSample);
       Fan.add(Tracer.get());
     }
 
@@ -526,11 +525,9 @@ int main(int Argc, char **Argv) {
   // Two occupancies for the insert-ready slack B-trees carry: 0.69 is
   // the steady state of random insertion, 0.50 the B-tree minimum.
   CompactBTree CBtree =
-      CompactBTree::buildFromSorted(K2, Params, /*FillFactor=*/0.69,
-                                    /*Color=*/true);
+      CompactBTree::buildFromSorted(K2, Params, /*FillFactor=*/0.69);
   CompactBTree CBtreeHalf =
-      CompactBTree::buildFromSorted(K2, Params, /*FillFactor=*/0.50,
-                                    /*Color=*/true);
+      CompactBTree::buildFromSorted(K2, Params, /*FillFactor=*/0.50);
   K2.clear();
   K2.shrink_to_fit();
   CompactTree CCtree = CompactTree::build(NumKeys, Params,

@@ -69,11 +69,13 @@ scripts/lint.sh
 # process maps them (ROADMAP item 1). fig6 is diffed from its VIS
 # section on, with ASLR on: every byte the BDD runs touch comes from
 # their own heap's 1 MiB slabs. Its RADIANCE section stays out: the
-# scene arrays are host vectors.
+# scene arrays are host vectors. fig7's counter and histogram totals
+# are diffed too, but for sweep.* (a serial sweep counts serial_runs):
+# heaps built and destroyed on sweep workers must publish every count.
 DET_DIR="$(mktemp -d)"
 det_diff() {
   if ! diff "$DET_DIR/$1.1" "$DET_DIR/$1.4"; then
-    echo "FAIL: $1 stdout depends on the sweep thread count"
+    echo "FAIL: $1 depends on the sweep thread count"
     exit 1
   fi
 }
@@ -84,6 +86,15 @@ for fig in fig7_olden fig10_model_validation ablation_subtree_size \
   CCL_SWEEP_THREADS=4 "build-release/bench/$fig" > "$DET_DIR/$fig.4"
   det_diff "$fig"
 done
+fig=fig7_olden
+echo "=== [determinism] $fig metrics totals at CCL_SWEEP_THREADS=1 vs 4 ==="
+for threads in 1 4; do
+  CCL_SWEEP_THREADS=$threads "build-release/bench/$fig" \
+    --metrics "$DET_DIR/$fig.jsonl" > /dev/null
+  grep -E '"kind":"[ch]"' "$DET_DIR/$fig.jsonl" |
+    grep -v '"name":"sweep\.' > "$DET_DIR/$fig.metrics.$threads"
+done
+det_diff "$fig.metrics"
 fig=fig5_tree_microbenchmark
 echo "=== [determinism] $fig simulated tables at CCL_SWEEP_THREADS=1 vs 4 ==="
 for threads in 1 4; do

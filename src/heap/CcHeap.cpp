@@ -18,6 +18,7 @@
 #include "heap/CcHeap.h"
 
 #include "support/Align.h"
+#include "support/Metrics.h"
 #include "support/Reflect.h"
 
 #include <algorithm>
@@ -29,7 +30,7 @@ using namespace ccl;
 using namespace ccl::heap;
 
 namespace {
-/// Registered once per process; each heap caches this thread's cells.
+/// Registered once per process, when the first heap is built.
 struct HeapMetrics {
   metrics::Counter AllocFast = metrics::counter("ccmalloc.alloc_fast");
   metrics::Counter AllocSlow = metrics::counter("ccmalloc.alloc_slow");
@@ -74,23 +75,26 @@ CcHeap::CcHeap(HeapConfig ConfigIn) : Config(ConfigIn) {
   BitmapWords = (BlocksPerPage + 63) / 64;
   BlockShift = static_cast<uint32_t>(std::countr_zero(Config.BlockBytes));
   FreeBins.resize((Config.BlockBytes - HeaderBytes) / 8);
+  heapMetrics(); // Dumps list ccmalloc.* where the first heap was built.
+}
 
+CcHeap::~CcHeap() {
   const HeapMetrics &M = heapMetrics();
-  MAllocFast = metrics::cell(M.AllocFast);
-  MAllocSlow = metrics::cell(M.AllocSlow);
-  MNearFast = metrics::cell(M.NearFast);
-  MNearSlow = metrics::cell(M.NearSlow);
-  MFreeFast = metrics::cell(M.FreeFast);
-  MFreeSlow = metrics::cell(M.FreeSlow);
-  MBinRefill = metrics::cell(M.BinRefill);
-  MBinRecycle = metrics::cell(M.BinRecycle);
-  MSlabAcquires = metrics::cell(M.SlabAcquires);
+  metrics::add(M.AllocFast, Stats.AllocFast);
+  metrics::add(M.AllocSlow, Stats.AllocSlow);
+  metrics::add(M.NearFast, Stats.NearFast);
+  metrics::add(M.NearSlow, Stats.NearSlow);
+  metrics::add(M.FreeFast, Stats.FreeFast);
+  metrics::add(M.FreeSlow, Stats.FreeSlow);
+  metrics::add(M.BinRefill, Stats.BinRefill);
+  metrics::add(M.BinRecycle, Stats.BinRecycle);
+  metrics::add(M.SlabAcquires, Stats.SlabAcquires);
 }
 
 CcHeap::PageInfo *CcHeap::newPage() {
   if (!SlabCursor || SlabCursor + Config.PageBytes > SlabEnd) {
     Slabs.push_back(allocateAligned(SlabBytes, SlabBytes));
-    metrics::bump(MSlabAcquires);
+    ++Stats.SlabAcquires;
     SlabCursor = Slabs.back().get();
     SlabEnd = SlabCursor + SlabBytes;
   }
@@ -301,7 +305,7 @@ void *CcHeap::popFreeList(size_t Rounded, const PageInfo *PageFilter) {
 }
 
 void *CcHeap::allocateSlow(size_t Rounded) {
-  metrics::bump(MAllocSlow);
+  ++Stats.AllocSlow;
   // Recycle an exact-size chunk if one is free.
   if (void *Reused = popFreeList(Rounded, /*PageFilter=*/nullptr))
     return Reused;
@@ -362,7 +366,7 @@ int64_t CcHeap::findBlock(const PageInfo &Page, uint32_t NearBlock,
 
 void *CcHeap::allocateNearSlow(PageInfo &Page, uint32_t NearBlock,
                                size_t Rounded, CcStrategy Strategy) {
-  metrics::bump(MNearSlow);
+  ++Stats.NearSlow;
   // Fallback: same page, block chosen by strategy. Same-page placement
   // keeps the working set small and cannot conflict in the cache with
   // the hint (paper §3.2.1).
@@ -395,7 +399,7 @@ void *CcHeap::allocateNearSlow(PageInfo &Page, uint32_t NearBlock,
 }
 
 void CcHeap::reclaimBlocks(PageInfo &Page, uint32_t BlockIdx, size_t Need) {
-  metrics::bump(MFreeSlow);
+  ++Stats.FreeSlow;
   // Reclaim the dead block run and invalidate any free-list entries
   // pointing into it (via the epoch bump).
   uint32_t BlocksSpanned = static_cast<uint32_t>(
@@ -442,5 +446,7 @@ void CcHeap::reflectTypes() {
   CCL_REFLECT("heap", HeapConfig, PageBytes, BlockBytes);
   CCL_REFLECT("heap", HeapStats, AllocCalls, NearCalls, FreeCalls, SameBlock,
               SamePage, PageSpills, FreeListReuses, BlocksReclaimed,
-              BytesRequested, BytesLive, PagesAllocated);
+              BytesRequested, BytesLive, PagesAllocated, AllocFast, AllocSlow,
+              NearFast, NearSlow, FreeFast, FreeSlow, BinRefill, BinRecycle,
+              SlabAcquires);
 }

@@ -34,7 +34,6 @@
 
 #include "support/Align.h"
 #include "support/FlatMap.h"
-#include "support/Metrics.h"
 
 #include <cassert>
 #include <cstddef>
@@ -84,6 +83,19 @@ struct HeapStats {
   uint64_t BytesRequested = 0;
   uint64_t BytesLive = 0;
   uint64_t PagesAllocated = 0;
+  /// Calls by path: the inline fast paths of allocate(), allocateNear()
+  /// and deallocate() against their out-of-line continuations, plus
+  /// free-list refills and recycles and slabs drawn. ~CcHeap adds them
+  /// to the ccmalloc.* registry counters (support/Metrics.h).
+  uint64_t AllocFast = 0;
+  uint64_t AllocSlow = 0;
+  uint64_t NearFast = 0;
+  uint64_t NearSlow = 0;
+  uint64_t FreeFast = 0;
+  uint64_t FreeSlow = 0;
+  uint64_t BinRefill = 0;
+  uint64_t BinRecycle = 0;
+  uint64_t SlabAcquires = 0;
 
   double sameBlockRate() const {
     return NearCalls == 0 ? 0.0
@@ -95,11 +107,12 @@ struct HeapStats {
 ///
 /// A CcHeap is single-threaded, matching the paper's uniprocessor
 /// evaluation: placement and HeapStats are a pure function of the call
-/// sequence. Build a heap on the thread that drives it (a sweep worker
-/// may own one); its metrics cells belong to the constructing thread.
+/// sequence.
 class CcHeap {
 public:
   explicit CcHeap(HeapConfig Config = HeapConfig());
+  /// Adds the path counts in stats() to the ccmalloc.* counters.
+  ~CcHeap();
 
   CcHeap(const CcHeap &) = delete;
   CcHeap &operator=(const CcHeap &) = delete;
@@ -134,7 +147,7 @@ public:
           PageInfo &Page = *PlainCursor;
           uint32_t Idx = Page.ScanHint;
           if (Page.Meta[Idx].Used + Need <= Config.BlockBytes) {
-            metrics::bump(MAllocFast);
+            ++Stats.AllocFast;
             return carve(Page, Idx, Rounded);
           }
           // Sequential fill: the hint block just filled up, the next
@@ -144,13 +157,13 @@ public:
           if (NextIdx < BlocksPerPage && testBit(Page.FitBits, NextIdx) &&
               Page.Meta[NextIdx].Used + Need <= Config.BlockBytes) {
             Page.ScanHint = NextIdx;
-            metrics::bump(MAllocFast);
+            ++Stats.AllocFast;
             return carve(Page, NextIdx, Rounded);
           }
         }
       } else if (void *Reused = popFreeListFast(Bin, Need)) {
-        metrics::bump(MAllocFast);
-        metrics::bump(MBinRecycle);
+        ++Stats.AllocFast;
+        ++Stats.BinRecycle;
         return Reused;
       }
     }
@@ -181,7 +194,7 @@ public:
     // Primary goal: same cache block as the hint.
     if (Page->Meta[NearBlock].Used + Need <= Config.BlockBytes) {
       ++Stats.SameBlock;
-      metrics::bump(MNearFast);
+      ++Stats.NearFast;
       return carve(*Page, NearBlock, Rounded);
     }
     // Closest-strategy distance-1 shortcut, the common case when a chain
@@ -194,14 +207,14 @@ public:
       if (BelowBit) {
         if (Page->Meta[NearBlock - 1].Used + Need <= Config.BlockBytes) {
           ++Stats.SamePage;
-          metrics::bump(MNearFast);
+          ++Stats.NearFast;
           return carve(*Page, NearBlock - 1, Rounded);
         }
       } else if (NearBlock + 1 < BlocksPerPage &&
                  testBit(Page->FitBits, NearBlock + 1) &&
                  Page->Meta[NearBlock + 1].Used + Need <= Config.BlockBytes) {
         ++Stats.SamePage;
-        metrics::bump(MNearFast);
+        ++Stats.NearFast;
         return carve(*Page, NearBlock + 1, Rounded);
       }
     }
@@ -252,7 +265,7 @@ public:
         if (BlockIdx < Page->ScanHint)
           Page->ScanHint = BlockIdx;
         ++Stats.BlocksReclaimed;
-        metrics::bump(MFreeFast);
+        ++Stats.FreeFast;
         return;
       }
       reclaimBlocks(*Page, BlockIdx, Need);
@@ -264,8 +277,8 @@ public:
     if (Bin < 64)
       BinsMask |= uint64_t(1) << Bin;
     FreeBins[Bin].push_back({Ptr, Page, M.Epoch});
-    metrics::bump(MFreeFast);
-    metrics::bump(MBinRefill);
+    ++Stats.FreeFast;
+    ++Stats.BinRefill;
   }
 
   /// True if \p Ptr points into memory managed by this heap.
@@ -484,20 +497,6 @@ private:
   std::vector<AlignedBuffer> Slabs;
   char *SlabCursor = nullptr;
   char *SlabEnd = nullptr;
-
-  /// Metrics cells, cached at construction from the creating thread's
-  /// shard (CcHeap is single-threaded, see the class comment). One
-  /// relaxed per-thread increment on the fast paths — no TLS lookup,
-  /// no lock prefix.
-  metrics::Cell *MAllocFast = nullptr;
-  metrics::Cell *MAllocSlow = nullptr;
-  metrics::Cell *MNearFast = nullptr;
-  metrics::Cell *MNearSlow = nullptr;
-  metrics::Cell *MFreeFast = nullptr;
-  metrics::Cell *MFreeSlow = nullptr;
-  metrics::Cell *MBinRefill = nullptr;
-  metrics::Cell *MBinRecycle = nullptr;
-  metrics::Cell *MSlabAcquires = nullptr;
 };
 
 } // namespace ccl::heap

@@ -15,9 +15,9 @@ using namespace ccl;
 using namespace ccl::obs;
 
 TraceSink::TraceSink(std::FILE *Out, const AttributionConfig &Config,
-                     const RegionRegistry *Registry,
-                     const TraceSinkOptions &Options)
-    : Out(Out), Config(Config), Registry(Registry), Options(Options) {
+                     const RegionRegistry *Registry, uint64_t SampleInterval)
+    : Out(Out), Config(Config), Registry(Registry),
+      Interval(SampleInterval ? SampleInterval : 1) {
   std::fprintf(Out, "{\"kind\":\"meta\",");
   writeMeta(Out, "ccl-trace-v2");
   std::fprintf(Out,
@@ -25,8 +25,7 @@ TraceSink::TraceSink(std::FILE *Out, const AttributionConfig &Config,
                ",\"l2_block\":%" PRIu32 ",\"l2_sets\":%" PRIu64
                ",\"hot_sets\":%" PRIu64 ",\"sample\":%" PRIu64 "}\n",
                Config.L1BlockBytes, Config.L1Sets, Config.L2BlockBytes,
-               Config.L2Sets, Config.HotSets,
-               Options.SampleInterval ? Options.SampleInterval : 1);
+               Config.L2Sets, Config.HotSets, Interval);
   ++Lines;
 }
 
@@ -48,7 +47,6 @@ void TraceSink::emitRegionIfNew(uint32_t Id) {
 }
 
 void TraceSink::onAccess(const AccessEvent &Event) {
-  uint64_t Interval = Options.SampleInterval ? Options.SampleInterval : 1;
   if (AccessSeen++ % Interval != 0)
     return;
   uint32_t Region =
@@ -66,9 +64,6 @@ void TraceSink::onAccess(const AccessEvent &Event) {
 }
 
 void TraceSink::onEvict(const EvictEvent &Event) {
-  if (!Options.IncludeEvictions)
-    return;
-  uint64_t Interval = Options.SampleInterval ? Options.SampleInterval : 1;
   if (EvictSeen++ % Interval != 0)
     return;
   std::fprintf(Out,
@@ -80,9 +75,6 @@ void TraceSink::onEvict(const EvictEvent &Event) {
 }
 
 void TraceSink::onPrefetch(const PrefetchEvent &Event) {
-  if (!Options.IncludePrefetches)
-    return;
-  uint64_t Interval = Options.SampleInterval ? Options.SampleInterval : 1;
   if (PrefetchSeen++ % Interval != 0)
     return;
   std::fprintf(Out,

@@ -48,15 +48,6 @@
 
 namespace ccl::obs {
 
-/// Options for the JSONL event dump.
-struct TraceSinkOptions {
-  /// Record every Nth access event (1 = record all). Evictions and
-  /// prefetches are sampled on their own counters with the same period.
-  uint64_t SampleInterval = 1;
-  bool IncludeEvictions = true;
-  bool IncludePrefetches = true;
-};
-
 /// Streams simulator events to a JSONL file. The sink does not own the
 /// FILE; the caller closes it after detaching. Region definition lines
 /// are emitted lazily the first time each region appears in an event.
@@ -64,9 +55,12 @@ class TraceSink : public SimObserver {
 public:
   /// \param Registry used to resolve and label regions; may be null, in
   ///        which case events carry region id 0.
+  /// \param SampleInterval record every Nth access event (0 and 1 record
+  ///        all); evictions and prefetches are sampled on their own
+  ///        counters with the same period.
   TraceSink(std::FILE *Out, const AttributionConfig &Config,
             const RegionRegistry *Registry = nullptr,
-            const TraceSinkOptions &Options = TraceSinkOptions());
+            uint64_t SampleInterval = 1);
 
   void onAccess(const AccessEvent &Event) override;
   void onEvict(const EvictEvent &Event) override;
@@ -81,7 +75,7 @@ private:
   std::FILE *Out;
   AttributionConfig Config;
   const RegionRegistry *Registry;
-  TraceSinkOptions Options;
+  uint64_t Interval;
   std::vector<bool> RegionEmitted;
   uint64_t Lines = 0;
   uint64_t AccessSeen = 0;

@@ -86,27 +86,14 @@ uint32_t reflect(Direction D, uint32_t Q) {
   return Q;
 }
 
-/// The two quadrants adjacent to side \p D (needed by sumAdjacent).
-void adjacentQuadrants(Direction D, uint32_t &QA, uint32_t &QB) {
-  switch (D) {
-  case North:
-    QA = NW;
-    QB = NE;
-    return;
-  case South:
-    QA = SW;
-    QB = SE;
-    return;
-  case East:
-    QA = NE;
-    QB = SE;
-    return;
-  case West:
-    QA = NW;
-    QB = SW;
-    return;
-  }
-}
+/// The two quadrants adjacent to each side, indexed by Direction
+/// (needed by sumAdjacent).
+constexpr uint32_t AdjacentQuadrants[4][2] = {
+    {NW, NE}, // North
+    {NE, SE}, // East
+    {SW, SE}, // South
+    {NW, SW}, // West
+};
 
 Direction opposite(Direction D) {
   switch (D) {
@@ -243,10 +230,9 @@ private:
     uint32_t Color = A.load(&N->Color);
     A.tick(1);
     if (Color == ColorGrey) {
-      uint32_t QA, QB;
-      adjacentQuadrants(D, QA, QB);
-      const QuadNode *KidA = A.load(&N->Kids[QA]);
-      const QuadNode *KidB = A.load(&N->Kids[QB]);
+      const uint32_t *Adjacent = AdjacentQuadrants[D];
+      const QuadNode *KidA = A.load(&N->Kids[Adjacent[0]]);
+      const QuadNode *KidB = A.load(&N->Kids[Adjacent[1]]);
       return sumAdjacent(KidA, D, Size / 2) + sumAdjacent(KidB, D, Size / 2);
     }
     return Color == ColorWhite ? Size : 0;

@@ -7,11 +7,11 @@
 /// \file
 /// The in-core B-tree baseline of the paper's Figure 5: nodes are sized
 /// to exactly one L2 cache block (64 bytes: 4 keys + 5 children) and the
-/// tree is bulk-loaded at a configurable fill factor, modeling the space
+/// tree is bulk-loaded at a fill factor below one, modeling the space
 /// B-trees reserve "to handle insertion gracefully" — the reason the
 /// paper finds them less cache-efficient than transparent C-trees. The
-/// tree can optionally be colored (top levels in the hot cache region),
-/// as the paper's baseline was.
+/// tree is colored (top levels in the hot cache region), as the paper's
+/// baseline was. The bulk loader is shared with CompactBTree.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +37,26 @@ struct BTreeNode {
 static_assert(sizeof(BTreeNode) == 64,
               "BTreeNode must fill exactly one 64-byte cache block");
 
+/// The shape of a bulk-loaded B-tree, nodes leaves first, root last.
+/// A node holds Count keys, each a position in the sorted key vector,
+/// and, unless Leaf, Count + 1 kids, each an index into Nodes.
+struct BTreeShape {
+  struct Node {
+    uint32_t Count = 0;
+    bool Leaf = false;
+    uint32_t Keys[4] = {};
+    uint32_t Kids[5] = {};
+  };
+  std::vector<Node> Nodes;
+  unsigned Height = 1;
+};
+
+/// Bulk-loads \p NumKeys sorted keys at \p FillFactor in (0, 1]: leaves
+/// over runs of round(4 * FillFactor) keys, then internal levels that
+/// split their kids as evenly as possible, each separator the smallest
+/// key of its right-hand kid's subtree.
+BTreeShape bulkLoadBTree(size_t NumKeys, double FillFactor);
+
 /// ccmorph adapter for B-tree nodes.
 struct BTreeAdapter {
   static constexpr unsigned MaxKids = 5;
@@ -54,27 +74,14 @@ struct BTreeAdapter {
 
 /// Bulk-loaded, search-optimized in-core B-tree. Matching the paper's
 /// microbenchmark, no insertions or deletions are performed after the
-/// bulk load; the fill factor reserves the slack an insert-ready B-tree
-/// would carry.
+/// bulk load; its 0.69 fill factor, the steady-state utilization of
+/// random insertion, reserves the slack an insert-ready B-tree would
+/// carry.
 class BTree {
 public:
-  struct Options {
-    /// Fraction of each node's key capacity used at bulk load (0..1].
-    /// 0.69 approximates the steady-state utilization of random
-    /// insertion.
-    double FillFactor = 0.69;
-    /// Color the top of the tree into the hot cache region.
-    bool Color = true;
-  };
-
   /// Builds from strictly increasing \p Keys.
   static BTree buildFromSorted(const std::vector<uint32_t> &Keys,
-                               const CacheParams &Params,
-                               const Options &Opts);
-  static BTree buildFromSorted(const std::vector<uint32_t> &Keys,
-                               const CacheParams &Params) {
-    return buildFromSorted(Keys, Params, Options());
-  }
+                               const CacheParams &Params);
 
   BTree(BTree &&) = default;
   BTree &operator=(BTree &&) = default;
@@ -106,7 +113,6 @@ public:
   const BTreeNode *root() const { return Root; }
   unsigned height() const { return Height; }
   uint64_t nodeCount() const { return Nodes; }
-  uint64_t storageBytes() const { return Nodes * sizeof(BTreeNode); }
 
   /// Colored node arena (telemetry region registration); null before
   /// the tree is built.

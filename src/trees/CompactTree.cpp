@@ -8,12 +8,12 @@
 
 #include "core/ClusterOrder.h"
 #include "core/OffsetLayout.h"
+#include "trees/BTree.h"
 
 #include "support/Random.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 
@@ -116,89 +116,24 @@ CompactTree CompactTree::build(uint64_t NumKeys, const CacheParams &Params,
 // CompactBTree
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-constexpr unsigned CompactMaxKeys = 4;
-
-struct TempBNode {
-  uint16_t Count = 0;
-  uint16_t Leaf = 0;
-  uint32_t Keys[CompactMaxKeys] = {};
-  uint32_t Values[CompactMaxKeys] = {};
-  int64_t Kids[CompactMaxKeys + 1] = {-1, -1, -1, -1, -1};
-  uint32_t MinKey = 0;
-};
-
-} // namespace
-
-CompactBTree CompactBTree::buildFromSorted(
-    const std::vector<uint32_t> &Keys, const CacheParams &Params,
-    double FillFactor, bool Color) {
-  assert(!Keys.empty() && "B-tree needs at least one key");
-  assert(FillFactor > 0.0 && FillFactor <= 1.0 && "bad fill factor");
-
-  unsigned KeysPerLeaf = std::clamp<unsigned>(
-      static_cast<unsigned>(std::lround(CompactMaxKeys * FillFactor)), 1,
-      CompactMaxKeys);
-  unsigned KidsPerNode = KeysPerLeaf + 1;
-
-  std::vector<TempBNode> Pool;
-  std::vector<int64_t> Level;
-
-  for (size_t Begin = 0; Begin < Keys.size(); Begin += KeysPerLeaf) {
-    size_t End = std::min(Begin + KeysPerLeaf, Keys.size());
-    TempBNode Leaf;
-    Leaf.Leaf = 1;
-    for (size_t I = Begin; I < End; ++I) {
-      Leaf.Values[Leaf.Count] = static_cast<uint32_t>(I);
-      Leaf.Keys[Leaf.Count++] = Keys[I];
-    }
-    Leaf.MinKey = Keys[Begin];
-    Level.push_back(static_cast<int64_t>(Pool.size()));
-    Pool.push_back(Leaf);
-  }
-
-  unsigned Height = 1;
-  while (Level.size() > 1) {
-    size_t NumKids = Level.size();
-    size_t NumParents = (NumKids + KidsPerNode - 1) / KidsPerNode;
-    size_t Base = NumKids / NumParents;
-    size_t Extra = NumKids % NumParents;
-    std::vector<int64_t> Next;
-    size_t Cursor = 0;
-    for (size_t P = 0; P < NumParents; ++P) {
-      size_t Take = Base + (P < Extra ? 1 : 0);
-      TempBNode Parent;
-      for (size_t I = 0; I < Take; ++I) {
-        int64_t Kid = Level[Cursor + I];
-        Parent.Kids[I] = Kid;
-        if (I > 0) {
-          Parent.Values[Parent.Count] = Pool[Kid].MinKey / 2;
-          Parent.Keys[Parent.Count++] = Pool[Kid].MinKey;
-        }
-      }
-      Parent.MinKey = Pool[Level[Cursor]].MinKey;
-      Next.push_back(static_cast<int64_t>(Pool.size()));
-      Pool.push_back(Parent);
-      Cursor += Take;
-    }
-    Level = std::move(Next);
-    ++Height;
-  }
-  int64_t RootIndex = Level[0];
+CompactBTree CompactBTree::buildFromSorted(const std::vector<uint32_t> &Keys,
+                                           const CacheParams &Params,
+                                           double FillFactor) {
+  BTreeShape Shape = bulkLoadBTree(Keys.size(), FillFactor);
+  const std::vector<BTreeShape::Node> &Nodes = Shape.Nodes;
 
   // Breadth-first placement, one block-aligned node per cluster,
   // colored top-down.
-  ClusterOrder<int64_t> Order;
+  ClusterOrder<uint32_t> Order;
+  const uint32_t RootIndex = static_cast<uint32_t>(Nodes.size() - 1);
   Order.plan({&RootIndex, 1}, LayoutScheme::Bfs, 1,
-             [&](int64_t N, auto &&Visit) {
-               if (!Pool[N].Leaf)
-                 for (unsigned I = 0; I <= Pool[N].Count; ++I)
-                   if (Pool[N].Kids[I] >= 0)
-                     Visit(I, Pool[N].Kids[I]);
+             [&](uint32_t N, auto &&Visit) {
+               for (unsigned I = 0; !Nodes[N].Leaf && I <= Nodes[N].Count;
+                    ++I)
+                 Visit(I, Nodes[N].Kids[I]);
              });
-  OffsetLayout Layout(Params, Color);
-  std::vector<uint32_t> Offsets(Pool.size());
+  OffsetLayout Layout(Params, /*Color=*/true);
+  std::vector<uint32_t> Offsets(Nodes.size());
   for (const auto &It : Order.items()) {
     bool WasHot = false;
     uint64_t Offset = Layout.place(sizeof(CompactBTreeNode), WasHot);
@@ -206,22 +141,24 @@ CompactBTree CompactBTree::buildFromSorted(
     Offsets[It.Node] = static_cast<uint32_t>(Offset);
   }
 
+  // A leaf's value is its key's position, a separator's half its key.
   CompactBTree Tree;
-  Tree.NumNodes = Pool.size();
-  Tree.Height = Height;
+  Tree.NumNodes = Nodes.size();
+  Tree.Height = Shape.Height;
   Tree.Base = allocateAligned(Layout.regionAlign(Params), Layout.regionBytes());
-  for (size_t I = 0; I < Pool.size(); ++I) {
+  for (size_t I = 0; I < Nodes.size(); ++I) {
+    const BTreeShape::Node &S = Nodes[I];
     auto *N = reinterpret_cast<CompactBTreeNode *>(Tree.Base.get() +
                                                    Offsets[I]);
-    N->Count = Pool[I].Count;
-    N->Leaf = Pool[I].Leaf;
-    for (unsigned K = 0; K < CompactMaxKeys; ++K) {
-      N->Keys[K] = Pool[I].Keys[K];
-      N->Values[K] = Pool[I].Values[K];
+    *N = CompactBTreeNode{};
+    N->Count = static_cast<uint16_t>(S.Count);
+    N->Leaf = S.Leaf;
+    for (unsigned K = 0; K < S.Count; ++K) {
+      N->Keys[K] = Keys[S.Keys[K]];
+      N->Values[K] = S.Leaf ? S.Keys[K] : Keys[S.Keys[K]] / 2;
     }
-    for (unsigned K = 0; K <= CompactMaxKeys; ++K)
-      N->Kids[K] =
-          Pool[I].Kids[K] >= 0 ? Offsets[Pool[I].Kids[K]] : CompactNull;
+    for (unsigned K = 0; K <= 4; ++K)
+      N->Kids[K] = !S.Leaf && K <= S.Count ? Offsets[S.Kids[K]] : CompactNull;
   }
   Tree.RootOffset = Offsets[RootIndex];
   return Tree;

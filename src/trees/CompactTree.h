@@ -108,12 +108,13 @@ static_assert(sizeof(CompactBTreeNode) == 64,
               "compact B-tree node must fill one 64-byte block");
 
 /// Bulk-loaded in-core B-tree with 32-bit child offsets, BFS layout,
-/// optional coloring — the Figure 5 baseline in the paper's regime.
+/// colored — the Figure 5 baseline in the paper's regime. Its loader
+/// is BTree's (bulkLoadBTree).
 class CompactBTree {
 public:
   static CompactBTree buildFromSorted(const std::vector<uint32_t> &Keys,
                                       const CacheParams &Params,
-                                      double FillFactor, bool Color);
+                                      double FillFactor);
 
   CompactBTree(CompactBTree &&) = default;
   CompactBTree &operator=(CompactBTree &&) = default;

@@ -8,7 +8,6 @@
 
 #include "core/CcAllocator.h"
 #include "support/Align.h"
-#include "support/Metrics.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -764,25 +763,11 @@ TEST(CcHeapParity, NullAndForeignHintsMatchSeed) {
 // Slab layout and epoch-validated reclaim under alternating sizes
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Current total of the slab-acquire counter, or 0 while it is not
-/// registered yet.
-uint64_t slabAcquires() {
-  for (const metrics::CounterSnapshot &C : metrics::snapshot().Counters)
-    if (C.Name == "ccmalloc.slab_acquires")
-      return C.Value;
-  return 0;
-}
-
-} // namespace
-
 TEST(CcHeap, PagesComeFromAlignedSlabs) {
   // The simulator remaps addresses in 1 MiB units, and placement parity
   // across processes rests on pages sitting at fixed offsets inside
   // 1 MiB-aligned slabs: 128 default pages per slab, in creation order.
   constexpr uint64_t SlabBytes = 1 << 20;
-  const uint64_t AcquiresBefore = slabAcquires();
   CcHeap Heap;
   const uint64_t PageBytes = Heap.config().PageBytes;
   const size_t PagesPerSlab = SlabBytes / PageBytes;
@@ -799,7 +784,7 @@ TEST(CcHeap, PagesComeFromAlignedSlabs) {
     EXPECT_EQ(Pages[P], Pages[0] + P * PageBytes) << "page " << P;
   EXPECT_TRUE(isAligned(Pages[PagesPerSlab], SlabBytes));
   EXPECT_NE(Pages[PagesPerSlab], Pages[0]);
-  EXPECT_EQ(slabAcquires() - AcquiresBefore, 2u);
+  EXPECT_EQ(Heap.stats().SlabAcquires, 2u);
 }
 
 TEST(CcHeap, EpochReclaimAcrossAlternatingSizes) {

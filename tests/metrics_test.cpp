@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Covers the support-layer metrics registry (registration idempotence,
-// per-thread aggregation under SweepRunner, histogram bucket edges,
-// spans), the ccl-metrics-v1 round-trip through the obs exporters, the
-// PerfCounters unavailable fallback, and the ccl-bench-v1 reader.
+// concurrent adds under SweepRunner, heaps publishing their path counts
+// from sweep workers, histogram bucket edges, spans), the
+// ccl-metrics-v1 round-trip through the obs exporters, the PerfCounters
+// unavailable fallback, and the ccl-bench-v1 reader.
 //
 // The registry is process-global and names are never unregistered, so
 // the overflow test (which exhausts the counter table) lives in its own
@@ -17,11 +18,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "heap/CcHeap.h"
 #include "obs/BenchReader.h"
 #include "obs/MetricsExport.h"
 #include "obs/PerfCounters.h"
 #include "obs/TraceReader.h"
 #include "support/Metrics.h"
+#include "support/Random.h"
 #include "support/SweepRunner.h"
 
 #include <gtest/gtest.h>
@@ -29,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 using namespace ccl;
 
@@ -73,12 +77,6 @@ TEST(MetricsRegistry, AddAndSnapshot) {
   metrics::Snapshot S = metrics::snapshot();
   EXPECT_EQ(counterValue(S, "test.basic"), 42u);
   EXPECT_FALSE(S.Overflowed);
-
-  // Cached-cell increments (the CcHeap fast-path pattern) land on the
-  // same shard slot as add().
-  metrics::Cell *Cell = metrics::cell(C);
-  metrics::bump(Cell, 8);
-  EXPECT_EQ(counterValue(metrics::snapshot(), "test.basic"), 50u);
 }
 
 TEST(MetricsRegistry, HistogramBucketEdges) {
@@ -120,7 +118,6 @@ TEST(MetricsRegistry, AggregatesAcrossSweepWorkers) {
       metrics::record(H, PerCell);
     });
   }
-  // Worker threads have exited; their shards must still be counted.
   metrics::Snapshot S = metrics::snapshot();
   EXPECT_EQ(counterValue(S, "test.sweep"), Cells * PerCell);
   const metrics::HistogramSnapshot *Snap =
@@ -129,13 +126,64 @@ TEST(MetricsRegistry, AggregatesAcrossSweepWorkers) {
   EXPECT_EQ(Snap->Count, Cells);
   EXPECT_EQ(Snap->Sum, Cells * PerCell);
 
-  // A second pool recycles the retired shards; totals keep summing.
+  // A second pool keeps summing into the same cells.
   {
     SweepRunner Runner;
     Runner.run(Cells, [&](size_t) { metrics::add(C, PerCell); });
   }
   EXPECT_EQ(counterValue(metrics::snapshot(), "test.sweep"),
             2 * Cells * PerCell);
+}
+
+TEST(MetricsRegistry, HeapsOnSweepWorkersPublishEveryPathCount) {
+  // Each heap counts its paths in HeapStats and adds them to the
+  // ccmalloc.* counters when it is destroyed, on whichever worker
+  // built it. A mix of small, multi-block, hinted and freed chunks
+  // takes every counted path.
+  metrics::resetForTest();
+  constexpr size_t Cells = 16;
+  std::vector<heap::HeapStats> Stats(Cells);
+  SweepRunner(4).run(Cells, [&](size_t Cell) {
+    heap::CcHeap Heap;
+    Xoshiro256 Rng(Cell + 1);
+    std::vector<void *> Live;
+    for (size_t Op = 0; Op < 20000; ++Op) {
+      uint64_t Roll = Rng.nextBounded(8);
+      size_t Size = 8 + Rng.nextBounded(Roll == 7 ? 200 : 48);
+      if (Roll < 3 && !Live.empty()) {
+        size_t Victim = Rng.nextBounded(Live.size());
+        Heap.deallocate(Live[Victim]);
+        Live[Victim] = Live.back();
+        Live.pop_back();
+      } else if (Roll < 6 && !Live.empty()) {
+        Live.push_back(Heap.allocateNear(Size, Live.back(),
+                                         heap::CcStrategy::Closest));
+      } else {
+        Live.push_back(Heap.allocate(Size));
+      }
+    }
+    Stats[Cell] = Heap.stats();
+  });
+
+  const std::pair<const char *, uint64_t heap::HeapStats::*> Paths[] = {
+      {"ccmalloc.alloc_fast", &heap::HeapStats::AllocFast},
+      {"ccmalloc.alloc_slow", &heap::HeapStats::AllocSlow},
+      {"ccmalloc.near_fast", &heap::HeapStats::NearFast},
+      {"ccmalloc.near_slow", &heap::HeapStats::NearSlow},
+      {"ccmalloc.free_fast", &heap::HeapStats::FreeFast},
+      {"ccmalloc.free_slow", &heap::HeapStats::FreeSlow},
+      {"ccmalloc.bin_refill", &heap::HeapStats::BinRefill},
+      {"ccmalloc.bin_recycle", &heap::HeapStats::BinRecycle},
+      {"ccmalloc.slab_acquires", &heap::HeapStats::SlabAcquires},
+  };
+  metrics::Snapshot S = metrics::snapshot();
+  for (const auto &[Name, Field] : Paths) {
+    uint64_t Sum = 0;
+    for (const heap::HeapStats &H : Stats)
+      Sum += H.*Field;
+    EXPECT_GT(Sum, 0u) << Name;
+    EXPECT_EQ(counterValue(S, Name), Sum) << Name;
+  }
 }
 
 TEST(MetricsRegistry, SpansRecord) {

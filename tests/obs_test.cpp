@@ -301,25 +301,26 @@ TEST(TraceSink, SamplesEveryNthEvent) {
   std::FILE *F = std::tmpfile();
   ASSERT_NE(F, nullptr);
   AttributionConfig Config;
-  TraceSinkOptions Options;
-  Options.SampleInterval = 4;
-  Options.IncludePrefetches = false;
-
-  TraceSink Sink(F, Config, nullptr, Options);
+  TraceSink Sink(F, Config, nullptr, /*SampleInterval=*/4);
   AccessEvent Event;
   Event.Size = 8;
   for (unsigned I = 0; I < 10; ++I) {
     Event.VAddr = I * 16;
     Sink.onAccess(Event);
   }
+  // Prefetches are sampled on their own counter: the first is written,
+  // the next three are not.
   PrefetchEvent Prefetch;
-  Sink.onPrefetch(Prefetch); // suppressed by IncludePrefetches = false
+  Prefetch.VAddr = 4096;
+  for (unsigned I = 0; I < 4; ++I)
+    Sink.onPrefetch(Prefetch);
   EXPECT_EQ(Sink.accessEventsSeen(), 10u);
-  EXPECT_EQ(Sink.linesWritten(), 4u); // meta + access events 0, 4, 8
+  // meta + access events 0, 4, 8 + prefetch event 0
+  EXPECT_EQ(Sink.linesWritten(), 5u);
 
   std::rewind(F);
   unsigned AccessRecords = 0, MetaRecords = 0, PrefetchRecords = 0;
-  uint64_t Sample = 0;
+  uint64_t Sample = 0, PrefetchVAddr = 0;
   long Parsed = readTrace(F, [&](const TraceRecord &Record) {
     switch (Record.RecordKind) {
     case TraceRecord::Kind::Access:
@@ -331,16 +332,18 @@ TEST(TraceSink, SamplesEveryNthEvent) {
       break;
     case TraceRecord::Kind::Prefetch:
       ++PrefetchRecords;
+      PrefetchVAddr = Record.Prefetch.VAddr;
       break;
     default:
       break;
     }
   });
   std::fclose(F);
-  EXPECT_EQ(Parsed, 4);
+  EXPECT_EQ(Parsed, 5);
   EXPECT_EQ(MetaRecords, 1u);
   EXPECT_EQ(AccessRecords, 3u);
-  EXPECT_EQ(PrefetchRecords, 0u);
+  EXPECT_EQ(PrefetchRecords, 1u);
+  EXPECT_EQ(PrefetchVAddr, 4096u);
   EXPECT_EQ(Sample, 4u);
 }
 

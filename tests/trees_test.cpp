@@ -173,14 +173,15 @@ TEST(BTree, NodeIsOneCacheBlock) {
   EXPECT_EQ(sizeof(BTreeNode), 64u);
 }
 
+/// The bulk loader both B-trees share, swept over fill factors through
+/// CompactBTree, the one that takes a fill factor.
 class BTreeFill : public ::testing::TestWithParam<double> {};
 
 TEST_P(BTreeFill, ContainsAllKeys) {
   const uint64_t N = 5000;
   std::vector<uint32_t> Keys = oddKeys(N);
-  BTree::Options Opts;
-  Opts.FillFactor = GetParam();
-  BTree Tree = BTree::buildFromSorted(Keys, smallParams(), Opts);
+  CompactBTree Tree =
+      CompactBTree::buildFromSorted(Keys, smallParams(), GetParam());
   sim::NativeAccess A;
   for (uint64_t I = 0; I < N; I += 7)
     EXPECT_TRUE(Tree.contains(Keys[I], A)) << "key " << Keys[I];
@@ -191,11 +192,10 @@ TEST_P(BTreeFill, ContainsAllKeys) {
 
 TEST_P(BTreeFill, HeightIsLogarithmic) {
   const uint64_t N = 10000;
-  BTree::Options Opts;
-  Opts.FillFactor = GetParam();
   // Fill 0.3 degenerates to branching 2 (height ~log2 N = 15); higher
   // fills give 3-5-way branching.
-  BTree Tree = BTree::buildFromSorted(oddKeys(N), smallParams(), Opts);
+  CompactBTree Tree =
+      CompactBTree::buildFromSorted(oddKeys(N), smallParams(), GetParam());
   EXPECT_LE(Tree.height(), 16u);
   EXPECT_GE(Tree.height(), 5u);
 }
@@ -212,31 +212,13 @@ TEST(BTree, SingleKey) {
   EXPECT_EQ(Tree.nodeCount(), 1u);
 }
 
-TEST(BTree, LowerFillUsesMoreNodes) {
-  std::vector<uint32_t> Keys = oddKeys(4000);
-  BTree::Options Full;
-  Full.FillFactor = 1.0;
-  BTree::Options Slack;
-  Slack.FillFactor = 0.5;
-  BTree TFull = BTree::buildFromSorted(Keys, smallParams(), Full);
-  BTree TSlack = BTree::buildFromSorted(Keys, smallParams(), Slack);
-  EXPECT_GT(TSlack.nodeCount(), TFull.nodeCount());
-  EXPECT_GT(TSlack.storageBytes(), TFull.storageBytes());
-}
-
-TEST(BTree, ColoredRootIsHotUncoloredBuildsToo) {
+TEST(BTree, ColoredRootIsHot) {
   std::vector<uint32_t> Keys = oddKeys(3000);
-  BTree::Options Colored;
-  Colored.Color = true;
-  BTree::Options Plain;
-  Plain.Color = false;
-  BTree TC = BTree::buildFromSorted(Keys, smallParams(), Colored);
-  BTree TP = BTree::buildFromSorted(Keys, smallParams(), Plain);
+  BTree Tree = BTree::buildFromSorted(Keys, smallParams());
   sim::NativeAccess A;
-  EXPECT_TRUE(TC.contains(Keys[123], A));
-  EXPECT_TRUE(TP.contains(Keys[123], A));
+  EXPECT_TRUE(Tree.contains(Keys[123], A));
   CacheParams P = smallParams();
-  EXPECT_LT(P.setOf(addrOf(TC.root())), P.HotSets);
+  EXPECT_LT(P.setOf(addrOf(Tree.root())), P.HotSets);
 }
 
 TEST(BTree, SimulatedSearchTouchesFewerBlocksThanBst) {
@@ -318,7 +300,7 @@ TEST(CompactBTree, ContainsAcrossFills) {
   sim::NativeAccess A;
   for (double Fill : {0.5, 0.69, 1.0}) {
     CompactBTree Tree =
-        CompactBTree::buildFromSorted(Keys, smallParams(), Fill, true);
+        CompactBTree::buildFromSorted(Keys, smallParams(), Fill);
     for (uint64_t I = 0; I < N; I += 19)
       EXPECT_TRUE(Tree.contains(Keys[I], A)) << "fill " << Fill;
     EXPECT_FALSE(Tree.contains(2, A));
@@ -328,10 +310,8 @@ TEST(CompactBTree, ContainsAcrossFills) {
 
 TEST(CompactBTree, LowerFillMoreNodes) {
   std::vector<uint32_t> Keys = oddKeys(4000);
-  CompactBTree Full =
-      CompactBTree::buildFromSorted(Keys, smallParams(), 1.0, false);
-  CompactBTree Half =
-      CompactBTree::buildFromSorted(Keys, smallParams(), 0.5, false);
+  CompactBTree Full = CompactBTree::buildFromSorted(Keys, smallParams(), 1.0);
+  CompactBTree Half = CompactBTree::buildFromSorted(Keys, smallParams(), 0.5);
   EXPECT_GT(Half.nodeCount(), Full.nodeCount());
 }
 
