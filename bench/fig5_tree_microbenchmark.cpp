@@ -33,7 +33,6 @@
 #include "bench/BenchCommon.h"
 #include "obs/Attribution.h"
 #include "obs/Export.h"
-#include "obs/FieldProfile.h"
 #include "obs/MetricsExport.h"
 #include "obs/PerfCounters.h"
 #include "obs/Region.h"
@@ -49,7 +48,6 @@
 
 #include <charconv>
 #include <cinttypes>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -372,9 +370,7 @@ int main(int Argc, char **Argv) {
   // JSONL dump (render it later with tools/cclstat).
   //===------------------------------------------------------------------===//
   std::string TracePath = bench::flagValue(Argc, Argv, "--trace");
-  std::string FieldsPath = bench::flagValue(Argc, Argv, "--fields");
-  if (bench::hasFlag(Argc, Argv, "--profile") || !TracePath.empty() ||
-      !FieldsPath.empty()) {
+  if (bench::hasFlag(Argc, Argv, "--profile") || !TracePath.empty()) {
     const uint64_t ProfileSearches = Full ? 200000 : 50000;
 
     obs::RegionRegistry Registry;
@@ -392,50 +388,6 @@ int main(int Argc, char **Argv) {
     obs::AttributionSink Sink(Registry, AConfig);
     obs::MultiObserver Fan;
     Fan.add(&Sink);
-
-    // --fields <path>: attach a FieldProfileSink over the reflected
-    // node types and export the per-field affinity counters as a
-    // ccl-fields-v1 dump (render with cclstat; feed to ccllint
-    // --fields for profile-guided split/reorder diagnostics).
-    std::unique_ptr<obs::FieldProfileSink> Fields;
-    if (!FieldsPath.empty()) {
-      reflectTreeTypes();
-      Fields = std::make_unique<obs::FieldProfileSink>();
-      int BstId = reflect::TypeRegistry::global().idOf("BstNode");
-      int BtId = reflect::TypeRegistry::global().idOf("BTreeNode");
-      auto AddBst = [&](const BstNode *Root) {
-        std::deque<const BstNode *> Work{Root};
-        while (!Work.empty()) {
-          const BstNode *N = Work.front();
-          Work.pop_front();
-          if (!N)
-            continue;
-          Fields->addObject(N, uint32_t(BstId));
-          Work.push_back(N->Left);
-          Work.push_back(N->Right);
-        }
-      };
-      if (BstId >= 0) {
-        AddBst(RandomTree.root());
-        AddBst(DfsTree.root());
-        AddBst(Ctree.root());
-      }
-      if (BtId >= 0) {
-        std::deque<const BTreeNode *> Work{Btree.root()};
-        while (!Work.empty()) {
-          const BTreeNode *N = Work.front();
-          Work.pop_front();
-          if (!N)
-            continue;
-          Fields->addObject(N, uint32_t(BtId));
-          if (!N->Leaf)
-            for (unsigned I = 0; I <= N->Count; ++I)
-              Work.push_back(N->Kids[I]);
-        }
-      }
-      Fields->seal();
-      Fan.add(Fields.get());
-    }
 
     std::FILE *TraceFile = nullptr;
     std::unique_ptr<obs::TraceSink> Tracer;
@@ -488,20 +440,6 @@ int main(int Argc, char **Argv) {
                   "(render: cclstat %s)\n",
                   Tracer->linesWritten(), TracePath.c_str(),
                   TracePath.c_str());
-    }
-    if (Fields) {
-      std::FILE *FieldsFile = std::fopen(FieldsPath.c_str(), "w");
-      if (!FieldsFile) {
-        std::fprintf(stderr, "fig5: cannot open %s for writing\n",
-                     FieldsPath.c_str());
-        return 1;
-      }
-      obs::writeFieldsJsonl(*Fields, FieldsFile);
-      std::fclose(FieldsFile);
-      std::printf("wrote field-affinity profile to %s "
-                  "(render: cclstat %s; lint: ccllint --fields %s)\n",
-                  FieldsPath.c_str(), FieldsPath.c_str(),
-                  FieldsPath.c_str());
     }
     M.attachObserver(nullptr);
   }

@@ -5,8 +5,8 @@
 #
 # Builds the release and asan presets and runs the full test suite on
 # both, then builds the tsan preset and runs the thread-sensitive tests
-# (the SweepRunner/simulator suite) under ThreadSanitizer, runs the
-# layout lint, diffs fig7, fig10, the ccmorph ablations, fig5's
+# (the SweepRunner/simulator suite) under ThreadSanitizer, runs
+# clang-tidy, diffs fig7, fig10, the ccmorph ablations, fig5's
 # simulated tables and fig6's VIS section across sweep thread counts,
 # renders fig7's bench and metrics artifacts through cclstat, and runs
 # each perfbench workload briefly to check that replay still equals live
@@ -51,12 +51,8 @@ run_preset asan
 # single-core CI machines.
 CCL_SWEEP_THREADS=4 run_preset tsan
 
-# Layout lint: ccl-lint analyzes every reflected structure (static
-# pass, profile-free) and fails CI on threshold trips (exit 2). The
-# clang-tidy pass is advisory unless CCL_LINT_STRICT=1 because the
+# The clang-tidy pass is advisory unless CCL_LINT_STRICT=1 because the
 # default toolchain has no clang-tidy (lint.sh warns and exits 0).
-echo "=== [lint] ccl-lint --check ==="
-build-release/tools/ccllint --check > /dev/null
 echo "=== [lint] clang-tidy (scripts/lint.sh) ==="
 scripts/lint.sh
 
@@ -187,15 +183,6 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
     --out "$ART/BENCH_ablation_profile_guided.json"
   build-bench/bench/ablation_subtree_size \
     --out "$ART/BENCH_ablation_subtree_size.json"
-
-  # Layout-lint artifact: the full profile-guided report (tree + health
-  # workloads) in ccl-lint-v1 JSON, next to the bench documents, plus
-  # the raw field-affinity profile it was computed from.
-  echo "=== ccl-lint artifact -> $ART ==="
-  build-release/tools/ccllint --profile-workload all \
-    --fields-out "$ART/FIELDS_profile.jsonl" \
-    --json "$ART/LINT_report.json" > /dev/null
-  build-bench/tools/cclstat --quiet "$ART/FIELDS_profile.jsonl" > /dev/null
 
   # Smoke the offline renderers over the artifacts they consume: the
   # metrics dump must round-trip through cclstat (text + summary JSON)

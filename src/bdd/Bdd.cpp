@@ -6,8 +6,6 @@
 
 #include "bdd/Bdd.h"
 
-#include "support/Reflect.h"
-
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -179,8 +177,4 @@ uint64_t BddManager::nodeCount(BddNode *F) {
     Stack.push_back(N->High);
   }
   return Seen.size();
-}
-
-void ccl::bdd::reflectBddTypes() {
-  CCL_REFLECT("bdd", BddNode, Var, Value, Low, High);
 }

@@ -160,10 +160,6 @@ private:
   std::vector<BddNode *> NVarNodes;
 };
 
-/// Registers the BddNode layout with the reflection TypeRegistry
-/// (support/Reflect.h). Idempotent; defined in Bdd.cpp.
-void reflectBddTypes();
-
 } // namespace ccl::bdd
 
 #endif // CCL_BDD_BDD_H

@@ -19,7 +19,6 @@
 
 #include "support/Align.h"
 #include "support/Metrics.h"
-#include "support/Reflect.h"
 
 #include <algorithm>
 #include <bit>
@@ -437,16 +436,4 @@ size_t CcHeap::sizeOf(const void *Ptr) const {
       static_cast<const char *>(Ptr) - HeaderBytes);
   assert(Header->Magic == HeaderMagic && "sizeOf: bad chunk header");
   return Header->Size;
-}
-
-void CcHeap::reflectTypes() {
-  CCL_REFLECT("heap", ChunkHeader, Size, Magic);
-  CCL_REFLECT("heap", BlockMeta, Used, Live, Epoch);
-  CCL_REFLECT("heap", FreeChunk, Payload, Page, Epoch);
-  CCL_REFLECT("heap", HeapConfig, PageBytes, BlockBytes);
-  CCL_REFLECT("heap", HeapStats, AllocCalls, NearCalls, FreeCalls, SameBlock,
-              SamePage, PageSpills, FreeListReuses, BlocksReclaimed,
-              BytesRequested, BytesLive, PagesAllocated, AllocFast, AllocSlow,
-              NearFast, NearSlow, FreeFast, FreeSlow, BinRefill, BinRecycle,
-              SlabAcquires);
 }

@@ -117,12 +117,6 @@ public:
   CcHeap(const CcHeap &) = delete;
   CcHeap &operator=(const CcHeap &) = delete;
 
-  /// Registers the heap's metadata layouts (ChunkHeader, BlockMeta,
-  /// FreeChunk — private, hence a member) plus HeapConfig/HeapStats
-  /// with the reflection TypeRegistry (support/Reflect.h). Idempotent;
-  /// defined in CcHeap.cpp.
-  static void reflectTypes();
-
   /// Plain allocation (the `malloc` path): fills cache blocks of the
   /// current page sequentially, so consecutive allocations cluster in
   /// allocation order — the behaviour of a fresh system heap.

@@ -6,9 +6,7 @@
 
 #include "olden/Health.h"
 
-#include "support/Reflect.h"
 #include "support/Timer.h"
-
 
 #include <vector>
 
@@ -64,16 +62,9 @@ struct CellAdapter {
 template <typename Access> class HealthSim {
 public:
   HealthSim(const HealthConfig &Config, Variant V,
-            const sim::HierarchyConfig *Sim, Access &A,
-            const HealthProfileHooks *Hooks = nullptr)
+            const sim::HierarchyConfig *Sim, Access &A)
       : Config(Config), V(V), A(A), Alloc(paramsFor(Sim), strategyFor(V)),
-        Morph(paramsFor(Sim)), Greedy(V == Variant::SwPrefetch),
-        Hooks(Hooks) {}
-
-  void noteAlloc(const void *Ptr, const char *TypeName) {
-    if (Hooks && Hooks->OnAlloc)
-      Hooks->OnAlloc(Ptr, TypeName);
-  }
+        Morph(paramsFor(Sim)), Greedy(V == Variant::SwPrefetch) {}
 
   BenchResult run() {
     Root = buildVillage(Config.MaxLevel, nullptr);
@@ -116,7 +107,6 @@ private:
         Vil->Kids[I] = buildVillage(Level - 1, Vil);
     A.touch(Vil, sizeof(Village));
     Villages.push_back(Vil);
-    noteAlloc(Vil, "Village");
     return Vil;
   }
 
@@ -127,7 +117,6 @@ private:
     const void *Near = Prev ? static_cast<const void *>(Prev) : Owner;
     auto *Cell = static_cast<ListCell *>(
         benchAlloc(Alloc, V, sizeof(ListCell), Near, A));
-    noteAlloc(Cell, "ListCell");
     A.store(&Cell->Forward, static_cast<ListCell *>(nullptr));
     A.store(&Cell->Back, Prev);
     A.store(&Cell->Pat, P);
@@ -186,7 +175,6 @@ private:
                              : static_cast<const void *>(Vil);
       auto *P = static_cast<Patient *>(
           benchAlloc(Alloc, V, sizeof(Patient), Near, A));
-      noteAlloc(P, "Patient");
       Vil->LastPatient = P;
       A.store(&P->Id, NextPatientId++);
       A.store(&P->Hops, 0u);
@@ -313,7 +301,6 @@ private:
   CcAllocator Alloc;
   CcMorph<ListCell, CellAdapter> Morph;
   bool Greedy;
-  const HealthProfileHooks *Hooks = nullptr;
   Village *Root = nullptr;
   std::vector<Village *> Villages;
   uint32_t NextVillageId = 0;
@@ -342,24 +329,4 @@ BenchResult ccl::olden::runHealth(const HealthConfig &Config, Variant V,
   BenchResult Result = HealthSim<sim::NativeAccess>(Config, V, Sim, A).run();
   Result.NativeSeconds = T.elapsedSec();
   return Result;
-}
-
-BenchResult ccl::olden::runHealthProfiled(const HealthConfig &Config,
-                                          const sim::HierarchyConfig &Sim,
-                                          const HealthProfileHooks &Hooks) {
-  sim::MemoryHierarchy Hierarchy(hierarchyFor(Sim, Variant::Base));
-  Hierarchy.attachObserver(Hooks.Observer);
-  sim::SimAccess A(Hierarchy);
-  HealthSim<sim::SimAccess> Run(Config, Variant::Base, &Sim, A, &Hooks);
-  BenchResult Result = Run.run();
-  Hierarchy.attachObserver(nullptr);
-  Result.Stats = Hierarchy.stats();
-  return Result;
-}
-
-void ccl::olden::reflectHealthTypes() {
-  CCL_REFLECT("olden", Village, Kids, Parent, Waiting, Assess, Inside,
-              LastPatient, Seed, FreePersonnel, Id, IsLeaf);
-  CCL_REFLECT("olden", Patient, Id, Hops, ArrivalStep, TimeLeft);
-  CCL_REFLECT("olden", ListCell, Forward, Back, Pat);
 }

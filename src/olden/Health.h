@@ -22,10 +22,7 @@
 #ifndef CCL_OLDEN_HEALTH_H
 #define CCL_OLDEN_HEALTH_H
 
-#include "obs/Observer.h"
 #include "olden/OldenCommon.h"
-
-#include <functional>
 
 namespace ccl::olden {
 
@@ -43,26 +40,6 @@ struct HealthConfig {
 /// Runs health under \p V. Simulated when \p Sim is non-null.
 BenchResult runHealth(const HealthConfig &Config, Variant V,
                       const sim::HierarchyConfig *Sim);
-
-/// Hooks for field-level profiling runs (tools/ccllint): \p Observer is
-/// attached to the simulated hierarchy, and \p OnAlloc fires for every
-/// node the benchmark allocates with its address and reflected type
-/// name ("Village", "Patient", "ListCell") so the caller can bind
-/// objects in an obs::FieldProfileSink without this module depending on
-/// the profiling layer.
-struct HealthProfileHooks {
-  obs::SimObserver *Observer = nullptr;
-  std::function<void(const void *Ptr, const char *TypeName)> OnAlloc;
-};
-
-/// Simulated health run with profiling hooks (always Variant::Base).
-BenchResult runHealthProfiled(const HealthConfig &Config,
-                              const sim::HierarchyConfig &Sim,
-                              const HealthProfileHooks &Hooks);
-
-/// Registers health's node layouts (Village, Patient, ListCell) with
-/// the reflection TypeRegistry (support/Reflect.h). Idempotent.
-void reflectHealthTypes();
 
 } // namespace ccl::olden
 

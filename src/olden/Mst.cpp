@@ -8,7 +8,6 @@
 
 #include "support/Align.h"
 #include "support/Random.h"
-#include "support/Reflect.h"
 #include "support/Timer.h"
 
 #include <limits>
@@ -234,9 +233,4 @@ BenchResult ccl::olden::runMst(const MstConfig &Config, Variant V,
   BenchResult Result = runImpl(Config, V, Sim, A);
   Result.NativeSeconds = T.elapsedSec();
   return Result;
-}
-
-void ccl::olden::reflectMstTypes() {
-  CCL_REFLECT("olden", HashEntry, Key, Weight, Next);
-  CCL_REFLECT("olden", Vertex, Buckets, NumBuckets, MinDist);
 }

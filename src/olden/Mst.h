@@ -34,10 +34,6 @@ struct MstConfig {
 BenchResult runMst(const MstConfig &Config, Variant V,
                    const sim::HierarchyConfig *Sim);
 
-/// Registers mst's node layouts (Vertex, HashEntry) with the reflection
-/// TypeRegistry (support/Reflect.h). Idempotent.
-void reflectMstTypes();
-
 } // namespace ccl::olden
 
 #endif // CCL_OLDEN_MST_H

@@ -6,7 +6,6 @@
 
 #include "olden/Perimeter.h"
 
-#include "support/Reflect.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -303,8 +302,4 @@ BenchResult ccl::olden::runPerimeter(const PerimeterConfig &Config, Variant V,
   BenchResult Result = runImpl(Config, V, Sim, A);
   Result.NativeSeconds = T.elapsedSec();
   return Result;
-}
-
-void ccl::olden::reflectPerimeterTypes() {
-  CCL_REFLECT("olden", QuadNode, Color, ChildType, Parent, Kids);
 }

@@ -33,10 +33,6 @@ struct PerimeterConfig {
 BenchResult runPerimeter(const PerimeterConfig &Config, Variant V,
                          const sim::HierarchyConfig *Sim);
 
-/// Registers perimeter's QuadNode layout with the reflection
-/// TypeRegistry (support/Reflect.h). Idempotent.
-void reflectPerimeterTypes();
-
 } // namespace ccl::olden
 
 #endif // CCL_OLDEN_PERIMETER_H

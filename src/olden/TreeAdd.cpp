@@ -6,7 +6,6 @@
 
 #include "olden/TreeAdd.h"
 
-#include "support/Reflect.h"
 #include "support/Timer.h"
 
 using namespace ccl;
@@ -113,8 +112,4 @@ BenchResult ccl::olden::runTreeAdd(const TreeAddConfig &Config, Variant V,
   BenchResult Result = runImpl(Config, V, Sim, A);
   Result.NativeSeconds = T.elapsedSec();
   return Result;
-}
-
-void ccl::olden::reflectTreeAddTypes() {
-  CCL_REFLECT("olden", TreeNode, Val, Pad, Left, Right);
 }

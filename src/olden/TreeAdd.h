@@ -33,10 +33,6 @@ struct TreeAddConfig {
 BenchResult runTreeAdd(const TreeAddConfig &Config, Variant V,
                        const sim::HierarchyConfig *Sim);
 
-/// Registers treeadd's TreeNode layout with the reflection TypeRegistry
-/// (support/Reflect.h). Idempotent.
-void reflectTreeAddTypes();
-
 } // namespace ccl::olden
 
 #endif // CCL_OLDEN_TREEADD_H

@@ -6,8 +6,6 @@
 
 #include "sim/MemoryHierarchy.h"
 
-#include "support/Reflect.h"
-
 #include <algorithm>
 #include <vector>
 
@@ -203,17 +201,4 @@ void MemoryHierarchy::reset() {
   UnitMap.clear();
   NextUnit = 1;
   Stats = SimStats();
-}
-
-void ccl::sim::reflectSimTypes() {
-  CCL_REFLECT("sim", CacheConfig, CapacityBytes, BlockBytes, Associativity,
-              HitLatency);
-  CCL_REFLECT("sim", TlbConfig, Enabled, Entries, PageBytes, MissLatency);
-  CCL_REFLECT("sim", HierarchyConfig, L1, L2, MemoryLatency,
-              PrefetchIssueCost, Tlb, Prefetch);
-  CCL_REFLECT("sim", SimStats, Reads, Writes, SwPrefetches, HwPrefetches,
-              L1Hits, L1Misses, L2Hits, L2Misses, PrefetchFullHits,
-              PrefetchPartialHits, TlbMisses, Writebacks, BusyCycles,
-              L1StallCycles, L2StallCycles, TlbStallCycles,
-              PrefetchIssueCycles);
 }

@@ -281,12 +281,6 @@ private:
   UnitMemoEntry UnitMemo[UnitMemoSlots];
 };
 
-/// Registers the simulator's parameter/result layouts (SimStats,
-/// CacheConfig, TlbConfig, HierarchyConfig) with the reflection
-/// TypeRegistry (support/Reflect.h). Idempotent; defined in
-/// MemoryHierarchy.cpp.
-void reflectSimTypes();
-
 } // namespace ccl::sim
 
 #endif // CCL_SIM_MEMORYHIERARCHY_H

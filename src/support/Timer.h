@@ -33,7 +33,6 @@ public:
             .count());
   }
 
-  double elapsedUs() const { return static_cast<double>(elapsedNs()) / 1e3; }
   double elapsedMs() const { return static_cast<double>(elapsedNs()) / 1e6; }
   double elapsedSec() const { return static_cast<double>(elapsedNs()) / 1e9; }
 

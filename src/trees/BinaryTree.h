@@ -137,12 +137,6 @@ private:
 /// BST over exactly \p ExpectedNodes nodes.
 bool verifyBst(const BstNode *Root, uint64_t ExpectedNodes);
 
-/// Registers the tree node layouts (BstNode, BTreeNode, CompactBstNode,
-/// CompactBTreeNode) with the global reflection TypeRegistry
-/// (support/Reflect.h) for ccl-lint and field-level miss attribution.
-/// Idempotent; defined in ReflectTypes.cpp.
-void reflectTreeTypes();
-
 } // namespace ccl::trees
 
 #endif // CCL_TREES_BINARYTREE_H

@@ -4,14 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The shared parser (obs/Json.h) and the four mappers built on it
-// (trace, metrics, fields, bench): what they accept, what they skip, and
-// what they reject, with the reason a tool prints.
+// The shared parser (obs/Json.h) and the three mappers built on it
+// (trace, metrics, bench): what they accept, what they skip, and what
+// they reject, with the reason a tool prints.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/BenchReader.h"
-#include "obs/FieldProfile.h"
 #include "obs/Json.h"
 #include "obs/MetricsExport.h"
 #include "obs/TraceReader.h"
@@ -62,18 +61,9 @@ std::string metricsError(const std::string &Line, MetricsDoc &Doc,
       Line, [&](JsonObject &O) { return parseMetricsLine(O, Doc); }, Mapped);
 }
 
-std::string fieldsError(const std::string &Line, FieldsDoc &Doc,
-                        bool *Mapped = nullptr) {
-  return mapError(
-      Line, [&](JsonObject &O) { return parseFieldsLine(O, Doc); }, Mapped);
-}
-
 std::string benchError(const std::string &Line, BenchDoc &Doc) {
   return mapError(Line, [&](JsonObject &O) { return parseBenchJson(O, Doc); });
 }
-
-const char *FieldsMeta =
-    R"({"kind":"meta","schema":"ccl-fields-v1","binary":"b","git":"g"})";
 
 std::string writeTemp(const std::string &Name, const std::string &Text) {
   std::string Path = testing::TempDir() + "/" + Name;
@@ -197,15 +187,11 @@ TEST(JsonObject, ReadsTopLevelMembersOnly) {
 TEST(JsonMappers, MissingOrMistypedKindRejects) {
   TraceRecord R;
   MetricsDoc M;
-  FieldsDoc F;
   EXPECT_EQ(traceError(R"({"now":1})", R), "missing \"kind\"");
   EXPECT_EQ(traceError(R"({"kind":3})", R), "\"kind\": expected a string");
   EXPECT_EQ(metricsError(R"({"name":"n","v":1})", M), "missing \"kind\"");
   EXPECT_EQ(metricsError(R"({"kind":["c"]})", M),
             "\"kind\": expected a string");
-  EXPECT_EQ(fieldsError(R"({"schema":"ccl-fields-v1"})", F),
-            "missing \"kind\"");
-  EXPECT_EQ(fieldsError(R"({"kind":null})", F), "\"kind\": expected a string");
 }
 
 TEST(JsonMappers, UnknownKindsAndKeysAreSkipped) {
@@ -223,16 +209,6 @@ TEST(JsonMappers, UnknownKindsAndKeysAreSkipped) {
 
   MetricsDoc M;
   EXPECT_EQ(metricsError(R"({"kind":"future-kind","name":"n"})", M, &Mapped),
-            "");
-  EXPECT_FALSE(Mapped);
-
-  FieldsDoc F;
-  ASSERT_EQ(fieldsError(FieldsMeta, F), "");
-  EXPECT_EQ(fieldsError(R"({"kind":"future"})", F, &Mapped), "");
-  EXPECT_FALSE(Mapped);
-  // An "f" line naming no earlier type is skipped too.
-  EXPECT_EQ(fieldsError(R"({"kind":"f","type":"Nope","field":"x"})", F,
-                        &Mapped),
             "");
   EXPECT_FALSE(Mapped);
 
@@ -278,15 +254,6 @@ TEST(JsonMappers, RequiredKeysAndLevels) {
             "\"b\": expected [bucket, count] pairs");
 }
 
-TEST(JsonMappers, FieldsDumpNeedsItsMetaLineFirst) {
-  FieldsDoc F;
-  EXPECT_EQ(fieldsError(R"({"kind":"type","name":"T"})", F),
-            "record before the ccl-fields-v1 meta line");
-  FieldsDoc Other;
-  EXPECT_EQ(fieldsError(R"({"kind":"meta","schema":"ccl-trace-v2"})", Other),
-            "not a ccl-fields-v1 dump");
-}
-
 TEST(JsonMappers, BenchDocumentShape) {
   BenchDoc B;
   EXPECT_EQ(benchError(R"({"schema":"ccl-lint-v1","results":[]})", B),
@@ -315,7 +282,7 @@ TEST(JsonMappers, BenchDocumentShape) {
 }
 
 TEST(JsonEscape, EveryEscapedStringRoundTripsThroughEveryReader) {
-  // The metrics, fields and bench readers used to turn \t into t, and
+  // The metrics and bench readers used to turn \t into t, and
   // every reader turned \u0001 into u0001.
   std::string Raw = "q\"b\\s/t\tn\nr\r";
   for (int C = 1; C < 0x20; ++C)
@@ -335,11 +302,6 @@ TEST(JsonEscape, EveryEscapedStringRoundTripsThroughEveryReader) {
   ASSERT_EQ(metricsError(R"({"kind":"c","name":")" + Esc + R"(","v":1})", M),
             "");
   EXPECT_EQ(M.Data.Counters.at(0).Name, Raw);
-
-  FieldsDoc F;
-  ASSERT_EQ(fieldsError(FieldsMeta, F), "");
-  ASSERT_EQ(fieldsError(R"({"kind":"type","name":")" + Esc + "\"}", F), "");
-  EXPECT_EQ(F.Types.at(0).Name, Raw);
 
   BenchDoc B;
   ASSERT_EQ(benchError(R"({"schema":"ccl-bench-v1","bench":")" + Esc +
@@ -373,22 +335,4 @@ TEST(JsonLines, ReportsTheFirstBadLineByNumber) {
   EXPECT_FALSE(readJsonLines(testing::TempDir() + "/absent.jsonl",
                              [](JsonObject &) {}, Error));
   EXPECT_NE(Error.find("absent.jsonl: cannot open"), std::string::npos);
-}
-
-TEST(JsonLines, ReadFieldsFileRejectsWhatIsNotAFieldsDump) {
-  FieldsDoc Doc;
-  std::string Error;
-  std::string Text = writeTemp("not_fields.txt", "hostname\n");
-  EXPECT_FALSE(readFieldsFile(Text, Doc, Error));
-  EXPECT_EQ(Error, Text + ": line 1: unexpected character");
-
-  std::string Empty = writeTemp("empty_fields.jsonl", "");
-  EXPECT_FALSE(readFieldsFile(Empty, Doc, Error));
-  EXPECT_EQ(Error, Empty + ": no ccl-fields-v1 meta line");
-
-  std::string Cut = writeTemp(
-      "cut_fields.jsonl",
-      std::string(FieldsMeta) + "\n{\"kind\":\"type\",\"name\":\"T\",\"si");
-  EXPECT_FALSE(readFieldsFile(Cut, Doc, Error));
-  EXPECT_EQ(Error, Cut + ": line 2: truncated");
 }

@@ -7,7 +7,6 @@
 #include "support/Align.h"
 #include "support/FlatMap.h"
 #include "support/Random.h"
-#include "support/Stats.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
 #include "support/Zipf.h"
@@ -169,44 +168,6 @@ TEST(Random, MeanIsCentered) {
   for (int I = 0; I < N; ++I)
     Sum += Rng.nextDouble();
   EXPECT_NEAR(Sum / N, 0.5, 0.02);
-}
-
-//===----------------------------------------------------------------------===//
-// RunningStats
-//===----------------------------------------------------------------------===//
-
-TEST(Stats, EmptyIsZero) {
-  RunningStats S;
-  EXPECT_EQ(S.count(), 0u);
-  EXPECT_EQ(S.mean(), 0.0);
-  EXPECT_EQ(S.variance(), 0.0);
-}
-
-TEST(Stats, SingleSample) {
-  RunningStats S;
-  S.add(5.0);
-  EXPECT_EQ(S.count(), 1u);
-  EXPECT_DOUBLE_EQ(S.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(S.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(S.min(), 5.0);
-  EXPECT_DOUBLE_EQ(S.max(), 5.0);
-}
-
-TEST(Stats, KnownMoments) {
-  RunningStats S;
-  for (double X : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-    S.add(X);
-  EXPECT_DOUBLE_EQ(S.mean(), 5.0);
-  EXPECT_NEAR(S.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(S.min(), 2.0);
-  EXPECT_DOUBLE_EQ(S.max(), 9.0);
-}
-
-TEST(Stats, Reset) {
-  RunningStats S;
-  S.add(1.0);
-  S.reset();
-  EXPECT_EQ(S.count(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,8 +9,8 @@
 // line's "schema" picks the format from one table (Formats below): a
 // ccl-trace-v1/v2 dump (TraceSink; or no schema) renders the
 // per-structure cache profile, ccl-metrics-v1 the runtime-metrics
-// report, ccl-fields-v1 the per-field affinity tables, and ccl-bench-v1
-// the simulated-vs-hardware miss divergence table.
+// report, and ccl-bench-v1 the simulated-vs-hardware miss divergence
+// table.
 //
 //   cclstat trace.jsonl                 # text report
 //   cclstat --json - trace.jsonl        # ccl-profile-v1 JSON to stdout
@@ -26,14 +26,12 @@
 #include "obs/Attribution.h"
 #include "obs/BenchReader.h"
 #include "obs/Export.h"
-#include "obs/FieldProfile.h"
 #include "obs/Json.h"
 #include "obs/MetricsExport.h"
 #include "obs/Region.h"
 #include "obs/TraceReader.h"
 #include "support/TablePrinter.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -52,8 +50,8 @@ int usage(const char *Prog) {
   std::fprintf(
       stderr,
       "usage: %s [options] <ccl-* artifact | ->\n"
-      "Renders a ccl-trace-v1/v2, ccl-metrics-v1, ccl-fields-v1 or\n"
-      "ccl-bench-v1 artifact; its first line's schema picks the report.\n"
+      "Renders a ccl-trace-v1/v2, ccl-metrics-v1 or ccl-bench-v1\n"
+      "artifact; its first line's schema picks the report.\n"
       "  --json <path>    write ccl-profile-v1 JSON ('-' = stdout)\n"
       "                   (metrics input: ccl-metrics-summary-v1)\n"
       "  --csv <path>     write the per-region profile as CSV\n"
@@ -116,48 +114,6 @@ public:
 protected:
   const Options &Opts;
 };
-
-/// Per-type field-affinity tables from a ccl-fields-v1 dump (as written
-/// by `ccllint --fields-out` / `fig5_tree_microbenchmark --fields`).
-/// The "refs/visit" column normalizes per element against the hottest
-/// field so hot/cold structure is visible at a glance.
-void printFieldsReport(const FieldsDoc &Doc) {
-  for (const FieldsTypeDoc &T : Doc.Types) {
-    std::printf("%s::%s: %u B (align %u), %s objects, %s attributed "
-                "accesses\n",
-                T.Module.c_str(), T.Name.c_str(), T.Size, T.Align,
-                TablePrinter::fmtInt(T.Objects).c_str(),
-                TablePrinter::fmtInt(T.Accesses).c_str());
-    if (T.PaddingBytesTouched)
-      std::printf("  (%s bytes landed in padding holes)\n",
-                  TablePrinter::fmtInt(T.PaddingBytesTouched).c_str());
-    // Per-element visit normalizer: the hottest field's refs per
-    // element (same convention as ccl-lint's affinity model).
-    double Visits = 0;
-    for (const FieldsFieldDoc &F : T.Fields)
-      Visits = std::max(Visits, double(F.Counters.refs()) /
-                                    std::max(1u, F.ElemCount));
-    TablePrinter Table({"field", "off", "size", "reads", "writes",
-                        "L1 miss", "L2 miss", "bytes/ref", "refs/visit"});
-    for (const FieldsFieldDoc &F : T.Fields) {
-      uint64_t Refs = F.Counters.refs();
-      Table.addRow(
-          {F.Name, TablePrinter::fmtInt(F.Offset),
-           TablePrinter::fmtInt(F.Size),
-           TablePrinter::fmtInt(F.Counters.Reads),
-           TablePrinter::fmtInt(F.Counters.Writes),
-           TablePrinter::fmtInt(F.Counters.L1Misses),
-           TablePrinter::fmtInt(F.Counters.L2Misses),
-           Refs ? TablePrinter::fmt(double(F.Counters.BytesAccessed) / Refs,
-                                    1)
-                : std::string("-"),
-           Visits > 0 ? TablePrinter::fmt(double(Refs) / Visits, 3)
-                      : std::string("-")});
-    }
-    Table.print();
-    std::printf("\n");
-  }
-}
 
 /// Streams Chrome trace-event JSON ("X" complete events for accesses on
 /// one timeline row per region; instant events for evictions and
@@ -344,30 +300,6 @@ private:
   MetricsDoc Doc;
 };
 
-class FieldsInput final : public Input {
-public:
-  using Input::Input;
-
-  bool add(JsonObject &Line) override { return parseFieldsLine(Line, Doc); }
-
-  int render(long Records) override {
-    if (Opts.Quiet)
-      return 0;
-    printSource(Opts, Records, "field-profile records", Doc.Binary, Doc.Git);
-    std::printf("\n");
-    if (Doc.Attributed + Doc.Unattributed > 0)
-      std::printf("attributed %s / unattributed %s events\n",
-                  TablePrinter::fmtInt(Doc.Attributed).c_str(),
-                  TablePrinter::fmtInt(Doc.Unattributed).c_str());
-    std::printf("\n");
-    printFieldsReport(Doc);
-    return 0;
-  }
-
-private:
-  FieldsDoc Doc;
-};
-
 /// Sim-vs-hardware divergence: pairs each result's simulated miss
 /// counts with the hardware counts recorded around the corresponding
 /// native run (fig5/fig6/fig7 --hw). The two columns deliberately do
@@ -486,7 +418,6 @@ struct Format {
     {"ccl-trace-v1", "--json --csv --chrome", openAs<TraceInput>},
     {"ccl-trace-v2", "--json --csv --chrome", openAs<TraceInput>},
     {"ccl-metrics-v1", "--json --chrome", openAs<MetricsInput>},
-    {"ccl-fields-v1", "", openAs<FieldsInput>},
     {"ccl-bench-v1", "", openAs<BenchInput>},
 };
 
