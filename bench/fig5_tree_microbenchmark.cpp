@@ -32,7 +32,6 @@
 
 #include "bench/BenchCommon.h"
 #include "obs/Attribution.h"
-#include "obs/Export.h"
 #include "obs/MetricsExport.h"
 #include "obs/PerfCounters.h"
 #include "obs/Region.h"
@@ -46,7 +45,6 @@
 #include "trees/BinaryTree.h"
 #include "trees/CTree.h"
 
-#include <charconv>
 #include <cinttypes>
 #include <functional>
 #include <memory>
@@ -219,18 +217,6 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
 
 int main(int Argc, char **Argv) {
   bool Full = bench::fullScale(Argc, Argv);
-  uint64_t TraceSample = 1;
-  std::string Sample = bench::flagValue(Argc, Argv, "--trace-sample");
-  if (!Sample.empty()) {
-    const char *End = Sample.data() + Sample.size();
-    auto [Ptr, Ec] = std::from_chars(Sample.data(), End, TraceSample);
-    if (Ec != std::errc() || Ptr != End) {
-      std::fprintf(stderr, "fig5: --trace-sample needs a whole number, "
-                           "got '%s'\n",
-                   Sample.c_str());
-      return 64;
-    }
-  }
   bench::printHeader(
       "Figure 5: binary tree microbenchmark",
       "Chilimbi/Hill/Larus PLDI'99, Fig. 5 (avg search time vs repeated "
@@ -365,49 +351,30 @@ int main(int Argc, char **Argv) {
               bench::speedupStr(Rand, Bt).c_str());
 
   //===------------------------------------------------------------------===//
-  // Telemetry: --profile renders a per-structure attribution report;
-  // --trace <path> additionally streams the events as a ccl-trace-v2
-  // JSONL dump (render it later with tools/cclstat).
+  // Telemetry: --profile renders a per-structure attribution report.
   //===------------------------------------------------------------------===//
-  std::string TracePath = bench::flagValue(Argc, Argv, "--trace");
-  if (bench::hasFlag(Argc, Argv, "--profile") || !TracePath.empty()) {
+  if (bench::hasFlag(Argc, Argv, "--profile")) {
     const uint64_t ProfileSearches = Full ? 200000 : 50000;
 
     obs::RegionRegistry Registry;
     Registry.registerRange(RandomTree.nodes(), RandomTree.storageBytes(),
-                           {"random binary tree", {}, {}});
+                           {"random binary tree", {}});
     Registry.registerRange(DfsTree.nodes(), DfsTree.storageBytes(),
-                           {"depth-first binary tree", {}, {}});
+                           {"depth-first binary tree", {}});
     if (const ColoredArena *A = Btree.arena())
       Registry.registerColoredArena(*A, "in-core B-tree");
     if (const ColoredArena *A = Ctree.arena())
       Registry.registerColoredArena(*A, "transparent C-tree");
 
-    obs::AttributionConfig AConfig =
-        obs::AttributionConfig::fromHierarchy(Config, Params.HotSets);
-    obs::AttributionSink Sink(Registry, AConfig);
-    obs::MultiObserver Fan;
-    Fan.add(&Sink);
-
-    std::FILE *TraceFile = nullptr;
-    std::unique_ptr<obs::TraceSink> Tracer;
-    if (!TracePath.empty()) {
-      TraceFile = std::fopen(TracePath.c_str(), "w");
-      if (!TraceFile) {
-        std::fprintf(stderr, "fig5: cannot open %s for writing\n",
-                     TracePath.c_str());
-        return 1;
-      }
-      Tracer = std::make_unique<obs::TraceSink>(TraceFile, AConfig,
-                                                &Registry, TraceSample);
-      Fan.add(Tracer.get());
-    }
+    obs::AttributionSink Sink(
+        Registry,
+        obs::AttributionConfig::fromHierarchy(Config, Params.HotSets));
 
     // One shared hierarchy for all four structures, so the report shows
     // them side by side (caches stay warm across structures, like an
     // application touching several data structures in turn).
     sim::MemoryHierarchy M(Config);
-    M.attachObserver(&Fan);
+    M.attachObserver(&Sink);
     sim::SimAccess A(M);
     auto RunSearches = [&](auto &&Search) {
       Xoshiro256 Rng(0xF16'5EEDULL);
@@ -434,13 +401,6 @@ int main(int Argc, char **Argv) {
     Sink.printReport();
     if (!M.stats().isConsistent())
       std::fprintf(stderr, "fig5: WARNING: inconsistent simulator stats\n");
-    if (TraceFile) {
-      std::fclose(TraceFile);
-      std::printf("\nwrote %" PRIu64 " trace lines to %s "
-                  "(render: cclstat %s)\n",
-                  Tracer->linesWritten(), TracePath.c_str(),
-                  TracePath.c_str());
-    }
     M.attachObserver(nullptr);
   }
 

@@ -7,10 +7,11 @@
 # both, then builds the tsan preset and runs the thread-sensitive tests
 # (the SweepRunner/simulator suite) under ThreadSanitizer, runs
 # clang-tidy, diffs fig7, fig10, the ccmorph ablations, fig5's
-# simulated tables and fig6's VIS section across sweep thread counts,
-# renders fig7's bench and metrics artifacts through cclstat, and runs
-# each perfbench workload briefly to check that replay still equals live
-# simulation. Any failure aborts the script.
+# simulated tables and --profile attribution report, and fig6's VIS
+# section across sweep thread counts, renders fig7's bench and metrics
+# artifacts through cclstat, and runs each perfbench workload briefly to
+# check that replay still equals live simulation. Any failure aborts the
+# script.
 #
 # Usage: scripts/ci.sh [--advisory] [jobs]
 #
@@ -62,7 +63,9 @@ scripts/lint.sh
 # cells are diffed whole. fig5 is diffed without its host-timed table
 # and with ASLR off on both sides: its binary-tree node arrays are only
 # 4 KiB aligned, so two of its simulated columns follow where the
-# process maps them (ROADMAP item 1). fig6 is diffed from its VIS
+# process maps them (ROADMAP item 1). It runs with --profile, so the
+# one observed access path and the per-structure report it feeds are
+# diffed on every run too. fig6 is diffed from its VIS
 # section on, with ASLR on: every byte the BDD runs touch comes from
 # their own heap's 1 MiB slabs. Its RADIANCE section stays out: the
 # scene arrays are host vectors. fig7's counter and histogram totals
@@ -92,10 +95,10 @@ for threads in 1 4; do
 done
 det_diff "$fig.metrics"
 fig=fig5_tree_microbenchmark
-echo "=== [determinism] $fig simulated tables at CCL_SWEEP_THREADS=1 vs 4 ==="
+echo "=== [determinism] $fig tables and profile at CCL_SWEEP_THREADS=1 vs 4 ==="
 for threads in 1 4; do
   CCL_SWEEP_THREADS=$threads setarch "$(uname -m)" -R \
-    "build-release/bench/$fig" |
+    "build-release/bench/$fig" --profile |
     sed '/^Native nanoseconds per search/,/^$/d' > "$DET_DIR/$fig.$threads"
 done
 det_diff "$fig"

@@ -53,7 +53,8 @@ void AttributionSink::markTouched(Residency &R, uint32_t Offset,
     R.Touched[I >> 6] |= 1ULL << (I & 63);
 }
 
-void AttributionSink::record(const AccessEvent &Event, uint32_t Region) {
+void AttributionSink::onAccess(const AccessEvent &Event) {
+  uint32_t Region = Registry->resolve(Event.VAddr);
   ensureRegion(Region);
   ++AccessEventCount;
   RegionProfile &P = PerRegion[Region];
@@ -112,17 +113,12 @@ void AttributionSink::closeResidency(uint64_t Block, const Residency &R,
     ++P.Writebacks;
 }
 
-void AttributionSink::recordEvict(const EvictEvent &Event) {
-  if (Event.Level != 2) {
-    // L1 evictions carry no residency; they are frequent and tracked
-    // only in aggregate via the L1 miss histogram.
-    return;
-  }
+void AttributionSink::onEvict(const EvictEvent &Event) {
   uint64_t Block = Event.MappedBlockAddr / Config.L2BlockBytes;
   ++L2SetEvictions[Block % Config.L2Sets];
   auto It = Resident.find(Block);
   if (It == Resident.end())
-    return; // Fill predates this sink (or was dropped by trace sampling).
+    return; // The fill predates this sink.
   closeResidency(Block, It->second, /*Evicted=*/true, Event.Writeback);
   Resident.erase(It);
 }
@@ -138,16 +134,6 @@ RegionProfile AttributionSink::totals() const {
   for (const RegionProfile &P : PerRegion)
     Total += P;
   return Total;
-}
-
-void AttributionSink::reset() {
-  PerRegion.assign(Registry->regionCount(), RegionProfile());
-  std::fill(L1SetMisses.begin(), L1SetMisses.end(), 0);
-  std::fill(L2SetMisses.begin(), L2SetMisses.end(), 0);
-  std::fill(L2SetEvictions.begin(), L2SetEvictions.end(), 0);
-  Resident.clear();
-  SwPrefetchCount = 0;
-  AccessEventCount = 0;
 }
 
 namespace {

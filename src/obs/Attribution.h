@@ -19,9 +19,8 @@
 ///    approaches 1.0, random placement of small nodes sits near
 ///    sizeof(node)/BlockBytes.
 ///
-/// The sink can also be fed pre-resolved events through record() /
-/// recordEvict(), which is how tools/cclstat reconstructs a profile from
-/// a JSONL trace dump without address ranges.
+/// It is the one consumer of simulator events: fig5 --profile attaches
+/// it live and prints its report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +38,7 @@
 namespace ccl::obs {
 
 /// Cache geometry the sink needs to bin events; derived from the
-/// simulated hierarchy (or a trace dump's meta record).
+/// simulated hierarchy.
 struct AttributionConfig {
   uint32_t L1BlockBytes = 16;
   uint64_t L1Sets = 1024;
@@ -47,16 +46,6 @@ struct AttributionConfig {
   uint64_t L2Sets = 16384;
   /// Hot (colored) L2 sets [0, HotSets); 0 if coloring is not in play.
   uint64_t HotSets = 0;
-
-  /// True when an AttributionSink can bin events with this geometry:
-  /// nonzero blocks and sets, an L2 block that fits the sink's 128-byte
-  /// touched bitmap, at most 2^24 sets per level, and hot sets within
-  /// the L2. Trace readers check a dump's geometry with it.
-  bool valid() const {
-    return L1BlockBytes != 0 && L1Sets != 0 && L2BlockBytes != 0 &&
-           L2Sets != 0 && L2BlockBytes <= 128 && L1Sets <= (1u << 24) &&
-           L2Sets <= (1u << 24) && HotSets <= L2Sets;
-  }
 
   static AttributionConfig fromHierarchy(const sim::HierarchyConfig &H,
                                          uint64_t HotSets = 0) {
@@ -113,27 +102,18 @@ struct RegionProfile {
 };
 
 /// Attribution sink: region breakdowns, set-conflict histograms, block
-/// utilization. Attach to a MemoryHierarchy (or replay a trace into it).
+/// utilization. Attach to a MemoryHierarchy.
 class AttributionSink : public SimObserver {
 public:
   /// \param Registry resolves addresses to regions; must outlive the
-  ///        sink. May hold zero ranges when events are fed pre-resolved.
+  ///        sink.
   AttributionSink(const RegionRegistry &Registry,
                   const AttributionConfig &Config);
 
-  // SimObserver: resolves the region by address and records.
-  void onAccess(const AccessEvent &Event) override {
-    record(Event, Registry->resolve(Event.VAddr));
-  }
-  void onEvict(const EvictEvent &Event) override { recordEvict(Event); }
-  void onPrefetch(const PrefetchEvent &Event) override {
-    ++SwPrefetchCount;
-    (void)Event;
-  }
-
-  /// Records an access already attributed to \p Region (trace replay).
-  void record(const AccessEvent &Event, uint32_t Region);
-  void recordEvict(const EvictEvent &Event);
+  /// Charges the access to the region that owns its virtual address.
+  void onAccess(const AccessEvent &Event) override;
+  /// Closes the evicted L2 block's residency.
+  void onEvict(const EvictEvent &Event) override;
 
   /// Closes all still-resident block residencies so their utilization is
   /// counted. Call once after the run, before reading results; further
@@ -157,18 +137,11 @@ public:
     return L2SetEvictions;
   }
 
-  uint64_t swPrefetches() const { return SwPrefetchCount; }
   uint64_t accessEvents() const { return AccessEventCount; }
-
-  const AttributionConfig &config() const { return Config; }
-  const RegionRegistry &registry() const { return *Registry; }
 
   /// Renders the per-structure report (region table, utilization, and
   /// the L2 set-conflict histogram) as fixed-width text.
   void printReport(std::FILE *Out = stdout) const;
-
-  /// Resets all counters and residencies (the registry is untouched).
-  void reset();
 
 private:
   struct Residency {
@@ -193,7 +166,6 @@ private:
   std::vector<uint64_t> L2SetEvictions;
   /// Mapped L2 block number -> live residency.
   std::unordered_map<uint64_t, Residency> Resident;
-  uint64_t SwPrefetchCount = 0;
   uint64_t AccessEventCount = 0;
 };
 

@@ -260,7 +260,6 @@ template <typename T> void JsonObject::get(std::string_view Key, T &Out) {
 
 template void JsonObject::get(std::string_view, std::string &);
 template void JsonObject::get(std::string_view, bool &);
-template void JsonObject::get(std::string_view, uint8_t &);
 template void JsonObject::get(std::string_view, uint32_t &);
 template void JsonObject::get(std::string_view, uint64_t &);
 

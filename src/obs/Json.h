@@ -62,7 +62,7 @@ public:
   const JsonValue *find(std::string_view Key) const;
 
   /// \p Out is a std::string; a bool, read from 0/1 or true/false; or
-  /// uint8_t, uint32_t or uint64_t, read from plain digits that fit it.
+  /// uint32_t or uint64_t, read from plain digits that fit it.
   template <typename T> void get(std::string_view Key, T &Out);
 
   /// get(), except that an absent key also rejects the line.

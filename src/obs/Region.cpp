@@ -15,7 +15,7 @@
 using namespace ccl::obs;
 
 RegionRegistry::RegionRegistry() {
-  Regions.push_back(RegionInfo{"(unknown)", {}, {}});
+  Regions.push_back(RegionInfo{"(unknown)", {}});
 }
 
 uint32_t RegionRegistry::define(RegionInfo Info) {
@@ -71,18 +71,10 @@ uint32_t RegionRegistry::resolve(uint64_t Addr) const {
   return It->Id;
 }
 
-void RegionRegistry::clear() {
-  Regions.resize(1);
-  Ranges.clear();
-  LastRange = 0;
-}
-
 uint32_t RegionRegistry::registerColoredArena(const ColoredArena &Storage,
-                                              std::string Name,
-                                              std::string CallSite) {
-  uint32_t HotId = define(RegionInfo{Name, "hot", CallSite});
-  uint32_t ColdId =
-      define(RegionInfo{std::move(Name), "cold", std::move(CallSite)});
+                                              std::string Name) {
+  uint32_t HotId = define(RegionInfo{Name, "hot"});
+  uint32_t ColdId = define(RegionInfo{std::move(Name), "cold"});
   Storage.forEachFrame([&](const char *Frame, uint64_t FrameBytes,
                            uint64_t HotBytes) {
     if (HotBytes > 0)
@@ -94,9 +86,8 @@ uint32_t RegionRegistry::registerColoredArena(const ColoredArena &Storage,
 }
 
 uint32_t RegionRegistry::registerHeap(const heap::CcHeap &Heap,
-                                      std::string Name,
-                                      std::string CallSite) {
-  uint32_t Id = define(RegionInfo{std::move(Name), {}, std::move(CallSite)});
+                                      std::string Name) {
+  uint32_t Id = define(RegionInfo{std::move(Name), {}});
   Heap.forEachPage(
       [&](const char *Base, size_t Bytes) { addRange(Base, Bytes, Id); });
   return Id;

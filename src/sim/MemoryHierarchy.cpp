@@ -32,16 +32,10 @@ void MemoryHierarchy::replayRecords(TraceCursor &Cursor, size_t MaxRecords) {
                                     uint64_t Arg) {
     switch (K) {
     case TraceRecord::Kind::Read:
-      if constexpr (Observed)
-        accessRangeObserved(Addr, Arg, false);
-      else
-        accessRange(Addr, Arg, false);
+      accessRange<Observed>(Addr, Arg, false);
       break;
     case TraceRecord::Kind::Write:
-      if constexpr (Observed)
-        accessRangeObserved(Addr, Arg, true);
-      else
-        accessRange(Addr, Arg, true);
+      accessRange<Observed>(Addr, Arg, true);
       break;
     case TraceRecord::Kind::Prefetch:
       prefetch(Addr);
@@ -71,38 +65,9 @@ uint64_t MemoryHierarchy::translateSlow(uint64_t Addr) {
   return Memo.MappedBase | (Addr & UnitMask);
 }
 
-void MemoryHierarchy::accessRangeObserved(uint64_t Addr, uint64_t Size,
-                                          bool IsWrite) {
-  if (Size == 0)
-    Size = 1;
-  uint64_t First = Addr >> L1BlockShift;
-  uint64_t Last = (Addr + Size - 1) >> L1BlockShift;
-  for (uint64_t Block = First; Block <= Last; ++Block) {
-    uint64_t Base = Block << L1BlockShift;
-    uint64_t Lo = std::max(Addr, Base);
-    uint64_t Hi = std::min(Addr + Size, Base + Config.L1.BlockBytes);
-    uint64_t Mapped = translate(Base);
-    uint64_t Before = now();
-    BlockOutcome Out = accessBlock(Mapped, IsWrite);
-    uint64_t Now = now();
-
-    obs::AccessEvent Event;
-    Event.VAddr = Lo;
-    Event.Mapped = Mapped + (Lo - Base);
-    Event.Size = uint32_t(Hi - Lo);
-    Event.IsWrite = IsWrite;
-    Event.TlbMiss = Out.TlbMiss;
-    Event.Level = Out.Level;
-    Event.Cycles = uint32_t(Now - Before);
-    Event.Now = Now;
-    Obs->onAccess(Event);
-    // Eviction events follow the access that caused them; the evicted
-    // block is always distinct from the one just filled.
-    if (Out.L1Evicted)
-      Obs->onEvict({1, Out.L1Writeback, Out.L1Victim, Now});
-    if (Out.L2Evicted)
-      Obs->onEvict({2, Out.L2Writeback, Out.L2Victim, Now});
-  }
+void MemoryHierarchy::accessObserved(uint64_t Addr, uint64_t Size,
+                                     bool IsWrite) {
+  accessRange<true>(Addr, Size, IsWrite);
 }
 
 ccl::obs::AccessLevel MemoryHierarchy::handleL2Miss(uint64_t Block) {
@@ -133,12 +98,8 @@ ccl::obs::AccessLevel MemoryHierarchy::handleL2Miss(uint64_t Block) {
     uint64_t NextAddr = (Block + I) << L2BlockShift;
     if (L2.contains(NextAddr))
       continue;
-    if (InFlight.tryInsert(Block + I, Now + Config.MemoryLatency)) {
+    if (InFlight.tryInsert(Block + I, Now + Config.MemoryLatency))
       ++Stats.HwPrefetches;
-      if (Obs != nullptr) [[unlikely]]
-        // Next-line prefetches exist only in mapped space; no VAddr.
-        Obs->onPrefetch({0, NextAddr, false, Now});
-    }
   }
   sweepInFlight();
   return obs::AccessLevel::Memory;
@@ -148,25 +109,17 @@ void MemoryHierarchy::installBoth(uint64_t Addr, bool Dirty) {
   CacheAccessResult L2Result = L2.install(Addr, Dirty);
   if (L2Result.WritebackVictim)
     ++Stats.Writebacks;
-  CacheAccessResult L1Result = L1.install(Addr, Dirty);
-  if (Obs != nullptr) [[unlikely]] {
-    if (L2Result.Evicted)
-      Obs->onEvict({2, L2Result.WritebackVictim,
-                    L2Result.VictimBlock * Config.L2.BlockBytes, now()});
-    if (L1Result.Evicted)
-      Obs->onEvict({1, L1Result.WritebackVictim,
-                    L1Result.VictimBlock * Config.L1.BlockBytes, now()});
-  }
+  L1.install(Addr, Dirty);
+  if (Obs != nullptr && L2Result.Evicted) [[unlikely]]
+    Obs->onEvict({L2Result.WritebackVictim,
+                  L2Result.VictimBlock << L2BlockShift});
 }
 
 void MemoryHierarchy::prefetch(uint64_t Addr) {
-  uint64_t VAddr = Addr;
   Addr = translate(Addr);
   ++Stats.SwPrefetches;
   Stats.PrefetchIssueCycles += Config.PrefetchIssueCost;
   uint64_t Now = now();
-  if (Obs != nullptr) [[unlikely]]
-    Obs->onPrefetch({VAddr, Addr, true, Now});
 
   if (L1.contains(Addr) || L2.contains(Addr))
     return;

@@ -22,17 +22,17 @@
 /// too, so only translation-memo misses, TLB misses and the prefetch
 /// bookkeeping leave the header. replay() is one pass: the trace
 /// cursor decodes each record straight into the access body, with no
-/// decoded frame in between (one template, instantiated once without
-/// and once with an observer). There is no clock variable: every cycle
+/// decoded frame in between. There is no clock variable: every cycle
 /// charged lands in one SimStats field, and now() is their sum.
 /// tests/sim_golden_test.cpp locks the statistics down.
 ///
 /// Telemetry: attachObserver() hooks an obs::SimObserver into the
-/// hierarchy. Observed accesses, live or replayed, go through
-/// accessRangeObserved, which runs the same accessBlock and also emits
-/// per-access, eviction, and prefetch events, so their statistics are
-/// bit-identical; unobserved runs pay only a null compare per call. See
-/// src/obs/ for the sinks.
+/// hierarchy. accessRange is one template over whether an observer is
+/// attached: the observed instantiation walks the same blocks through
+/// the same accessBlock and also reports each access and L2 eviction, so
+/// its statistics are bit-identical. Only MemoryHierarchy.cpp
+/// instantiates it; unobserved runs pay one null compare per call. See
+/// obs/Attribution.h for the sink.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +46,7 @@
 #include "sim/TraceBuffer.h"
 #include "support/FlatMap.h"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace ccl::sim {
@@ -71,15 +72,15 @@ public:
   /// span multiple L1 blocks touch each block once.
   void read(uint64_t Addr, uint64_t Size) {
     if (Obs != nullptr) [[unlikely]]
-      return accessRangeObserved(Addr, Size, false);
-    accessRange(Addr, Size, false);
+      return accessObserved(Addr, Size, false);
+    accessRange<false>(Addr, Size, false);
   }
 
   /// Simulates a data write of \p Size bytes at \p Addr (write-allocate).
   void write(uint64_t Addr, uint64_t Size) {
     if (Obs != nullptr) [[unlikely]]
-      return accessRangeObserved(Addr, Size, true);
-    accessRange(Addr, Size, true);
+      return accessObserved(Addr, Size, true);
+    accessRange<false>(Addr, Size, true);
   }
 
   /// Replays a recorded trace: bit-identical to issuing the same
@@ -118,14 +119,15 @@ public:
   /// Attaches (or, with null, detaches) a telemetry observer.
   ///
   /// Contract: while an observer is attached, every access — a
-  /// read()/write() call or a replayed record — is routed through
-  /// accessRangeObserved, which runs the same accessBlock as an
-  /// unobserved access, so all statistics remain bit-identical to an
-  /// unobserved run (locked down by tests/sim_golden_test.cpp), and a
-  /// replay emits the same events as the live calls it records
-  /// (tests/trace_v2_test.cpp). With no observer attached the only cost
-  /// is one predictable null compare per read()/write() or replay()
-  /// call. The observer survives reset().
+  /// read()/write() call or a replayed record — runs the observed
+  /// instantiation of accessRange, which simulates each block exactly
+  /// as an unobserved access does, so all statistics remain
+  /// bit-identical to an unobserved run (locked down by
+  /// tests/sim_golden_test.cpp), and a replay emits the same events as
+  /// the live calls it records (tests/trace_v2_test.cpp). With no
+  /// observer attached the only cost is one predictable null compare per
+  /// read()/write() or replay() call, plus one per prefetched block
+  /// retired into the caches. The observer survives reset().
   void attachObserver(obs::SimObserver *Observer) { Obs = Observer; }
   obs::SimObserver *observer() const { return Obs; }
 
@@ -133,37 +135,51 @@ public:
   void reset();
 
 private:
-  /// Everything the observer needs to know about one block access that
-  /// the statistics counters do not already say.
+  /// What the observer needs to know about one block access that the
+  /// statistics counters do not already say.
   struct BlockOutcome {
     obs::AccessLevel Level = obs::AccessLevel::L1Hit;
     bool TlbMiss = false;
-    bool L1Evicted = false;
-    bool L1Writeback = false;
-    bool L2Evicted = false;
-    bool L2Writeback = false;
-    /// Mapped byte addresses of the evicted blocks' bases.
-    uint64_t L1Victim = 0;
-    uint64_t L2Victim = 0;
+    /// The L2 block this access displaced, if any.
+    CacheAccessResult L2Victim;
   };
 
   /// Touches each L1 block of [Addr, Addr + Size) once; a zero size
-  /// touches one block.
+  /// touches one block. \p Observed also reports each block access, and
+  /// the L2 block it displaced, to Obs; that instantiation lives only in
+  /// MemoryHierarchy.cpp (accessObserved() and replay()), so read() and
+  /// write() inline just the unobserved loop.
+  template <bool Observed>
   void accessRange(uint64_t Addr, uint64_t Size, bool IsWrite) {
+    uint64_t End = Addr + (Size != 0 ? Size : 1);
     uint64_t First = Addr >> L1BlockShift;
-    uint64_t Last = (Addr + (Size != 0 ? Size : 1) - 1) >> L1BlockShift;
-    for (uint64_t Block = First; Block <= Last; ++Block)
-      accessBlock(translate(Block << L1BlockShift), IsWrite);
+    uint64_t Last = (End - 1) >> L1BlockShift;
+    for (uint64_t Block = First; Block <= Last; ++Block) {
+      uint64_t Base = Block << L1BlockShift;
+      uint64_t Mapped = translate(Base);
+      if constexpr (Observed) {
+        uint64_t Before = now();
+        BlockOutcome Out = accessBlock(Mapped, IsWrite);
+        uint64_t Lo = std::max(Addr, Base);
+        uint64_t Hi = std::min(End, Base + Config.L1.BlockBytes);
+        Obs->onAccess({Lo, Mapped + (Lo - Base), uint32_t(Hi - Lo), IsWrite,
+                       Out.TlbMiss, Out.Level, uint32_t(now() - Before)});
+        // The eviction follows the access that caused it; the evicted
+        // block is always distinct from the one just filled.
+        if (Out.L2Victim.Evicted)
+          Obs->onEvict({Out.L2Victim.WritebackVictim,
+                        Out.L2Victim.VictimBlock << L2BlockShift});
+      } else {
+        accessBlock(Mapped, IsWrite);
+      }
+    }
   }
 
-  /// Observer-enabled twin of accessRange: same simulation, but emits an
-  /// AccessEvent (with the per-block virtual byte span) and eviction
-  /// events for every block touched.
-  void accessRangeObserved(uint64_t Addr, uint64_t Size, bool IsWrite);
+  /// read()/write() with an observer attached: accessRange<true>.
+  void accessObserved(uint64_t Addr, uint64_t Size, bool IsWrite);
 
   /// replay()'s one pass: decodes up to \p MaxRecords records and issues
-  /// each through accessRange, or through accessRangeObserved when
-  /// \p Observed, as soon as it is decoded.
+  /// each through accessRange<Observed> as soon as it is decoded.
   template <bool Observed>
   void replayRecords(TraceCursor &Cursor, size_t MaxRecords);
 
@@ -185,16 +201,12 @@ private:
     // time.
     Stats.BusyCycles += Config.L1.HitLatency;
 
-    CacheAccessResult L1Result = L1.access(Addr, IsWrite);
-    if (L1Result.Hit) {
+    if (L1.access(Addr, IsWrite).Hit) {
       ++Stats.L1Hits;
       return Out;
     }
     ++Stats.L1Misses;
     Stats.L1StallCycles += Config.L2.HitLatency;
-    Out.L1Evicted = L1Result.Evicted;
-    Out.L1Writeback = L1Result.WritebackVictim;
-    Out.L1Victim = L1Result.VictimBlock << L1BlockShift;
 
     CacheAccessResult L2Result = L2.access(Addr, IsWrite);
     if (L2Result.Hit) {
@@ -204,9 +216,7 @@ private:
     }
     if (L2Result.WritebackVictim)
       ++Stats.Writebacks;
-    Out.L2Evicted = L2Result.Evicted;
-    Out.L2Writeback = L2Result.WritebackVictim;
-    Out.L2Victim = L2Result.VictimBlock << L2BlockShift;
+    Out.L2Victim = L2Result;
     if (!InFlight.empty() || Config.Prefetch.NextLineDegree != 0) {
       Out.Level = handleL2Miss(Addr >> L2BlockShift);
       return Out;

@@ -60,38 +60,6 @@ void TablePrinter::print(std::FILE *Out) const {
   printLine();
 }
 
-void TablePrinter::printCsv(std::FILE *Out) const {
-  auto printCell = [&](const std::string &Cell) {
-    if (Cell.find_first_of(",\"\n") == std::string::npos) {
-      std::fputs(Cell.c_str(), Out);
-      return;
-    }
-    std::fputc('"', Out);
-    for (char C : Cell) {
-      if (C == '"')
-        std::fputc('"', Out);
-      std::fputc(C, Out);
-    }
-    std::fputc('"', Out);
-  };
-  auto printRow = [&](const std::vector<std::string> &Row) {
-    for (size_t I = 0; I < Header.size(); ++I) {
-      if (I != 0)
-        std::fputc(',', Out);
-      if (I < Row.size())
-        printCell(Row[I]);
-    }
-    std::fputc('\n', Out);
-  };
-
-  printRow(Header);
-  for (const auto &Row : Rows) {
-    if (!Row.empty() && Row[0] == SeparatorTag)
-      continue;
-    printRow(Row);
-  }
-}
-
 std::string TablePrinter::fmt(double Value, int Digits) {
   char Buffer[64];
   std::snprintf(Buffer, sizeof(Buffer), "%.*f", Digits, Value);

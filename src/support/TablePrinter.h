@@ -41,11 +41,6 @@ public:
   /// Renders the table to \p Out.
   void print(std::FILE *Out = stdout) const;
 
-  /// Renders the same data as RFC-4180-style CSV (header + rows;
-  /// separators are skipped; cells containing commas or quotes are
-  /// quoted). Used by the machine-readable exporters.
-  void printCsv(std::FILE *Out = stdout) const;
-
   /// Formats a double with \p Digits fractional digits.
   static std::string fmt(double Value, int Digits = 2);
 

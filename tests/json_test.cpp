@@ -4,16 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The shared parser (obs/Json.h) and the three mappers built on it
-// (trace, metrics, bench): what they accept, what they skip, and what
-// they reject, with the reason a tool prints.
+// The shared parser (obs/Json.h) and the two mappers built on it
+// (metrics, bench): what they accept, what they skip, and what they
+// reject, with the reason a tool prints.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/BenchReader.h"
 #include "obs/Json.h"
 #include "obs/MetricsExport.h"
-#include "obs/TraceReader.h"
 
 #include <gtest/gtest.h>
 
@@ -47,12 +46,6 @@ std::string mapError(const std::string &Line, MapFn &&Map,
   if (Mapped)
     *Mapped = Record;
   return Object.error();
-}
-
-std::string traceError(const std::string &Line, TraceRecord &Out,
-                       bool *Mapped = nullptr) {
-  return mapError(
-      Line, [&](JsonObject &O) { return parseTraceLine(O, Out); }, Mapped);
 }
 
 std::string metricsError(const std::string &Line, MetricsDoc &Doc,
@@ -147,23 +140,24 @@ TEST(JsonObject, UnsignedFieldsTakeOnlyDigitsThatFit) {
   EXPECT_EQ(Doc.Data.Counters.at(0).Value, UINT64_MAX);
 
   // u32 fields stop at 2^32-1.
-  TraceRecord R;
-  EXPECT_EQ(traceError(R"({"kind":"region","id":4294967296})", R),
-            "\"id\": expected an unsigned 32-bit integer");
-  EXPECT_EQ(traceError(R"({"kind":"region","id":-1})", R),
-            "\"id\": expected an unsigned 32-bit integer");
-  EXPECT_EQ(traceError(R"({"kind":"region","id":4294967295})", R), "");
-  EXPECT_EQ(R.RegionId, UINT32_MAX);
-  EXPECT_EQ(traceError(R"({"kind":"a","sz":4294967296,"lvl":"l1"})", R),
-            "\"sz\": expected an unsigned 32-bit integer");
-  EXPECT_EQ(traceError(R"({"kind":"e","lvl":256})", R),
-            "\"lvl\": expected an unsigned 8-bit integer");
+  MetricsDoc Spans;
+  EXPECT_EQ(metricsError(R"({"kind":"s","name":"s","tid":4294967296})",
+                         Spans),
+            "\"tid\": expected an unsigned 32-bit integer");
+  EXPECT_EQ(metricsError(R"({"kind":"s","name":"s","tid":-1})", Spans),
+            "\"tid\": expected an unsigned 32-bit integer");
+  EXPECT_EQ(metricsError(R"({"kind":"s","name":"s","tid":4294967295})",
+                         Spans),
+            "");
+  ASSERT_EQ(Spans.Data.Spans.size(), 1u);
+  EXPECT_EQ(Spans.Data.Spans[0].Tid, UINT32_MAX);
 
   // Flags are 0 or 1.
-  EXPECT_EQ(traceError(R"({"kind":"a","w":2,"lvl":"l1"})", R),
-            "\"w\": expected 0 or 1");
-  EXPECT_EQ(traceError(R"({"kind":"a","w":1,"lvl":"l1"})", R), "");
-  EXPECT_TRUE(R.Access.IsWrite);
+  MetricsDoc Meta;
+  EXPECT_EQ(metricsError(R"({"kind":"meta","overflowed":2})", Meta),
+            "\"overflowed\": expected 0 or 1");
+  EXPECT_EQ(metricsError(R"({"kind":"meta","overflowed":1})", Meta), "");
+  EXPECT_TRUE(Meta.Data.Overflowed);
 }
 
 TEST(JsonObject, ReadsTopLevelMembersOnly) {
@@ -177,18 +171,16 @@ TEST(JsonObject, ReadsTopLevelMembersOnly) {
   EXPECT_EQ(Doc.Data.Counters[0].Value, 1u);
 
   // ...and key text inside a string value is not a key either.
-  TraceRecord R;
-  ASSERT_EQ(traceError(R"({"kind":"region","name":"\"id\":9","id":2})", R),
+  MetricsDoc Quoted;
+  ASSERT_EQ(metricsError(R"({"kind":"c","name":"\"v\":9","v":2})", Quoted),
             "");
-  EXPECT_EQ(R.RegionId, 2u);
-  EXPECT_EQ(R.Region.Name, "\"id\":9");
+  ASSERT_EQ(Quoted.Data.Counters.size(), 1u);
+  EXPECT_EQ(Quoted.Data.Counters[0].Name, "\"v\":9");
+  EXPECT_EQ(Quoted.Data.Counters[0].Value, 2u);
 }
 
 TEST(JsonMappers, MissingOrMistypedKindRejects) {
-  TraceRecord R;
   MetricsDoc M;
-  EXPECT_EQ(traceError(R"({"now":1})", R), "missing \"kind\"");
-  EXPECT_EQ(traceError(R"({"kind":3})", R), "\"kind\": expected a string");
   EXPECT_EQ(metricsError(R"({"name":"n","v":1})", M), "missing \"kind\"");
   EXPECT_EQ(metricsError(R"({"kind":["c"]})", M),
             "\"kind\": expected a string");
@@ -196,21 +188,16 @@ TEST(JsonMappers, MissingOrMistypedKindRejects) {
 
 TEST(JsonMappers, UnknownKindsAndKeysAreSkipped) {
   bool Mapped = true;
-  TraceRecord R;
-  EXPECT_EQ(traceError(R"({"kind":"shard","shards":256,"workers":4})", R,
-                       &Mapped),
-            "");
-  EXPECT_FALSE(Mapped);
-  EXPECT_EQ(traceError(R"({"kind":"meta","simd":"avx2","trace_block":64,)"
-                       R"("future":{"x":[1,2]}})",
-                       R, &Mapped),
-            "");
-  EXPECT_TRUE(Mapped);
-
   MetricsDoc M;
   EXPECT_EQ(metricsError(R"({"kind":"future-kind","name":"n"})", M, &Mapped),
             "");
   EXPECT_FALSE(Mapped);
+  EXPECT_EQ(metricsError(R"({"kind":"meta","simd":"avx2",)"
+                         R"("future":{"x":[1,2]},"spans_dropped":3})",
+                         M, &Mapped),
+            "");
+  EXPECT_TRUE(Mapped);
+  EXPECT_EQ(M.Data.SpansDropped, 3u);
 
   BenchDoc B;
   EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1","simd":"ssse3",)"
@@ -221,29 +208,7 @@ TEST(JsonMappers, UnknownKindsAndKeysAreSkipped) {
   EXPECT_EQ(B.Results[0].str("name"), "r");
 }
 
-TEST(JsonMappers, TraceMetaGeometryMustBeBinnable) {
-  TraceRecord R;
-  for (const char *Bad :
-       {R"({"kind":"meta","l2_block":0})", R"({"kind":"meta","l2_sets":0})",
-        R"({"kind":"meta","l1_block":0})", R"({"kind":"meta","l1_sets":0})",
-        R"({"kind":"meta","l2_block":256})",
-        R"({"kind":"meta","l2_sets":100000000000000})",
-        R"({"kind":"meta","l2_sets":1024,"hot_sets":1025})"})
-    EXPECT_EQ(traceError(Bad, R).rfind("cache geometry out of range", 0), 0u)
-        << Bad;
-  EXPECT_EQ(traceError(R"({"kind":"meta","l2_block":128,"l2_sets":16777216,)"
-                       R"("hot_sets":16777216})",
-                       R),
-            "");
-}
-
-TEST(JsonMappers, RequiredKeysAndLevels) {
-  TraceRecord R;
-  EXPECT_EQ(traceError(R"({"kind":"region","name":"x"})", R),
-            "missing \"id\"");
-  EXPECT_EQ(traceError(R"({"kind":"a","now":1})", R), "missing \"lvl\"");
-  EXPECT_EQ(traceError(R"({"kind":"a","lvl":"l3"})", R),
-            "\"lvl\": unknown level \"l3\"");
+TEST(JsonMappers, RequiredKeysAndBucketPairs) {
   MetricsDoc M;
   EXPECT_EQ(metricsError(R"({"kind":"c","name":"n"})", M), "missing \"v\"");
   EXPECT_EQ(metricsError(R"({"kind":"h","name":"h","b":[[65,1]]})", M),
@@ -290,15 +255,9 @@ TEST(JsonEscape, EveryEscapedStringRoundTripsThroughEveryReader) {
   Raw += "\x7f\xc3\xa9 end";
   std::string Esc = jsonEscape(Raw);
 
-  TraceRecord R;
-  ASSERT_EQ(traceError(R"({"kind":"region","id":1,"name":")" + Esc + "\"}",
-                       R),
-            "");
-  EXPECT_EQ(R.Region.Name, Raw);
-  ASSERT_EQ(traceError(R"({"kind":"meta","binary":")" + Esc + "\"}", R), "");
-  EXPECT_EQ(R.Producer, Raw);
-
   MetricsDoc M;
+  ASSERT_EQ(metricsError(R"({"kind":"meta","binary":")" + Esc + "\"}", M), "");
+  EXPECT_EQ(M.Binary, Raw);
   ASSERT_EQ(metricsError(R"({"kind":"c","name":")" + Esc + R"(","v":1})", M),
             "");
   EXPECT_EQ(M.Data.Counters.at(0).Name, Raw);

@@ -22,7 +22,6 @@
 #include "obs/BenchReader.h"
 #include "obs/MetricsExport.h"
 #include "obs/PerfCounters.h"
-#include "obs/TraceReader.h"
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/SweepRunner.h"
@@ -353,52 +352,6 @@ TEST(BenchReaderTest, RejectsWrongSchema) {
       R"({"schema":"ccl-bench-v2","results":[]})", Doc));
   EXPECT_FALSE(obs::parseBenchJson("[]", Doc));
   EXPECT_FALSE(obs::parseBenchJson("", Doc));
-}
-
-TEST(TraceMeta, MetaLineCarriesProducerStamp) {
-  // Satellite of the TraceSink fix: meta records the producing binary
-  // and git describe; readers skip unknown fields, so pre-fix dumps
-  // still parse (Producer stays empty).
-  obs::TraceRecord Record;
-  ASSERT_TRUE(obs::parseTraceLine(
-      R"({"kind":"meta","schema":"ccl-trace-v1","sample":1,)"
-      R"("binary":"fig5_tree_microbenchmark","git":"abc123-dirty"})",
-      Record));
-  ASSERT_EQ(Record.RecordKind, obs::TraceRecord::Kind::Meta);
-  EXPECT_EQ(Record.Producer, "fig5_tree_microbenchmark");
-  EXPECT_EQ(Record.ProducerGit, "abc123-dirty");
-
-  obs::TraceRecord Legacy;
-  ASSERT_TRUE(obs::parseTraceLine(
-      R"({"kind":"meta","schema":"ccl-trace-v1","sample":1})", Legacy));
-  EXPECT_TRUE(Legacy.Producer.empty());
-  EXPECT_TRUE(Legacy.ProducerGit.empty());
-}
-
-TEST(TraceMeta, MetaLineCarriesCodecStamp) {
-  // Readers never gate on the schema string, so v1 dumps keep parsing,
-  // and v2 dumps that still carry the retired "simd" kernel and
-  // "trace_block" codec stamps parse unchanged.
-  obs::TraceRecord V2;
-  ASSERT_TRUE(obs::parseTraceLine(
-      R"({"kind":"meta","schema":"ccl-trace-v2","l1_block":32,)"
-      R"("l1_sets":512,"l2_block":128,"l2_sets":2048,"hot_sets":7,)"
-      R"("sample":1,"simd":"avx2","trace_block":64,)"
-      R"("binary":"fig5_tree_microbenchmark","git":"abc123"})",
-      V2));
-  ASSERT_EQ(V2.RecordKind, obs::TraceRecord::Kind::Meta);
-  EXPECT_EQ(V2.Schema, "ccl-trace-v2");
-  EXPECT_EQ(V2.Config.L1BlockBytes, 32u); // v1 fields still read.
-  EXPECT_EQ(V2.Config.L2Sets, 2048u);
-
-  obs::TraceRecord V1;
-  ASSERT_TRUE(obs::parseTraceLine(
-      R"({"kind":"meta","schema":"ccl-trace-v1","sample":16})", V1));
-  EXPECT_EQ(V1.Schema, "ccl-trace-v1");
-
-  obs::TraceRecord Bare; // pre-schema dumps: no stamp at all.
-  ASSERT_TRUE(obs::parseTraceLine(R"({"kind":"meta","sample":1})", Bare));
-  EXPECT_TRUE(Bare.Schema.empty());
 }
 
 TEST(BenchReaderTest, SkipsRetiredSimdStamp) {

@@ -253,9 +253,7 @@ struct TallyObserver final : obs::SimObserver {
   uint64_t Accesses = 0, WriteEvents = 0, TlbMissEvents = 0;
   uint64_t LevelCounts[5] = {};
   uint64_t EventCycles = 0;
-  uint64_t EvictEvents[3] = {};     // indexed by EvictEvent::Level
-  uint64_t WritebackEvents[3] = {}; // likewise
-  uint64_t SwPrefetchEvents = 0, HwPrefetchEvents = 0;
+  uint64_t EvictEvents = 0, WritebackEvents = 0;
 
   void onAccess(const obs::AccessEvent &Event) override {
     ++Accesses;
@@ -265,11 +263,8 @@ struct TallyObserver final : obs::SimObserver {
     EventCycles += Event.Cycles;
   }
   void onEvict(const obs::EvictEvent &Event) override {
-    ++EvictEvents[Event.Level];
-    WritebackEvents[Event.Level] += Event.Writeback;
-  }
-  void onPrefetch(const obs::PrefetchEvent &Event) override {
-    ++(Event.Software ? SwPrefetchEvents : HwPrefetchEvents);
+    ++EvictEvents;
+    WritebackEvents += Event.Writeback;
   }
 
   uint64_t level(obs::AccessLevel L) const { return LevelCounts[size_t(L)]; }
@@ -315,12 +310,8 @@ TEST(SimGolden, ObservedRunsStayBitIdentical) {
               S.PrefetchFullHits);
     EXPECT_EQ(Tally.level(obs::AccessLevel::PrefetchPartial),
               S.PrefetchPartialHits);
-    EXPECT_EQ(Tally.SwPrefetchEvents, S.SwPrefetches);
-    EXPECT_EQ(Tally.HwPrefetchEvents, S.HwPrefetches);
-    EXPECT_EQ(Tally.EvictEvents[1], M.l1().evictions());
-    EXPECT_EQ(Tally.EvictEvents[2], M.l2().evictions());
-    EXPECT_EQ(Tally.WritebackEvents[1], M.l1().writebacks());
-    EXPECT_EQ(Tally.WritebackEvents[2], M.l2().writebacks());
+    EXPECT_EQ(Tally.EvictEvents, M.l2().evictions());
+    EXPECT_EQ(Tally.WritebackEvents, M.l2().writebacks());
 
     // Every simulated cycle is accounted for: access events carry their
     // stall-inclusive cost, and what remains is exactly tick() busy time

@@ -37,31 +37,25 @@ def main():
     deep = os.path.join(scratch, "deep_nesting.jsonl")
     with open(deep, "w") as out:
         out.write("[" * 100000 + "\n")
-    chrome = os.path.join(scratch, "cut.chrome.json")
+    chrome = os.path.join(scratch, "rejected.chrome.json")
 
     # (argv, exit status, what stderr says after "<path>: ")
     rejected = [
-        ([cclstat, fixture("region_id_negative.jsonl")], 1, "line 2:"),
-        ([cclstat, fixture("region_id_overflow.jsonl")], 1, "line 2:"),
-        ([cclstat, fixture("meta_l2_block_zero.jsonl")], 1, "line 1:"),
-        ([cclstat, fixture("meta_l2_sets_zero.jsonl")], 1, "line 1:"),
-        ([cclstat, fixture("meta_l2_block_256.jsonl")], 1, "line 1:"),
-        ([cclstat, fixture("meta_l2_sets_huge.jsonl")], 1, "line 1:"),
-        ([cclstat, fixture("access_leaves_block.jsonl")], 1, "line 2:"),
-        ([cclstat, fixture("trace_cut_mid_string.jsonl")], 1, "line 4:"),
-        ([cclstat, "--chrome", chrome, fixture("trace_cut_mid_string.jsonl")],
-         1, "line 4:"),
         ([cclstat, fixture("counter_negative.jsonl")], 1, "line 2:"),
+        ([cclstat, "--chrome", chrome, fixture("counter_negative.jsonl")],
+         1, "line 2:"),
         ([cclstat, fixture("counter_overflow.jsonl")], 1, "line 2:"),
         ([cclstat, fixture("lint_schema.jsonl")], 1,
          "line 1: unknown schema"),
+        ([cclstat, fixture("no_schema.jsonl")], 1,
+         'line 1: unknown schema ""'),
         ([cclstat, deep], 1, "line 1: nesting deeper than 32"),
-        ([cclstat, "--csv", os.path.join(scratch, "x.csv"),
-          fixture("metrics.jsonl")], 1, "line 1:"),
+        ([cclstat, "--json", os.path.join(scratch, "x.json"),
+          fixture("bench_json_dumps.json")], 1,
+         "line 1: --json does not apply to ccl-bench-v1"),
     ]
     # (argv, regular expression stdout must match; "|" separates cells)
     rendered = [
-        ([cclstat, fixture("region_id_max.jsonl")], r"\| maxid \[hot\] +\| 1 "),
         ([cclstat, fixture("counter_nested_key.jsonl")], r"^  n +1$"),
         ([cclstat, fixture("bench_json_dumps.json")],
          r"bench fig5 \(release\), 2 results from fig5_tree_microbenchmark "
@@ -87,9 +81,10 @@ def main():
             problems.append("sanitizer report")
         if problems:
             failed.append((argv, problems, proc))
-    if os.path.exists(chrome):
-        failed.append(([cclstat, "--chrome", chrome],
-                       ["half-written --chrome file left behind"], None))
+    for path in (chrome, os.path.join(scratch, "x.json")):
+        if os.path.exists(path):
+            failed.append(([cclstat, path],
+                           ["a rejected input left an output file"], None))
 
     for argv, expected in rendered:
         proc = run(argv)

@@ -4,42 +4,32 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// cclstat: renders a ccl-* artifact without re-running the simulation.
+// cclstat: renders a ccl-* artifact without re-running the benchmark.
 // Every input is read through one JSONL loop (obs/Json.h), and the first
-// line's "schema" picks the format from one table (Formats below): a
-// ccl-trace-v1/v2 dump (TraceSink; or no schema) renders the
-// per-structure cache profile, ccl-metrics-v1 the runtime-metrics
-// report, and ccl-bench-v1 the simulated-vs-hardware miss divergence
-// table.
+// line's "schema" picks the format from one table (Formats below):
+// ccl-metrics-v1 renders the runtime-metrics report, and ccl-bench-v1
+// the simulated-vs-hardware miss divergence table.
 //
-//   cclstat trace.jsonl                 # text report
-//   cclstat --json - trace.jsonl        # ccl-profile-v1 JSON to stdout
-//   cclstat --csv profile.csv trace.jsonl
-//   cclstat --chrome trace.chrome.json trace.jsonl   # chrome://tracing
+//   cclstat metrics.jsonl               # text report
+//   cclstat --json - metrics.jsonl      # ccl-metrics-summary-v1 to stdout
+//   cclstat --chrome spans.json metrics.jsonl   # spans for chrome://tracing
+//   cclstat fig5.json                   # divergence table
 //
 // Reading from stdin: use "-" as the path. A malformed line, an unknown
 // schema, or an output option the format lacks exits 1 with
-// "<path>: line N: <reason>" and renders nothing.
+// "<path>: line N: <reason>", renders nothing and writes no file.
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/Attribution.h"
 #include "obs/BenchReader.h"
-#include "obs/Export.h"
 #include "obs/Json.h"
 #include "obs/MetricsExport.h"
-#include "obs/Region.h"
-#include "obs/TraceReader.h"
 #include "support/TablePrinter.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 using namespace ccl::obs;
 using ccl::TablePrinter;
@@ -50,54 +40,34 @@ int usage(const char *Prog) {
   std::fprintf(
       stderr,
       "usage: %s [options] <ccl-* artifact | ->\n"
-      "Renders a ccl-trace-v1/v2, ccl-metrics-v1 or ccl-bench-v1\n"
-      "artifact; its first line's schema picks the report.\n"
-      "  --json <path>    write ccl-profile-v1 JSON ('-' = stdout)\n"
-      "                   (metrics input: ccl-metrics-summary-v1)\n"
-      "  --csv <path>     write the per-region profile as CSV\n"
-      "  --chrome <path>  convert events (metrics: spans) to Chrome trace\n"
+      "Renders a ccl-metrics-v1 or ccl-bench-v1 artifact; its first\n"
+      "line's schema picks the report.\n"
+      "  --json <path>    metrics: write ccl-metrics-summary-v1 JSON\n"
+      "                   ('-' = stdout)\n"
+      "  --chrome <path>  metrics: write the spans as Chrome trace JSON\n"
       "  --quiet          suppress the text report\n",
       Prog);
   return 2;
 }
 
 struct Options {
-  std::string Path, Json, Csv, Chrome;
+  std::string Path, Json, Chrome;
   bool Quiet = false;
-  /// Opened before reading, since trace events stream into it.
-  std::FILE *ChromeOut = nullptr;
 };
 
-std::FILE *openOut(const std::string &Path) {
-  if (Path == "-")
-    return stdout;
-  std::FILE *Out = std::fopen(Path.c_str(), "w");
-  if (!Out)
+/// Writes one output file ('-' = stdout) with \p Write; false if it
+/// cannot be opened.
+template <typename Fn> bool writeOut(const std::string &Path, Fn &&Write) {
+  std::FILE *Out = Path == "-" ? stdout : std::fopen(Path.c_str(), "w");
+  if (!Out) {
     std::fprintf(stderr, "cclstat: cannot open %s for writing\n",
                  Path.c_str());
-  return Out;
-}
-
-void closeOut(std::FILE *Out) {
-  if (Out && Out != stdout)
+    return false;
+  }
+  Write(Out);
+  if (Out != stdout)
     std::fclose(Out);
-}
-
-/// Writes one output file with \p Write; false if it cannot be opened.
-template <typename Fn> bool writeOut(const std::string &Path, Fn &&Write) {
-  std::FILE *Out = openOut(Path);
-  if (Out)
-    Write(Out);
-  closeOut(Out);
-  return Out != nullptr;
-}
-
-/// The first report line: "<path>: N <what>[ from <binary> (<git>)]".
-void printSource(const Options &Opts, long Records, const char *What,
-                 const std::string &Binary, const std::string &Git) {
-  std::printf("%s: %ld %s", Opts.Path.c_str(), Records, What);
-  if (!Binary.empty())
-    std::printf(" from %s (%s)", Binary.c_str(), Git.c_str());
+  return true;
 }
 
 /// One input format: folds each line into its document while reading,
@@ -115,167 +85,6 @@ protected:
   const Options &Opts;
 };
 
-/// Streams Chrome trace-event JSON ("X" complete events for accesses on
-/// one timeline row per region; instant events for evictions and
-/// prefetches). Cycle counts are reported as microseconds, so one
-/// trace-viewer microsecond = one simulated cycle.
-class ChromeWriter {
-public:
-  explicit ChromeWriter(std::FILE *Out) : Out(Out) {
-    std::fprintf(Out, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-  }
-
-  void nameRow(uint32_t Region, const std::string &Label) {
-    emitComma();
-    std::fprintf(Out,
-                 "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-                 "\"tid\":%" PRIu32 ",\"args\":{\"name\":\"%s\"}}",
-                 Region, jsonEscape(Label).c_str());
-  }
-
-  void access(const AccessEvent &E, uint32_t Region) {
-    emitComma();
-    uint64_t Start = E.Now >= E.Cycles ? E.Now - E.Cycles : 0;
-    std::fprintf(Out,
-                 "{\"name\":\"%s\",\"cat\":\"access\",\"ph\":\"X\","
-                 "\"ts\":%" PRIu64 ",\"dur\":%" PRIu32
-                 ",\"pid\":0,\"tid\":%" PRIu32
-                 ",\"args\":{\"va\":%" PRIu64 ",\"pa\":%" PRIu64
-                 ",\"size\":%" PRIu32 ",\"write\":%d,\"tlb_miss\":%d}}",
-                 accessLevelName(E.Level), Start, E.Cycles, Region, E.VAddr,
-                 E.Mapped, E.Size, E.IsWrite ? 1 : 0, E.TlbMiss ? 1 : 0);
-  }
-
-  void evict(const EvictEvent &E) {
-    emitComma();
-    std::fprintf(Out,
-                 "{\"name\":\"evict L%d%s\",\"cat\":\"evict\",\"ph\":\"i\","
-                 "\"s\":\"g\",\"ts\":%" PRIu64 ",\"pid\":0,\"tid\":0,"
-                 "\"args\":{\"pa\":%" PRIu64 "}}",
-                 int(E.Level), E.Writeback ? " (wb)" : "", E.Now,
-                 E.MappedBlockAddr);
-  }
-
-  void prefetch(const PrefetchEvent &E) {
-    emitComma();
-    std::fprintf(Out,
-                 "{\"name\":\"%s prefetch\",\"cat\":\"prefetch\","
-                 "\"ph\":\"i\",\"s\":\"g\",\"ts\":%" PRIu64
-                 ",\"pid\":0,\"tid\":0,\"args\":{\"pa\":%" PRIu64 "}}",
-                 E.Software ? "sw" : "hw", E.Now, E.Mapped);
-  }
-
-  void finish() { std::fprintf(Out, "]}\n"); }
-
-private:
-  void emitComma() {
-    if (!First)
-      std::fprintf(Out, ",");
-    First = false;
-  }
-
-  std::FILE *Out;
-  bool First = true;
-};
-
-/// A ccl-trace dump, rebuilt into a per-structure profile.
-class TraceInput final : public Input {
-public:
-  explicit TraceInput(const Options &Opts) : Input(Opts) {
-    if (Opts.ChromeOut)
-      Chrome.emplace(Opts.ChromeOut);
-  }
-
-  bool add(JsonObject &Line) override {
-    TraceRecord Record;
-    if (!parseTraceLine(Line, Record))
-      return false;
-    bool Meta = Record.RecordKind == TraceRecord::Kind::Meta;
-    if (!Sink)
-      Sink = std::make_unique<AttributionSink>(
-          Registry, Meta ? Record.Config : AttributionConfig());
-    switch (Record.RecordKind) {
-    case TraceRecord::Kind::Meta:
-      SampleInterval = Record.SampleInterval;
-      Binary = Record.Producer;
-      Git = Record.ProducerGit;
-      break;
-    case TraceRecord::Kind::Region: {
-      uint32_t Local = Registry.define(Record.Region);
-      IdMap[Record.RegionId] = Local;
-      const RegionInfo &Info = Registry.info(Local);
-      if (Chrome)
-        Chrome->nameRow(Local, Info.ColorClass.empty()
-                                   ? Info.Name
-                                   : Info.Name + " [" + Info.ColorClass +
-                                         "]");
-      break;
-    }
-    case TraceRecord::Kind::Access: {
-      const AccessEvent &E = Record.Access;
-      uint64_t Block = Sink->config().L2BlockBytes;
-      if (E.Mapped % Block + E.Size > Block)
-        return Line.fail("access of " + std::to_string(E.Size) +
-                         " bytes leaves its " + std::to_string(Block) +
-                         "-byte L2 block");
-      auto It = IdMap.find(Record.RegionId);
-      uint32_t Local =
-          It == IdMap.end() ? RegionRegistry::Unknown : It->second;
-      Sink->record(E, Local);
-      if (Chrome)
-        Chrome->access(E, Local);
-      break;
-    }
-    case TraceRecord::Kind::Evict:
-      Sink->recordEvict(Record.Evict);
-      if (Chrome)
-        Chrome->evict(Record.Evict);
-      break;
-    case TraceRecord::Kind::Prefetch:
-      Sink->onPrefetch(Record.Prefetch);
-      if (Chrome)
-        Chrome->prefetch(Record.Prefetch);
-      break;
-    }
-    return true;
-  }
-
-  int render(long Records) override {
-    if (Chrome)
-      Chrome->finish();
-    if (!Sink)
-      Sink = std::make_unique<AttributionSink>(Registry, AttributionConfig());
-    Sink->finalize();
-    if (!Opts.Quiet) {
-      std::string What = "records";
-      if (SampleInterval > 1)
-        What += " (1-in-" + std::to_string(SampleInterval) +
-                " sampled; counts reflect sampled events only)";
-      printSource(Opts, Records, What.c_str(), Binary, Git);
-      std::printf("\n\n");
-      Sink->printReport();
-    }
-    bool Ok = Opts.Json.empty() || writeOut(Opts.Json, [&](std::FILE *Out) {
-                writeProfileJson(*Sink, Out, Binary, Git);
-              });
-    Ok = Ok && (Opts.Csv.empty() || writeOut(Opts.Csv, [&](std::FILE *Out) {
-                  writeProfileCsv(*Sink, Out);
-                }));
-    return Ok ? 0 : 1;
-  }
-
-private:
-  // The registry is rebuilt from the dump's region records. Trace region
-  // ids are remapped through define() so the sink sees dense local ids;
-  // the map is keyed, so any 32-bit trace id is safe.
-  RegionRegistry Registry;
-  std::unordered_map<uint32_t, uint32_t> IdMap;
-  std::unique_ptr<AttributionSink> Sink;
-  std::optional<ChromeWriter> Chrome;
-  uint64_t SampleInterval = 1;
-  std::string Binary, Git;
-};
-
 class MetricsInput final : public Input {
 public:
   using Input::Input;
@@ -284,15 +93,19 @@ public:
 
   int render(long Records) override {
     if (!Opts.Quiet) {
-      printSource(Opts, Records, "metrics records", Doc.Binary, Doc.Git);
+      std::printf("%s: %ld metrics records", Opts.Path.c_str(), Records);
+      if (!Doc.Binary.empty())
+        std::printf(" from %s (%s)", Doc.Binary.c_str(), Doc.Git.c_str());
       std::printf("\n\n");
       printMetricsReport(Doc, stdout);
     }
-    if (Opts.ChromeOut)
-      writeMetricsChrome(Doc, Opts.ChromeOut);
-    bool Ok = Opts.Json.empty() || writeOut(Opts.Json, [&](std::FILE *Out) {
-                writeMetricsSummaryJson(Doc, Out);
-              });
+    bool Ok =
+        Opts.Chrome.empty() || writeOut(Opts.Chrome, [&](std::FILE *Out) {
+          writeMetricsChrome(Doc, Out);
+        });
+    Ok = Ok && (Opts.Json.empty() || writeOut(Opts.Json, [&](std::FILE *Out) {
+                  writeMetricsSummaryJson(Doc, Out);
+                }));
     return Ok ? 0 : 1;
   }
 
@@ -410,13 +223,10 @@ template <typename T> std::unique_ptr<Input> openAs(const Options &Opts) {
 /// The format table: the schema on an input's first line, the output
 /// options that format renders, and its reader.
 struct Format {
-  const char *Schema; // "": a trace dump written before schema stamps
+  const char *Schema;
   const char *Outputs;
   std::unique_ptr<Input> (*Open)(const Options &);
 } const Formats[] = {
-    {"", "--json --csv --chrome", openAs<TraceInput>},
-    {"ccl-trace-v1", "--json --csv --chrome", openAs<TraceInput>},
-    {"ccl-trace-v2", "--json --csv --chrome", openAs<TraceInput>},
     {"ccl-metrics-v1", "--json --chrome", openAs<MetricsInput>},
     {"ccl-bench-v1", "", openAs<BenchInput>},
 };
@@ -428,8 +238,8 @@ std::unique_ptr<Input> openInput(const Options &Opts, JsonObject &First) {
   for (const Format &F : Formats) {
     if (Schema != F.Schema)
       continue;
-    for (auto [Flag, Path] : {std::pair{"--json", &Opts.Json},
-                              {"--csv", &Opts.Csv}, {"--chrome", &Opts.Chrome}})
+    for (auto [Flag, Path] :
+         {std::pair{"--json", &Opts.Json}, {"--chrome", &Opts.Chrome}})
       if (!Path->empty() && !std::strstr(F.Outputs, Flag))
         First.fail(std::string(Flag) + " does not apply to " + Schema);
     return First.ok() ? F.Open(Opts) : nullptr;
@@ -452,9 +262,6 @@ int main(int Argc, char **Argv) {
     if (std::strcmp(Argv[I], "--json") == 0) {
       if (!takeValue(Opts.Json))
         return usage(Argv[0]);
-    } else if (std::strcmp(Argv[I], "--csv") == 0) {
-      if (!takeValue(Opts.Csv))
-        return usage(Argv[0]);
     } else if (std::strcmp(Argv[I], "--chrome") == 0) {
       if (!takeValue(Opts.Chrome))
         return usage(Argv[0]);
@@ -475,8 +282,6 @@ int main(int Argc, char **Argv) {
   }
   if (Opts.Path.empty())
     return usage(Argv[0]);
-  if (!Opts.Chrome.empty() && !(Opts.ChromeOut = openOut(Opts.Chrome)))
-    return 1;
 
   std::unique_ptr<Input> Reader;
   long Records = 0;
@@ -492,15 +297,8 @@ int main(int Argc, char **Argv) {
   if (Error.empty() && !Reader)
     Error = Opts.Path + ": no records";
   if (!Error.empty()) {
-    // Nothing renders, so drop the half-written --chrome file.
-    if (Opts.ChromeOut && Opts.ChromeOut != stdout) {
-      std::fclose(Opts.ChromeOut);
-      std::remove(Opts.Chrome.c_str());
-    }
     std::fprintf(stderr, "%s\n", Error.c_str());
     return 1;
   }
-  int Status = Reader->render(Records);
-  closeOut(Opts.ChromeOut);
-  return Status;
+  return Reader->render(Records);
 }
