@@ -47,7 +47,9 @@ run_preset release
 run_preset asan
 
 # ThreadSanitizer pass: the test preset filters to the suites that
-# exercise the SweepRunner thread pool and the simulator it drives.
+# exercise the SweepRunner thread pool and the simulator it drives, and
+# to those that run heaps on fresh threads (each thread keeps its own
+# stash of dead heaps' slabs).
 # Pin the sweep width so the pool actually spawns workers even on
 # single-core CI machines.
 CCL_SWEEP_THREADS=4 run_preset tsan
@@ -60,7 +62,10 @@ scripts/lint.sh
 # Thread-count determinism: a figure's stdout must not depend on how
 # many sweep workers ran its cells. fig7 (the ccmalloc figure), fig10
 # and the three ablations that sweep ccmorph over many K, p and profile
-# cells are diffed whole. fig5 is diffed without its host-timed table
+# cells are diffed whole. fig7's health ccmorph cells do not follow
+# host placement either: ccmorph lays each pass out into its own
+# retired frames (determinism_test runs them with a perturbed host heap
+# and on a fresh thread). fig5 is diffed without its host-timed table
 # and with ASLR off on both sides: its binary-tree node arrays are only
 # 4 KiB aligned, so two of its simulated columns follow where the
 # process maps them (ROADMAP item 1). It runs with --profile, so the

@@ -44,9 +44,11 @@
 /// forwarding is a flat walk indexed into the new-node array — the
 /// fixup performs no address lookups at all (the old->new hash map
 /// survives only as a debug-build DAG check). The scratch buffers keep
-/// their capacity across calls, so the paper's "periodically invoked"
-/// usage does not re-pay allocation churn. The source structure is
-/// never written (concurrent morphs may share one source).
+/// their capacity across calls, and the arena is double-buffered: a
+/// pass lays out into the frames the pass before it retired, so the
+/// paper's "periodically invoked" usage draws no memory once two passes
+/// have run. The source structure is never written (concurrent morphs
+/// may share one source).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,6 +90,10 @@ struct MorphStats {
   uint64_t ColdNodes = 0;
   size_t NodesPerBlock = 0;
   uint64_t ArenaFrames = 0;
+  /// Frames drawn fresh: those past the retired arena's frames.
+  uint64_t FramesDrawn = 0;
+  /// Retired frames the layout did not reach, freed after placement.
+  uint64_t FramesFreed = 0;
   /// Largest BFS frontier the clustering traversal held (subtree,
   /// breadth-first and random schemes; 0 for depth-first).
   uint64_t FrontierPeak = 0;
@@ -115,9 +121,12 @@ inline const MorphMetrics &morphMetrics() {
 ///
 /// The CcMorph object owns the memory of the reorganized structure; keep
 /// it alive as long as the structure is in use. Calling reorganize()
-/// again re-copies the (possibly mutated) structure into a fresh colored
-/// arena and releases the previous one — the paper's "periodically
-/// invoked" usage for slowly changing structures.
+/// again re-copies the (possibly mutated) structure into another colored
+/// arena and retires the previous one — the paper's "periodically
+/// invoked" usage for slowly changing structures. The structure a pass
+/// replaces dies with the pass: the next pass lays out into its frames.
+/// The frames of the current structure, which a re-morph reads, are
+/// never written, so at most two arenas' frames are held at once.
 template <typename Node, typename Adapter> class CcMorph {
   static_assert(std::is_trivially_copyable_v<Node>,
                 "ccmorph copies nodes with memcpy; Node must be trivially "
@@ -158,13 +167,14 @@ public:
                    const MorphOptions &Options = MorphOptions(),
                    const Profile *Counts = nullptr) {
     metrics::ScopedSpan PassSpan("ccmorph.pass");
-    auto Fresh = planForest(Roots, Options, Counts);
+    planForest(Roots, Options, Counts);
     copyNodes();
     forwardEdges();
-    return finishForest(Roots, std::move(Fresh));
+    return finishForest(Roots);
   }
 
   const MorphStats &stats() const { return Stats; }
+  /// The arena holding the current structure; null before the first pass.
   const ColoredArena *arena() const { return Current.get(); }
   const CacheParams &params() const { return Params; }
 
@@ -175,28 +185,33 @@ private:
   static constexpr size_t CopyPrefetchDist = 8;
 
   /// The address plan: one traversal (the shared planner), the hot/cold
-  /// decision, and per-cluster placement into a fresh arena. After it
-  /// returns, NewNodes[I] is the destination address of the planner's
-  /// item I — every byte of the final layout is determined, but nothing
-  /// has been copied yet. The fixup needs exactly this: a kid may be
-  /// placed after its parent, so forwarding can start only once every
-  /// destination is known.
-  std::unique_ptr<ColoredArena> planForest(const std::vector<Node *> &Roots,
-                                           const MorphOptions &Options,
-                                           const Profile *Counts) {
+  /// decision, and per-cluster placement into the retired arena. After
+  /// it returns, NewNodes[I] is the destination address of the
+  /// planner's item I — every byte of the final layout is determined,
+  /// but nothing has been copied yet. The fixup needs exactly this: a
+  /// kid may be placed after its parent, so forwarding can start only
+  /// once every destination is known.
+  void planForest(const std::vector<Node *> &Roots,
+                  const MorphOptions &Options, const Profile *Counts) {
     Stats = MorphStats();
     Stats.NodesPerBlock = Options.NodesPerBlock
                               ? Options.NodesPerBlock
                               : std::max<size_t>(
                                     1, Params.BlockBytes / sizeof(Node));
 
-    // A fresh arena each time so re-morphing an already-morphed tree is
-    // safe: the old arena is released only after the copy completes.
+    // Lay out into the frames the previous pass retired, frame i into
+    // retired frame i. Never into Current: re-morphing a morphed
+    // structure reads its source from there until the copy completes.
     CacheParams ArenaParams = Params;
     if (!Options.Color)
       ArenaParams.HotSets = 0; // Cold region spans whole frames: plain
                                // contiguous placement, no gaps.
-    auto Fresh = std::make_unique<ColoredArena>(ArenaParams);
+    uint64_t Held = Retired ? Retired->framesAllocated() : 0;
+    if (Retired)
+      Retired->restart(ArenaParams);
+    else
+      Retired = std::make_unique<ColoredArena>(ArenaParams);
+    ColoredArena &Fresh = *Retired;
 
     LiveRoots.clear();
     for (Node *Root : Roots)
@@ -233,8 +248,9 @@ private:
     // clusters by measured accesses per byte and grant the budget to
     // the heaviest ones.
     bool Profiled = Counts && Options.Color;
-    std::vector<bool> HotFlag(NumClusters, false);
+    std::vector<bool> HotFlag;
     if (Profiled) {
+      HotFlag.assign(NumClusters, false);
       std::vector<std::pair<double, size_t>> Ranked;
       Ranked.reserve(NumClusters);
       for (size_t C = 0; C < NumClusters; ++C) {
@@ -279,10 +295,10 @@ private:
       size_t Bytes = Size * sizeof(Node);
       // Clusters are packed: small clusters share a block, but no
       // cluster ever straddles a block boundary.
-      bool Hot = HotFlag[C];
+      bool Hot = Profiled && HotFlag[C];
       char *Memory = static_cast<char *>(
-          Profiled ? Fresh->allocateIn(Bytes, Hot)
-                   : Fresh->allocate(Bytes, Hot));
+          Profiled ? Fresh.allocateIn(Bytes, Hot)
+                   : Fresh.allocate(Bytes, Hot));
       // Offsets are sums of whole nodes from block-aligned starts.
       assert(isAligned(addrOf(Memory), alignof(Node)));
       (Hot ? Stats.HotNodes : Stats.ColdNodes) += Size;
@@ -300,7 +316,10 @@ private:
         NewNodes[At] = NewNode;
       }
     }
-    return Fresh;
+    Stats.ArenaFrames = Fresh.framesAllocated();
+    Stats.FramesDrawn = Stats.ArenaFrames - std::min(Stats.ArenaFrames, Held);
+    Stats.FramesFreed = Held - std::min(Stats.ArenaFrames, Held);
+    Fresh.releaseUnplaced();
   }
 
   /// Copy phase: pure memcpy of every planned node into its
@@ -341,8 +360,7 @@ private:
   }
 
   /// Publishes the completed pass: new roots, arena swap, metrics.
-  std::vector<Node *> finishForest(const std::vector<Node *> &Roots,
-                                   std::unique_ptr<ColoredArena> Fresh) {
+  std::vector<Node *> finishForest(const std::vector<Node *> &Roots) {
     std::vector<Node *> NewRoots;
     NewRoots.reserve(Roots.size());
     size_t RootCursor = 0;
@@ -350,8 +368,7 @@ private:
       NewRoots.push_back(Root ? NewNodes[RootPositions[RootCursor++]]
                               : nullptr);
 
-    Current = std::move(Fresh);
-    Stats.ArenaFrames = Current->framesAllocated();
+    Current.swap(Retired);
 
     const morph_detail::MorphMetrics &MM = morph_detail::morphMetrics();
     metrics::add(MM.Passes);
@@ -366,7 +383,10 @@ private:
 
   CacheParams Params;
   Adapter A;
+  /// The double buffer: Current holds the structure, Retired the frames
+  /// of the one before it, which the next pass lays out into.
   std::unique_ptr<ColoredArena> Current;
+  std::unique_ptr<ColoredArena> Retired;
   MorphStats Stats;
   /// Scratch state reused across reorganizations (capacity persists).
   Planner Order;                       ///< All nodes, cluster by cluster.

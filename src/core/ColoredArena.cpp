@@ -20,9 +20,19 @@ ColoredArena::ColoredArena(const CacheParams &ParamsIn)
   assert(FrameBytes >= 4096 && "cache too small to frame-align");
 }
 
+void ColoredArena::restart(const CacheParams &ParamsIn) {
+  assert(ParamsIn.CacheSets * ParamsIn.BlockBytes == FrameBytes &&
+         "restart must keep the frame size");
+  Params = ParamsIn;
+  HotBytes = Params.HotSets * Params.BlockBytes;
+  Layout = OffsetLayout(Params, /*Color=*/true);
+  Placed = 0;
+}
+
 void ColoredArena::ensureFrame(size_t Index) {
-  while (Frames.size() <= Index)
-    Frames.push_back(allocateAligned(FrameBytes, FrameBytes));
+  for (; Placed <= Index; ++Placed)
+    if (Placed == Frames.size())
+      Frames.push_back(allocateAligned(FrameBytes, FrameBytes));
 }
 
 uint64_t ColoredArena::setOf(const void *Ptr) const {

@@ -41,12 +41,25 @@ namespace ccl {
 ///
 /// Not thread-safe: the layout cursors and the frame vector are
 /// unsynchronized, and the allocation *sequence* is what makes a layout
-/// deterministic. Each CcMorph owns its arena, so concurrent morphs
+/// deterministic. Each CcMorph owns its arenas, so concurrent morphs
 /// never share one. Once handed out, an allocation's bytes are never
-/// touched by the arena again.
+/// touched by the arena again; restart() ends every allocation at once
+/// and hands the frames to a new layout.
 class ColoredArena {
 public:
   explicit ColoredArena(const CacheParams &Params);
+
+  /// Starts a new layout for \p Params over this arena's frames, whose
+  /// allocations all die: the layout's frame i is the arena's frame i,
+  /// and frames past the ones held are drawn fresh. ccmorph's double
+  /// buffer lays each pass into the arena the pass before it retired,
+  /// so steady-state passes draw no memory. The frame size must not
+  /// change (only the hot-set count may).
+  void restart(const CacheParams &Params);
+
+  /// Frees the held frames the current layout has not reached (a
+  /// layout smaller than the one before the last restart()).
+  void releaseUnplaced() { Frames.resize(Placed); }
 
   /// Allocates a cluster of \p Bytes, hot while the hot region's
   /// conflict-free capacity lasts (OffsetLayout::place); sets \p WasHot.
@@ -79,14 +92,16 @@ public:
   /// paper's requirement for not touching gap pages.
   bool gapsArePageMultiple() const;
 
-  uint64_t framesAllocated() const { return Frames.size(); }
+  /// Frames the current layout has reached.
+  uint64_t framesAllocated() const { return Placed; }
 
   /// Invokes \p Callback(FrameBase, FrameBytes, HotBytes) for every
-  /// allocated frame: [FrameBase, FrameBase + HotBytes) are the frame's
-  /// hot slots, the rest is cold. Used for telemetry region registration.
+  /// frame the layout has reached, in layout order: [FrameBase,
+  /// FrameBase + HotBytes) are the frame's hot slots, the rest is cold.
+  /// Used for telemetry region registration.
   template <typename Fn> void forEachFrame(Fn &&Callback) const {
-    for (const AlignedBuffer &Frame : Frames)
-      Callback(Frame.get(), FrameBytes, HotBytes);
+    for (size_t Frame = 0; Frame < Placed; ++Frame)
+      Callback(Frames[Frame].get(), FrameBytes, HotBytes);
   }
 
 private:
@@ -94,7 +109,7 @@ private:
   /// bytes, so the lookup shifts and masks (no division per cluster).
   void *at(uint64_t Offset) {
     uint64_t Frame = Offset >> FrameShift;
-    if (Frame >= Frames.size())
+    if (Frame >= Placed)
       ensureFrame(Frame);
     return Frames[Frame].get() + (Offset & (FrameBytes - 1));
   }
@@ -105,7 +120,10 @@ private:
   uint64_t HotBytes;   // HotSets * BlockBytes.
   unsigned FrameShift; // log2(FrameBytes).
   OffsetLayout Layout;
+  /// Held frames; the first Placed belong to the current layout, the
+  /// rest wait for it (restart() keeps every frame).
   std::vector<AlignedBuffer> Frames;
+  size_t Placed = 0;
 };
 
 } // namespace ccl

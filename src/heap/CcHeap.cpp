@@ -46,6 +46,39 @@ const HeapMetrics &heapMetrics() {
   static HeapMetrics M;
   return M;
 }
+
+/// Slabs of the heaps that died on this thread, the next one to hand
+/// out last. A heap takes from here before it draws a fresh slab, so a
+/// thread never holds more slabs than its own peak of live ones, and
+/// which slab a heap gets depends only on what this thread ran before.
+/// Slabs left at thread exit are freed with the stash.
+struct SlabStash {
+  std::vector<AlignedBuffer> Slabs;
+  ~SlabStash();
+};
+
+/// Whether this thread's stash exists. Trivially destructible, so it
+/// stays readable after the stash is destroyed: a heap that dies later
+/// (a function-local static one at process exit) frees its slabs.
+enum class StashState : uint8_t { Unused, Live, Gone };
+thread_local StashState StashStatus = StashState::Unused;
+thread_local SlabStash Stash;
+
+SlabStash::~SlabStash() { StashStatus = StashState::Gone; }
+
+/// A slab for a new heap page: the stash's top, else a fresh one.
+AlignedBuffer takeSlab(size_t Bytes) {
+  if (StashStatus != StashState::Gone) {
+    StashStatus = StashState::Live; // Touching Stash constructs it.
+    std::vector<AlignedBuffer> &Slabs = Stash.Slabs;
+    if (!Slabs.empty()) {
+      AlignedBuffer Slab = std::move(Slabs.back());
+      Slabs.pop_back();
+      return Slab;
+    }
+  }
+  return allocateAligned(Bytes, Bytes);
+}
 } // namespace
 
 const char *ccl::heap::strategyName(CcStrategy Strategy) {
@@ -78,6 +111,12 @@ CcHeap::CcHeap(HeapConfig ConfigIn) : Config(ConfigIn) {
 }
 
 CcHeap::~CcHeap() {
+  // Stash the slabs so the next heap on this thread takes them in the
+  // order this one drew them. A thread that never drew a slab has no
+  // stash to fill, and a destroyed stash takes none.
+  if (StashStatus == StashState::Live)
+    for (auto Slab = Slabs.rbegin(); Slab != Slabs.rend(); ++Slab)
+      Stash.Slabs.push_back(std::move(*Slab));
   const HeapMetrics &M = heapMetrics();
   metrics::add(M.AllocFast, Stats.AllocFast);
   metrics::add(M.AllocSlow, Stats.AllocSlow);
@@ -92,7 +131,7 @@ CcHeap::~CcHeap() {
 
 CcHeap::PageInfo *CcHeap::newPage() {
   if (!SlabCursor || SlabCursor + Config.PageBytes > SlabEnd) {
-    Slabs.push_back(allocateAligned(SlabBytes, SlabBytes));
+    Slabs.push_back(takeSlab(SlabBytes));
     ++Stats.SlabAcquires;
     SlabCursor = Slabs.back().get();
     SlabEnd = SlabCursor + SlabBytes;

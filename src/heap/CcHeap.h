@@ -85,8 +85,9 @@ struct HeapStats {
   uint64_t PagesAllocated = 0;
   /// Calls by path: the inline fast paths of allocate(), allocateNear()
   /// and deallocate() against their out-of-line continuations, plus
-  /// free-list refills and recycles and slabs drawn. ~CcHeap adds them
-  /// to the ccmalloc.* registry counters (support/Metrics.h).
+  /// free-list refills and recycles and slabs taken (fresh or from a
+  /// dead heap). ~CcHeap adds them to the ccmalloc.* registry counters
+  /// (support/Metrics.h).
   uint64_t AllocFast = 0;
   uint64_t AllocSlow = 0;
   uint64_t NearFast = 0;
@@ -107,7 +108,9 @@ struct HeapStats {
 ///
 /// A CcHeap is single-threaded, matching the paper's uniprocessor
 /// evaluation: placement and HeapStats are a pure function of the call
-/// sequence.
+/// sequence. Its slabs come first from the heaps that died on its
+/// thread, so a short-lived heap rebuilt in a loop reuses memory whose
+/// pages are already mapped instead of faulting in fresh ones.
 class CcHeap {
 public:
   explicit CcHeap(HeapConfig Config = HeapConfig());
@@ -486,8 +489,10 @@ private:
   /// Reclaimed blocks (page, block index) available for spill
   /// allocations; entries are validated against Used == 0 when popped.
   std::vector<std::pair<PageInfo *, uint32_t>> FreeBlockPool;
-  /// Every slab drawn so far; newPage() carves pages from the last one
-  /// between SlabCursor and SlabEnd.
+  /// Every slab taken so far; newPage() carves pages from the last one
+  /// between SlabCursor and SlabEnd. It takes them from the slabs of
+  /// heaps that died on its thread before it draws fresh ones, and
+  /// ~CcHeap hands them back there.
   std::vector<AlignedBuffer> Slabs;
   char *SlabCursor = nullptr;
   char *SlabEnd = nullptr;

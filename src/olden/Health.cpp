@@ -259,8 +259,8 @@ private:
   }
 
   /// The paper's periodic list reorganization: every patient list in the
-  /// system is copied into a fresh colored arena, clustered K cells per
-  /// cache block.
+  /// system is copied into ccmorph's other colored arena, clustered K
+  /// cells per cache block.
   void morphAllLists() {
     std::vector<PList *> Lists;
     std::vector<ListCell *> Roots;
@@ -289,7 +289,7 @@ private:
       Lists[I]->Last = Last;
     }
     // Old heap-owned cells were copied; return them to the heap. (Cells
-    // from the previous morph arena died when the arena was replaced.)
+    // in the previous morph's frames are dead: the next morph reuses them.)
     for (ListCell *C : OldCells)
       freeCell(C);
     MorphArenaBytes = Morph.stats().NodeCount * sizeof(ListCell);

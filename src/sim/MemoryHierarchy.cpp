@@ -110,9 +110,14 @@ void MemoryHierarchy::installBoth(uint64_t Addr, bool Dirty) {
   if (L2Result.WritebackVictim)
     ++Stats.Writebacks;
   L1.install(Addr, Dirty);
-  if (Obs != nullptr && L2Result.Evicted) [[unlikely]]
-    Obs->onEvict({L2Result.WritebackVictim,
-                  L2Result.VictimBlock << L2BlockShift});
+  if (Obs != nullptr && L2Result.Evicted) [[unlikely]] {
+    obs::EvictEvent Event{L2Result.WritebackVictim,
+                          L2Result.VictimBlock << L2BlockShift};
+    if (InObservedAccess)
+      SweepEvictions.push_back(Event);
+    else
+      Obs->onEvict(Event);
+  }
 }
 
 void MemoryHierarchy::prefetch(uint64_t Addr) {

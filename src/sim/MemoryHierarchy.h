@@ -48,6 +48,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 namespace ccl::sim {
 
@@ -159,16 +160,23 @@ private:
       uint64_t Mapped = translate(Base);
       if constexpr (Observed) {
         uint64_t Before = now();
+        InObservedAccess = true;
         BlockOutcome Out = accessBlock(Mapped, IsWrite);
+        InObservedAccess = false;
         uint64_t Lo = std::max(Addr, Base);
         uint64_t Hi = std::min(End, Base + Config.L1.BlockBytes);
         Obs->onAccess({Lo, Mapped + (Lo - Base), uint32_t(Hi - Lo), IsWrite,
                        Out.TlbMiss, Out.Level, uint32_t(now() - Before)});
-        // The eviction follows the access that caused it; the evicted
-        // block is always distinct from the one just filled.
+        // The evictions follow the access that caused them, in the order
+        // they happened: the fill's victim (always distinct from the
+        // block just filled), then those of the prefetched blocks the
+        // in-flight sweep retired, one of which may be that block.
         if (Out.L2Victim.Evicted)
           Obs->onEvict({Out.L2Victim.WritebackVictim,
                         Out.L2Victim.VictimBlock << L2BlockShift});
+        for (const obs::EvictEvent &Event : SweepEvictions)
+          Obs->onEvict(Event);
+        SweepEvictions.clear();
       } else {
         accessBlock(Mapped, IsWrite);
       }
@@ -289,6 +297,12 @@ private:
     uint64_t MappedBase = 0;
   };
   UnitMemoEntry UnitMemo[UnitMemoSlots];
+
+  /// Set while accessRange<true> simulates a block: installBoth() then
+  /// holds the in-flight sweep's evictions in SweepEvictions until the
+  /// access event is out. Kept last: only the observed path uses them.
+  bool InObservedAccess = false;
+  std::vector<obs::EvictEvent> SweepEvictions;
 };
 
 } // namespace ccl::sim

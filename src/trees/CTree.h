@@ -27,7 +27,10 @@ public:
   explicit CTree(const CacheParams &Params) : Morph(Params) {}
 
   /// Copies and reorganizes the tree rooted at \p Root. The source tree
-  /// is left untouched (and may be discarded by the caller).
+  /// is left untouched (and may be discarded by the caller); it may be
+  /// this C-tree's own root. Nodes of earlier adoptions are dead: from
+  /// the third adoption on, the copy reuses the frames of the adoption
+  /// two back, so a periodically re-adopted C-tree draws no memory.
   /// \returns the new root.
   const BstNode *adopt(BstNode *Root,
                        const MorphOptions &Options = MorphOptions()) {

@@ -839,23 +839,89 @@ TEST(CcMorphParity, ProfiledColoringMatchesSeed) {
 }
 
 TEST(CcMorphParity, ScratchReuseKeepsPlacementsStable) {
-  // Reorganizing twice through one CcMorph (warm scratch buffers) must
-  // place exactly like a fresh instance.
+  // Reorganizing three times through one CcMorph (warm scratch buffers;
+  // the third pass lays out into the first pass's frames) must place
+  // exactly like a fresh instance, every pass.
   auto Tree = BinarySearchTree::build(1023, LayoutScheme::Random);
-  CcMorph<BstNode, BstAdapter> Warm(smallParams());
-  BstNode *First = Warm.reorganize(Tree.root());
-  BstNode *Second = Warm.reorganize(First);
-
   CcMorph<BstNode, BstAdapter> Fresh(smallParams());
   BstNode *Direct = Fresh.reorganize(Tree.root());
 
-  std::vector<std::pair<BstNode *, BstNode *>> Pairs;
-  seedref::pairNodes<BstNode, BstAdapter>(Second, Direct, Pairs);
-  for (const auto &[Reused, Once] : Pairs) {
-    seedref::Placement A = seedref::placementOf(*Warm.arena(), Reused);
-    seedref::Placement B = seedref::placementOf(*Fresh.arena(), Once);
-    EXPECT_TRUE(A == B);
+  CcMorph<BstNode, BstAdapter> Warm(smallParams());
+  BstNode *Root = Tree.root();
+  for (int Pass = 1; Pass <= 3; ++Pass) {
+    SCOPED_TRACE("pass " + std::to_string(Pass));
+    Root = Warm.reorganize(Root);
+    std::vector<std::pair<BstNode *, BstNode *>> Pairs;
+    seedref::pairNodes<BstNode, BstAdapter>(Root, Direct, Pairs);
+    ASSERT_EQ(Pairs.size(), 1023u);
+    for (const auto &[Reused, Once] : Pairs) {
+      seedref::Placement A = seedref::placementOf(*Warm.arena(), Reused);
+      seedref::Placement B = seedref::placementOf(*Fresh.arena(), Once);
+      EXPECT_TRUE(A == B);
+    }
   }
+}
+
+namespace {
+
+/// Frame bases of \p Arena, in layout order.
+std::vector<const char *> frameBases(const ColoredArena &Arena) {
+  std::vector<const char *> Bases;
+  Arena.forEachFrame(
+      [&](const char *Base, uint64_t, uint64_t) { Bases.push_back(Base); });
+  return Bases;
+}
+
+} // namespace
+
+TEST(CcMorph, PassesLayOutIntoTheRetiredFrames) {
+  // The double buffer: pass N lays out into pass N-2's frames, frame i
+  // into frame i, and never into pass N-1's, which hold its source when
+  // it re-morphs. A pass larger than its retired arena draws the extra
+  // frames fresh; a smaller one frees the surplus.
+  auto Small = BinarySearchTree::build(511, LayoutScheme::Random);
+  auto Large = BinarySearchTree::build(4095, LayoutScheme::Random);
+  CcMorph<BstNode, BstAdapter> Morph(smallParams());
+
+  Morph.reorganize(Small.root());
+  std::vector<const char *> Pass1 = frameBases(*Morph.arena());
+  EXPECT_EQ(Morph.stats().FramesDrawn, Pass1.size());
+
+  BstNode *Root = Morph.reorganize(Large.root());
+  std::vector<const char *> Pass2 = frameBases(*Morph.arena());
+  ASSERT_GT(Pass2.size(), Pass1.size());
+  EXPECT_EQ(Morph.stats().FramesDrawn, Pass2.size());
+
+  // Pass 3 re-morphs pass 2's structure: pass 1's frames, then fresh.
+  Root = Morph.reorganize(Root);
+  EXPECT_TRUE(verifyBst(Root, 4095));
+  std::vector<const char *> Pass3 = frameBases(*Morph.arena());
+  ASSERT_EQ(Pass3.size(), Pass2.size());
+  for (size_t I = 0; I < Pass3.size(); ++I) {
+    if (I < Pass1.size()) {
+      EXPECT_EQ(Pass3[I], Pass1[I]) << "frame " << I;
+    }
+    EXPECT_EQ(std::count(Pass2.begin(), Pass2.end(), Pass3[I]), 0)
+        << "frame " << I << " overwrote the source's frames";
+  }
+  EXPECT_EQ(Morph.stats().FramesDrawn, Pass3.size() - Pass1.size());
+  EXPECT_EQ(Morph.stats().FramesFreed, 0u);
+
+  // Pass 4 is smaller than pass 2: it keeps pass 2's leading frames and
+  // frees the rest.
+  Root = Morph.reorganize(Small.root());
+  EXPECT_TRUE(verifyBst(Root, 511));
+  std::vector<const char *> Pass4 = frameBases(*Morph.arena());
+  ASSERT_EQ(Pass4.size(), Pass1.size());
+  EXPECT_TRUE(std::equal(Pass4.begin(), Pass4.end(), Pass2.begin()));
+  EXPECT_EQ(Morph.stats().FramesDrawn, 0u);
+  EXPECT_EQ(Morph.stats().FramesFreed, Pass2.size() - Pass4.size());
+
+  // Pass 5 lays out into pass 3's frames again.
+  Morph.reorganize(Large.root());
+  EXPECT_EQ(frameBases(*Morph.arena()), Pass3);
+  EXPECT_EQ(Morph.stats().FramesDrawn, 0u);
+  EXPECT_EQ(Morph.stats().FramesFreed, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,8 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -785,6 +787,88 @@ TEST(CcHeap, PagesComeFromAlignedSlabs) {
   EXPECT_TRUE(isAligned(Pages[PagesPerSlab], SlabBytes));
   EXPECT_NE(Pages[PagesPerSlab], Pages[0]);
   EXPECT_EQ(Heap.stats().SlabAcquires, 2u);
+}
+
+namespace {
+
+/// One heap's run of a fixed call sequence of plain, hinted and freed
+/// chunks over more than one slab. A chunk is recorded as its page's
+/// creation index times the page size plus its offset in the page, so
+/// runs at different addresses compare.
+struct SequenceRun {
+  std::vector<uint64_t> Chunks;
+  std::vector<const char *> Pages;
+  HeapStats Stats;
+};
+
+SequenceRun runSequence() {
+  CcHeap Heap;
+  Xoshiro256 Rng(0x51AB5ULL);
+  std::vector<void *> Placed, Live;
+  for (unsigned I = 0; I < 30000; ++I) {
+    size_t Size = Rng.nextBounded(2) ? 56 : 8 + Rng.nextBounded(17);
+    void *Near = Live.empty() ? nullptr : Live[Rng.nextBounded(Live.size())];
+    void *Ptr = Rng.nextBounded(3) ? Heap.allocate(Size)
+                                   : Heap.allocateNear(Size, Near,
+                                                       CcStrategy::NewBlock);
+    Placed.push_back(Ptr);
+    Live.push_back(Ptr);
+    if (Rng.nextBounded(5) == 0) {
+      size_t Victim = Rng.nextBounded(Live.size());
+      Heap.deallocate(Live[Victim]);
+      Live[Victim] = Live.back();
+      Live.pop_back();
+    }
+  }
+  SequenceRun Run;
+  std::map<uint64_t, uint64_t> PageIndex;
+  Heap.forEachPage([&](const char *Base, size_t) {
+    PageIndex[addrOf(Base)] = Run.Pages.size();
+    Run.Pages.push_back(Base);
+  });
+  const uint64_t PageBytes = Heap.config().PageBytes;
+  for (void *Ptr : Placed) {
+    uint64_t Page = alignDown(addrOf(Ptr), PageBytes);
+    Run.Chunks.push_back(PageIndex.at(Page) * PageBytes + addrOf(Ptr) - Page);
+  }
+  Run.Stats = Heap.stats();
+  return Run;
+}
+
+} // namespace
+
+TEST(CcHeap, NewHeapTakesTheSlabsOfAHeapThatDiedOnItsThread) {
+  // The reference: the sequence on a fresh thread, whose heap draws
+  // fresh slabs.
+  SequenceRun OnFreshThread;
+  std::thread([&] { OnFreshThread = runSequence(); }).join();
+
+  // A heap dies on this thread holding two slabs (200 pages).
+  constexpr size_t PagesPerSlab = (1 << 20) / 8192;
+  std::vector<const char *> DeadPages;
+  {
+    CcHeap Dead;
+    for (size_t I = 0; I < 200 * (8192 / 64); ++I)
+      Dead.allocate(56);
+    Dead.forEachPage(
+        [&](const char *Base, size_t) { DeadPages.push_back(Base); });
+    ASSERT_EQ(Dead.stats().SlabAcquires, 2u);
+  }
+
+  // The next heap starts in the dead heap's first slab and takes its
+  // second one next, even with a large host block claimed in between,
+  // and places and counts exactly as on a fresh thread.
+  std::vector<char> HostBlock(4 << 20, 1);
+  SequenceRun Reused = runSequence();
+  ASSERT_GE(Reused.Pages.size(), PagesPerSlab + 1);
+  EXPECT_EQ(Reused.Pages[0], DeadPages[0]);
+  EXPECT_EQ(Reused.Pages[PagesPerSlab], DeadPages[PagesPerSlab]);
+  EXPECT_EQ(Reused.Chunks, OnFreshThread.Chunks);
+  static_assert(std::has_unique_object_representations_v<HeapStats>);
+  EXPECT_EQ(std::memcmp(&Reused.Stats, &OnFreshThread.Stats,
+                        sizeof(HeapStats)),
+            0);
+  EXPECT_EQ(Reused.Stats.SlabAcquires, OnFreshThread.Stats.SlabAcquires);
 }
 
 TEST(CcHeap, EpochReclaimAcrossAlternatingSizes) {

@@ -179,13 +179,17 @@ TEST(Attribution, BlockUtilizationTracksResidencies) {
 TEST(Attribution, LiveSinkReconcilesWithSimStats) {
   // Plain, and with the next-line prefetcher on and software prefetches
   // issued, so fills that a prefetch hid in full or in part are charged
-  // too.
+  // too. The prefetching pass ends with enough unconsumed next-line
+  // prefetches to pass the in-flight sweep's 8,192-entry threshold.
   for (bool Prefetching : {false, true}) {
     SCOPED_TRACE(Prefetching ? "prefetching" : "plain");
-    AlignedBuffer Storage = allocateAligned(1 << 16, 1 << 16);
+    // Only addresses are simulated: the 4 MiB are never touched.
+    constexpr uint64_t StorageBytes = 4 << 20;
+    AlignedBuffer Storage = allocateAligned(1 << 20, StorageBytes);
     char *Buffer = Storage.get();
     RegionRegistry Registry;
-    uint32_t Region = Registry.registerRange(Buffer, 1 << 16, {"buffer", {}});
+    uint32_t Region =
+        Registry.registerRange(Buffer, StorageBytes, {"buffer", {}});
 
     sim::HierarchyConfig Config = sim::HierarchyConfig::ultraSparcE5000();
     if (Prefetching)
@@ -203,6 +207,16 @@ TEST(Attribution, LiveSinkReconcilesWithSimStats) {
     }
     for (uint64_t Off = 0; Off + 8 <= 16384; Off += 64)
       M.write(vaddr(Buffer + Off), 8);
+    // Two passes of reads of every fifth block from 1 MiB on. Each
+    // misses and queues its next block, which no read consumes, so the
+    // in-flight table fills until a miss sweeps it. The sweep retires
+    // the block queued 3,277 reads earlier, 16,385 blocks back, into the
+    // 1 MiB direct-mapped L2 set of the block that miss just filled; the
+    // second pass fills that block again.
+    const uint64_t SweepReads = Prefetching ? 9000 : 0;
+    for (int Pass = 0; Pass < 2; ++Pass)
+      for (uint64_t I = 0; I < SweepReads; ++I)
+        M.read(vaddr(Buffer + (1 << 20) + I * 5 * 64), 8);
     const uint64_t Outside = 0x7fee00000000ULL;
     for (unsigned I = 0; I < 32; ++I)
       M.read(Outside + I * 256, 4);
@@ -237,7 +251,7 @@ TEST(Attribution, LiveSinkReconcilesWithSimStats) {
     const RegionProfile &Unknown = Sink.regions()[RegionRegistry::Unknown];
     EXPECT_EQ(Unknown.references(), 32u);
     EXPECT_EQ(Mine.references(), S.memoryReferences() - 32);
-    EXPECT_EQ(Mine.BytesAccessed, 1024u * 8 + 256u * 8);
+    EXPECT_EQ(Mine.BytesAccessed, 1024u * 8 + 256u * 8 + 2 * SweepReads * 8);
 
     // Every fetched block was closed exactly once, by an eviction event
     // or by finalize().
