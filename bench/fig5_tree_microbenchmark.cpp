@@ -33,7 +33,6 @@
 #include "bench/BenchCommon.h"
 #include "obs/Attribution.h"
 #include "obs/MetricsExport.h"
-#include "obs/PerfCounters.h"
 #include "obs/Region.h"
 #include "sim/AccessPolicy.h"
 #include "support/Metrics.h"
@@ -47,7 +46,6 @@
 
 #include <cinttypes>
 #include <functional>
-#include <memory>
 #include <vector>
 
 using namespace ccl;
@@ -59,14 +57,11 @@ struct SearchSeries {
   std::string Name;
   std::vector<double> CyclesPerSearch;
   std::vector<double> NanosPerSearch;
-  /// Simulated miss totals for each count's cold-start replay, so the
-  /// machine-readable summary can pair them with hardware counts.
+  /// Simulated miss totals for each count's cold-start replay, for the
+  /// machine-readable summary.
   std::vector<uint64_t> SimL1Misses;
   std::vector<uint64_t> SimL2Misses;
   std::vector<uint64_t> SimTlbMisses;
-  /// Hardware counters around each timed native window (--hw only;
-  /// empty otherwise). Readings carry Available=false on denied hosts.
-  std::vector<obs::PerfReading> Hw;
 };
 
 /// Untimed native searches run per organization before its timed
@@ -108,8 +103,7 @@ SeriesDef makeSeries(std::string Name, SearchFn Search) {
 std::vector<SearchSeries>
 measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
            const std::vector<uint64_t> &SearchCounts,
-           const sim::HierarchyConfig &Config,
-           obs::PerfCounters *Hw = nullptr) {
+           const sim::HierarchyConfig &Config) {
   size_t Counts = SearchCounts.size();
   std::vector<sim::TraceBuffer> Traces(Defs.size());
   std::vector<std::vector<size_t>> Prefixes(Defs.size());
@@ -187,16 +181,9 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
       (void)WarmSink;
     }
     metrics::ScopedSpan WindowSpan("fig5.native_window");
-    if (Hw)
-      Series[S].Hw.resize(Counts);
     for (size_t C = 0; C < Counts; ++C) {
       sim::NativeAccess NA;
       Xoshiro256 Rng2(0xF16'5EEDULL);
-      // The PerfScope brackets exactly the timed window, so hardware
-      // counts and NanosPerSearch describe the same searches.
-      std::unique_ptr<obs::PerfScope> Scope;
-      if (Hw)
-        Scope = std::make_unique<obs::PerfScope>(*Hw, Series[S].Hw[C]);
       Timer T;
       uint64_t Hits = 0;
       for (uint64_t I = 0; I < SearchCounts[C]; ++I)
@@ -207,7 +194,6 @@ measureAll(const std::vector<SeriesDef> &Defs, uint64_t NumKeys,
       (void)Sink;
       Series[S].NanosPerSearch[C] =
           double(T.elapsedNs()) / double(SearchCounts[C]);
-      Scope.reset(); // Stop counters before anything else runs.
     }
   }
   return Series;
@@ -231,48 +217,6 @@ int main(int Argc, char **Argv) {
 
   sim::HierarchyConfig Config = sim::HierarchyConfig::ultraSparcE5000();
   CacheParams Params = CacheParams::fromHierarchy(Config);
-
-  // --hw: wrap every timed native window in a perf_event group so the
-  // summary pairs simulated misses with hardware counts. Constructed
-  // once so a denied host reports one stable reason. Everything below
-  // prints only under the flag — default stdout stays byte-identical.
-  const bool HwFlag = bench::hasFlag(Argc, Argv, "--hw");
-  std::unique_ptr<obs::PerfCounters> Hw;
-  if (HwFlag)
-    Hw = std::make_unique<obs::PerfCounters>();
-
-  auto PrintHwSection = [&](const std::vector<SearchSeries> &All,
-                            const std::vector<uint64_t> &Counts) {
-    if (!HwFlag)
-      return;
-    if (!Hw->available()) {
-      std::printf("\nhw: unavailable (%s)\n", Hw->reason().c_str());
-      return;
-    }
-    std::printf("\nHardware counters per search (--hw; multiplexing-"
-                "corrected):\n");
-    TablePrinter T({"series", "searches", "cycles", "instr", "l1d miss",
-                    "llc miss", "dtlb miss", "run%"});
-    for (const SearchSeries &S : All) {
-      for (size_t I = 0; I < Counts.size(); ++I) {
-        if (I >= S.Hw.size() || !S.Hw[I].Available)
-          continue;
-        const obs::PerfReading &R = S.Hw[I];
-        double N = double(Counts[I]);
-        auto Per = [&](unsigned E) {
-          return R.has(E)
-                     ? TablePrinter::fmt(double(R.Scaled[E]) / N, 1)
-                     : std::string("-");
-        };
-        T.addRow({S.Name, TablePrinter::fmtInt(Counts[I]),
-                  Per(obs::PerfCycles), Per(obs::PerfInstructions),
-                  Per(obs::PerfL1dMisses), Per(obs::PerfLlcMisses),
-                  Per(obs::PerfDtlbMisses),
-                  TablePrinter::fmt(100.0 * R.runningShare(), 0) + "%"});
-      }
-    }
-    T.print();
-  };
 
   std::printf("tree: %" PRIu64 " keys, %.1f MB of nodes (L2 = %.1f MB)\n\n",
               NumKeys, NumKeys * sizeof(BstNode) / 1048576.0,
@@ -309,7 +253,7 @@ int main(int Argc, char **Argv) {
                               return Ctree.search(Key, A) != nullptr;
                             }));
   std::vector<SearchSeries> Series =
-      measureAll(Defs, NumKeys, SearchCounts, Config, Hw.get());
+      measureAll(Defs, NumKeys, SearchCounts, Config);
 
   TablePrinter Cycles({"searches", Series[0].Name, Series[1].Name,
                        Series[2].Name, Series[3].Name});
@@ -332,7 +276,6 @@ int main(int Argc, char **Argv) {
                   TablePrinter::fmt(Series[3].NanosPerSearch[I], 1)});
   std::printf("\nNative nanoseconds per search (host hardware):\n");
   Nanos.print();
-  PrintHwSection(Series, SearchCounts);
 
   size_t Last = SearchCounts.size() - 1;
   double Rand = Series[0].CyclesPerSearch[Last];
@@ -454,7 +397,7 @@ int main(int Argc, char **Argv) {
                                return CCtree.contains(Key, A);
                              }));
   std::vector<SearchSeries> CSeries =
-      measureAll(CDefs, NumKeys, SearchCounts, Config, Hw.get());
+      measureAll(CDefs, NumKeys, SearchCounts, Config);
 
   TablePrinter CCycles({"searches", CSeries[0].Name, CSeries[1].Name,
                         CSeries[2].Name, CSeries[3].Name,
@@ -484,22 +427,12 @@ int main(int Argc, char **Argv) {
               bench::speedupStr(CBt, CCt).c_str());
   std::printf("  C-tree vs B-tree(.50):      %s  (paper: ~1.5x)\n",
               bench::speedupStr(CBtHalf, CCt).c_str());
-  if (HwFlag && Hw->available())
-    PrintHwSection(CSeries, SearchCounts);
 
   // Machine-readable summary (--out <path> / CCL_BENCH_OUT).
   bench::BenchJson Json("fig5", Full);
   Json.beginResult("(meta)");
   Json.str("section", "meta");
   Json.integer("native_warmup_searches", NativeWarmupSearches);
-  if (HwFlag) {
-    Json.beginResult("(hw)");
-    Json.str("section", "meta");
-    Json.str("metric", "hw");
-    Json.str("hw_available", Hw->available() ? "yes" : "no");
-    if (!Hw->available())
-      Json.str("hw_reason", Hw->reason());
-  }
   auto AddSeries = [&](const char *Section,
                        const std::vector<SearchSeries> &All) {
     for (const SearchSeries &S : All) {
@@ -512,22 +445,6 @@ int main(int Argc, char **Argv) {
         Json.integer("sim_l1_misses", S.SimL1Misses[I]);
         Json.integer("sim_l2_misses", S.SimL2Misses[I]);
         Json.integer("sim_tlb_misses", S.SimTlbMisses[I]);
-        // Paired hardware counts (--hw with perf available): same
-        // document, so cclstat can build the divergence table.
-        if (I < S.Hw.size() && S.Hw[I].Available) {
-          const obs::PerfReading &R = S.Hw[I];
-          auto HwField = [&](const char *Key, unsigned E) {
-            if (R.has(E))
-              Json.integer(Key, uint64_t(R.Scaled[E]));
-          };
-          HwField("hw_cycles", obs::PerfCycles);
-          HwField("hw_instructions", obs::PerfInstructions);
-          HwField("hw_l1d_misses", obs::PerfL1dMisses);
-          HwField("hw_llc_misses", obs::PerfLlcMisses);
-          HwField("hw_dtlb_misses", obs::PerfDtlbMisses);
-          Json.integer("hw_time_enabled_ns", R.TimeEnabledNs);
-          Json.integer("hw_time_running_ns", R.TimeRunningNs);
-        }
       }
     }
   };

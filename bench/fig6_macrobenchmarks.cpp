@@ -23,14 +23,12 @@
 #include "bdd/BddWorkloads.h"
 #include "bench/BenchCommon.h"
 #include "obs/MetricsExport.h"
-#include "obs/PerfCounters.h"
 #include "raytrace/Raytrace.h"
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/SweepRunner.h"
 
 #include <cinttypes>
-#include <memory>
 #include <vector>
 
 using namespace ccl;
@@ -131,15 +129,6 @@ int main(int Argc, char **Argv) {
                         {true, heap::CcStrategy::FirstFit}};
   constexpr size_t NumVis = std::size(VisCells);
 
-  // --hw: bracket each serial native raytrace run with a perf_event
-  // group, pairing hardware counts with the simulated miss totals.
-  // Everything it prints is gated on the flag, so default stdout stays
-  // byte-identical.
-  const bool HwFlag = bench::hasFlag(Argc, Argv, "--hw");
-  std::unique_ptr<obs::PerfCounters> Hw;
-  if (HwFlag)
-    Hw = std::make_unique<obs::PerfCounters>();
-
   std::vector<raytrace::RtResult> RtSim(NumRt);
   SweepRunner Runner;
   {
@@ -162,24 +151,12 @@ int main(int Argc, char **Argv) {
   double RadBase = 0;
   uint64_t RadChecksum = 0;
   bench::BenchJson Json("fig6", Full);
-  if (HwFlag) {
-    Json.beginResult("(hw)");
-    Json.str("section", "meta");
-    Json.str("metric", "hw");
-    Json.str("hw_available", Hw->available() ? "yes" : "no");
-    if (!Hw->available())
-      Json.str("hw_reason", Hw->reason());
-  }
-  std::vector<obs::PerfReading> RtHw(NumRt);
   for (size_t I = 0; I < NumRt; ++I) {
     raytrace::RtLayout L = RtLayouts[I];
     const raytrace::RtResult &Sim = RtSim[I];
     raytrace::RtResult Native;
     {
       metrics::ScopedSpan NativeSpan("fig6.native_raytrace");
-      std::unique_ptr<obs::PerfScope> Scope;
-      if (HwFlag)
-        Scope = std::make_unique<obs::PerfScope>(*Hw, RtHw[I]);
       Native = raytrace::runRaytrace(RC, L, nullptr);
     }
     double Total = double(Sim.Stats.totalCycles());
@@ -207,48 +184,8 @@ int main(int Argc, char **Argv) {
     Json.integer("sim_tlb_misses", Sim.Stats.TlbMisses);
     Json.num("native_ms", Native.NativeSeconds * 1000);
     Json.integer("checksum_ok", Sim.Checksum == RadChecksum ? 1 : 0);
-    if (HwFlag && RtHw[I].Available) {
-      const obs::PerfReading &R = RtHw[I];
-      auto HwField = [&](const char *Key, unsigned E) {
-        if (R.has(E))
-          Json.integer(Key, uint64_t(R.Scaled[E]));
-      };
-      HwField("hw_cycles", obs::PerfCycles);
-      HwField("hw_instructions", obs::PerfInstructions);
-      HwField("hw_l1d_misses", obs::PerfL1dMisses);
-      HwField("hw_llc_misses", obs::PerfLlcMisses);
-      HwField("hw_dtlb_misses", obs::PerfDtlbMisses);
-      Json.integer("hw_time_enabled_ns", R.TimeEnabledNs);
-      Json.integer("hw_time_running_ns", R.TimeRunningNs);
-    }
   }
   Rad.print();
-  if (HwFlag) {
-    if (!Hw->available()) {
-      std::printf("\nhw: unavailable (%s)\n", Hw->reason().c_str());
-    } else {
-      std::printf("\nHardware counters for the native raytrace runs "
-                  "(--hw; multiplexing-corrected):\n");
-      TablePrinter HwTable({"layout", "cycles", "instr", "l1d miss",
-                            "llc miss", "dtlb miss", "run%"});
-      for (size_t I = 0; I < NumRt; ++I) {
-        const obs::PerfReading &R = RtHw[I];
-        if (!R.Available)
-          continue;
-        auto Val = [&](unsigned E) {
-          return R.has(E) ? TablePrinter::fmtInt(uint64_t(R.Scaled[E]))
-                          : std::string("-");
-        };
-        HwTable.addRow({raytrace::rtLayoutName(RtLayouts[I]),
-                        Val(obs::PerfCycles), Val(obs::PerfInstructions),
-                        Val(obs::PerfL1dMisses), Val(obs::PerfLlcMisses),
-                        Val(obs::PerfDtlbMisses),
-                        TablePrinter::fmt(100.0 * R.runningShare(), 0) +
-                            "%"});
-      }
-      HwTable.print();
-    }
-  }
 
   //===------------------------------------------------------------------===//
   // VIS substitute: BDD package.

@@ -21,7 +21,6 @@
 
 #include "bench/BenchCommon.h"
 #include "obs/MetricsExport.h"
-#include "obs/PerfCounters.h"
 #include "olden/Health.h"
 #include "olden/Mst.h"
 #include "olden/Perimeter.h"
@@ -30,7 +29,6 @@
 #include "support/SweepRunner.h"
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 using namespace ccl;
@@ -127,33 +125,6 @@ int main(int Argc, char **Argv) {
     });
   }
 
-  // --hw: re-run the whole grid natively (no simulator), serially so no
-  // cell times under parallel load, with a perf_event group around each
-  // run. Hardware counts land in the same JSON result objects as the
-  // simulated misses so readers can pair them row by row. All stdout it
-  // produces is gated on the flag — golden tables stay byte-identical.
-  const bool HwFlag = bench::hasFlag(Argc, Argv, "--hw");
-  std::unique_ptr<obs::PerfCounters> Hw;
-  std::vector<obs::PerfReading> HwGrid(Grid.size());
-  std::vector<double> NativeMs(Grid.size(), 0.0);
-  if (HwFlag) {
-    Hw = std::make_unique<obs::PerfCounters>();
-    Json.beginResult("(hw)");
-    Json.str("section", "meta");
-    Json.str("metric", "hw");
-    Json.str("hw_available", Hw->available() ? "yes" : "no");
-    if (!Hw->available())
-      Json.str("hw_reason", Hw->reason());
-    metrics::ScopedSpan NativeSpan("fig7.native");
-    for (size_t Cell = 0; Cell < Grid.size(); ++Cell) {
-      const BenchDef &Bench = Benchmarks[Cell / NumVariants];
-      obs::PerfScope Scope(*Hw, HwGrid[Cell]);
-      BenchResult Native = Bench.Run(AllVariants[Cell % NumVariants],
-                                     nullptr);
-      NativeMs[Cell] = Native.NativeSeconds * 1000;
-    }
-  }
-
   for (size_t B = 0; B < Benchmarks.size(); ++B) {
     const BenchDef &Bench = Benchmarks[B];
     std::printf("--- %s ---\n", Bench.Name.c_str());
@@ -199,22 +170,6 @@ int main(int Argc, char **Argv) {
       Json.integer("sim_l2_misses", R.Stats.L2Misses);
       Json.integer("sim_tlb_misses", R.Stats.TlbMisses);
       Json.integer("checksum_ok", R.Checksum == Base.Checksum ? 1 : 0);
-      size_t Cell = B * NumVariants + I;
-      if (HwFlag && HwGrid[Cell].Available) {
-        const obs::PerfReading &HwR = HwGrid[Cell];
-        auto HwField = [&](const char *Key, unsigned E) {
-          if (HwR.has(E))
-            Json.integer(Key, uint64_t(HwR.Scaled[E]));
-        };
-        HwField("hw_cycles", obs::PerfCycles);
-        HwField("hw_instructions", obs::PerfInstructions);
-        HwField("hw_l1d_misses", obs::PerfL1dMisses);
-        HwField("hw_llc_misses", obs::PerfLlcMisses);
-        HwField("hw_dtlb_misses", obs::PerfDtlbMisses);
-        Json.integer("hw_time_enabled_ns", HwR.TimeEnabledNs);
-        Json.integer("hw_time_running_ns", HwR.TimeRunningNs);
-        Json.num("native_ms", NativeMs[Cell]);
-      }
     }
     Table.print();
     double BaseTotal = double(Base.Stats.totalCycles());
@@ -229,35 +184,6 @@ int main(int Argc, char **Argv) {
               "ccmalloc-NA > prefetching except treeadd;\n"
               "treeadd/perimeter gains modest (creation order == dominant "
               "traversal order).\n");
-  if (HwFlag) {
-    if (!Hw->available()) {
-      std::printf("\nhw: unavailable (%s)\n", Hw->reason().c_str());
-    } else {
-      std::printf("\nHardware counters for the native runs (--hw; "
-                  "multiplexing-corrected):\n");
-      TablePrinter HwTable({"bench", "config", "cycles", "instr",
-                            "l1d miss", "llc miss", "dtlb miss",
-                            "native ms", "run%"});
-      for (size_t Cell = 0; Cell < Grid.size(); ++Cell) {
-        const obs::PerfReading &R = HwGrid[Cell];
-        if (!R.Available)
-          continue;
-        auto Val = [&](unsigned E) {
-          return R.has(E) ? TablePrinter::fmtInt(uint64_t(R.Scaled[E]))
-                          : std::string("-");
-        };
-        HwTable.addRow({Benchmarks[Cell / NumVariants].Name,
-                        shortName(AllVariants[Cell % NumVariants]),
-                        Val(obs::PerfCycles), Val(obs::PerfInstructions),
-                        Val(obs::PerfL1dMisses), Val(obs::PerfLlcMisses),
-                        Val(obs::PerfDtlbMisses),
-                        TablePrinter::fmt(NativeMs[Cell], 1),
-                        TablePrinter::fmt(100.0 * R.runningShare(), 0) +
-                            "%"});
-      }
-      HwTable.print();
-    }
-  }
   Json.writeIfRequested(bench::benchOutPath(Argc, Argv));
   obs::dumpProcessMetrics(bench::metricsOutPath(Argc, Argv));
   return 0;

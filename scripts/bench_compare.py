@@ -6,10 +6,13 @@ Part of the cache-conscious structure layout library (PLDI'99 repro).
 Reads two benchmark JSON files -- either google-benchmark documents (the
 micro_* benches, committed as BENCH_*.json) or ccl-bench-v1 documents
 (the figure benches via --out) -- matches results by name, and flags
-metrics that moved past a tolerance band. Exits nonzero when any
-regression exceeds the band, so CI can gate on it. The ci.sh stage
-runs it blocking by default (ci.sh --advisory demotes a trip to a
-warning for noisy shared runners); the band is a tripwire, not a proof.
+metrics that moved past a tolerance band. A ccl-bench-v1 result is keyed
+by its name plus the sweep fields that tell a figure's rows apart; a
+document in which two results share a key exits 1 and names the key.
+Exits nonzero when any regression exceeds the band, so CI can gate on
+it. The ci.sh stage runs it blocking by default (ci.sh --advisory
+demotes a trip to a warning for noisy shared runners); the band is a
+tripwire, not a proof.
 
 Stdlib only; no third-party imports.
 
@@ -80,27 +83,30 @@ def ccl_row_key(result):
     """Composite key from the name plus the sweep fields the figure
     benches use to distinguish rows."""
     parts = [result.get("name", "?")]
-    for key in ("section", "layout", "variant", "strategy", "metric",
-                "searches", "k", "zipf_s", "l2_capacity_kb", "l2_assoc",
-                "allocator", "hot_sets"):
+    for key in ("section", "layout", "variant", "strategy", "searches",
+                "k", "zipf_s", "l2_capacity_kb", "l2_assoc", "allocator",
+                "hot_sets", "tree_keys"):
         if key in result:
             parts.append("%s=%s" % (key, result[key]))
     return " ".join(parts)
 
 
-def rows_ccl(doc):
+def rows_ccl(doc, path):
+    """One row per result. A key that two results share would let the
+    later one hide the earlier, so it rejects the document."""
     rows = {}
     for result in doc.get("results", []):
-        metrics = {k: float(v) for k, v in result.items()
-                   if isinstance(v, (int, float)) and direction(k) != 0}
-        if metrics:
-            rows[ccl_row_key(result)] = metrics
-    return rows
+        key = ccl_row_key(result)
+        if key in rows:
+            sys.exit("%s: results repeat the key %r" % (path, key))
+        rows[key] = {k: float(v) for k, v in result.items()
+                     if isinstance(v, (int, float)) and direction(k) != 0}
+    return {key: metrics for key, metrics in rows.items() if metrics}
 
 
 def extract(doc, path):
     if doc.get("schema") == "ccl-bench-v1":
-        return rows_ccl(doc)
+        return rows_ccl(doc, path)
     if "benchmarks" in doc:
         return rows_google(doc)
     sys.exit("%s: neither a ccl-bench-v1 nor a google-benchmark document"

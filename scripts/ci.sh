@@ -7,10 +7,11 @@
 # both, then builds the tsan preset and runs the thread-sensitive tests
 # (the SweepRunner/simulator suite) under ThreadSanitizer, runs
 # clang-tidy, diffs fig7, fig10, the ccmorph ablations, fig5's
-# simulated tables and --profile attribution report, and fig6's VIS
-# section across sweep thread counts, renders fig7's bench and metrics
-# artifacts through cclstat, and runs each perfbench workload briefly to
-# check that replay still equals live simulation. Any failure aborts the
+# simulated tables and --profile attribution report, and fig6's
+# simulated columns across sweep thread counts, reads fig7's and fig10's
+# bench documents through bench_compare.py and fig7's metrics dump
+# through cclstat, and runs each perfbench workload briefly to check
+# that replay still equals live simulation. Any failure aborts the
 # script.
 #
 # Usage: scripts/ci.sh [--advisory] [jobs]
@@ -70,10 +71,12 @@ scripts/lint.sh
 # 4 KiB aligned, so two of its simulated columns follow where the
 # process maps them (ROADMAP item 1). It runs with --profile, so the
 # one observed access path and the per-structure report it feeds are
-# diffed on every run too. fig6 is diffed from its VIS
-# section on, with ASLR on: every byte the BDD runs touch comes from
-# their own heap's 1 MiB slabs. Its RADIANCE section stays out: the
-# scene arrays are host vectors. fig7's counter and histogram totals
+# diffed on every run too. fig6 is diffed whole, with ASLR on, through
+# its --out document with each result's host-timed native_ms removed:
+# that document carries every simulated column of both sections. The
+# BDD runs touch only their own heap's 1 MiB slabs, and the ray caster
+# only its octree region and the one region its scene arrays are
+# copied into. fig7's counter and histogram totals
 # are diffed too, but for sweep.* (a serial sweep counts serial_runs):
 # heaps built and destroyed on sweep workers must publish every count.
 DET_DIR="$(mktemp -d)"
@@ -108,23 +111,33 @@ for threads in 1 4; do
 done
 det_diff "$fig"
 fig=fig6_macrobenchmarks
-echo "=== [determinism] $fig VIS section at CCL_SWEEP_THREADS=1 vs 4 ==="
+echo "=== [determinism] $fig simulated columns at CCL_SWEEP_THREADS=1 vs 4 ==="
 for threads in 1 4; do
-  CCL_SWEEP_THREADS=$threads "build-release/bench/$fig" |
-    sed -n '/^VIS substitute/,$p' > "$DET_DIR/$fig.$threads"
+  CCL_SWEEP_THREADS=$threads "build-release/bench/$fig" \
+    --out "$DET_DIR/$fig.json" > /dev/null
+  python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+print(json.dumps([{k: v for k, v in r.items() if k != "native_ms"}
+                  for r in doc["results"]], indent=1))' \
+    "$DET_DIR/$fig.json" > "$DET_DIR/$fig.$threads"
 done
 det_diff "$fig"
 rm -rf "$DET_DIR"
 
-# Artifact round trip: a figure's ccl-bench-v1 document and ccl-metrics-v1
-# dump must both render through cclstat, so writers and reader are
-# checked against each other on every run, not only with
-# CCL_BENCH_ARTIFACTS=1.
-echo "=== [artifacts] fig7 --out/--metrics through cclstat ==="
+# Artifact round trip: each ccl-* format has one reader, and every run
+# (not only CCL_BENCH_ARTIFACTS=1) checks it against its writer. fig7's
+# and fig10's ccl-bench-v1 documents go through bench_compare.py against
+# themselves, which also rejects a document whose rows repeat a key;
+# fig7's ccl-metrics-v1 dump goes through cclstat.
+echo "=== [artifacts] fig7/fig10 --out through bench_compare.py, fig7 --metrics through cclstat ==="
 ART_DIR="$(mktemp -d)"
 build-release/bench/fig7_olden --out "$ART_DIR/fig7.json" \
   --metrics "$ART_DIR/fig7.jsonl" > /dev/null
-build-release/tools/cclstat "$ART_DIR/fig7.json" > /dev/null
+build-release/bench/fig10_model_validation --out "$ART_DIR/fig10.json" \
+  > /dev/null
+for doc in fig7 fig10; do
+  python3 scripts/bench_compare.py "$ART_DIR/$doc.json" "$ART_DIR/$doc.json"
+done
 build-release/tools/cclstat "$ART_DIR/fig7.jsonl" > /dev/null
 rm -rf "$ART_DIR"
 
@@ -172,10 +185,8 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
   build-bench/bench/table3_technique_summary \
     --out "$ART/BENCH_table3.json" > /dev/null
   # Figure benches also dump their runtime-metrics registries
-  # (ccl-metrics-v1) next to the bench JSON; fig5 additionally runs
-  # --hw so the artifact records hardware-counter availability (and,
-  # on perf-capable runners, the paired sim/hw miss counts).
-  build-bench/bench/fig5_tree_microbenchmark --hw \
+  # (ccl-metrics-v1) next to the bench JSON.
+  build-bench/bench/fig5_tree_microbenchmark \
     --out "$ART/BENCH_fig5.json" --metrics "$ART/METRICS_fig5.jsonl"
   build-bench/bench/fig6_macrobenchmarks --out "$ART/BENCH_fig6.json" \
     --metrics "$ART/METRICS_fig6.jsonl"
@@ -192,14 +203,9 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
   build-bench/bench/ablation_subtree_size \
     --out "$ART/BENCH_ablation_subtree_size.json"
 
-  # Smoke the offline renderers over the artifacts they consume: the
-  # metrics dump must round-trip through cclstat (text + summary JSON)
-  # and the --hw bench document must render a divergence report.
+  # Smoke the metrics reader over an artifact it consumes.
   echo "=== cclstat smoke over metrics artifacts ==="
-  build-bench/tools/cclstat --quiet --json - "$ART/METRICS_fig5.jsonl" \
-    > /dev/null
   build-bench/tools/cclstat "$ART/METRICS_fig5.jsonl" > /dev/null
-  build-bench/tools/cclstat "$ART/BENCH_fig5.json" > /dev/null
 
   # Regression gate: diff the fresh micro-bench numbers against the
   # committed references. Blocking by default — a regression beyond

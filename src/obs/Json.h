@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one reader, and the writers' shared pieces, for every ccl-*
-/// artifact: a strict parser, typed member reads, the one JSONL loop,
-/// string escaping, and the envelope "schema","binary","git" that every
-/// document starts with (a JSONL dump in its first, "meta", line).
+/// The writers' shared pieces for every ccl-* artifact, and the reader
+/// of the ccl-metrics-v1 dumps: a strict parser, typed member reads, the
+/// one JSONL loop, string escaping, and the envelope
+/// "schema","binary","git" that every document starts with (a JSONL dump
+/// in its first, "meta", line).
 ///
-/// Reader contract, the same for every format: unknown kinds and keys
+/// Reader contract: unknown kinds and keys
 /// are skipped; absent optional keys keep their defaults; a known key of
 /// the wrong type or out of range rejects the line (an unsigned field
 /// takes only plain digits that fit it, a flag only 0 or 1); and a line

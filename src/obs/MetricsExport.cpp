@@ -237,47 +237,6 @@ void ccl::obs::printMetricsReport(const MetricsDoc &Doc, std::FILE *Out) {
   }
 }
 
-void ccl::obs::writeMetricsSummaryJson(const MetricsDoc &Doc,
-                                       std::FILE *Out) {
-  std::fprintf(Out, "{");
-  writeMeta(Out, "ccl-metrics-summary-v1", Doc.Binary, Doc.Git);
-  std::fprintf(Out, ",\"counters\":{");
-  for (size_t I = 0; I < Doc.Data.Counters.size(); ++I)
-    std::fprintf(Out, "%s\"%s\":%" PRIu64, I == 0 ? "" : ",",
-                 jsonEscape(Doc.Data.Counters[I].Name).c_str(),
-                 Doc.Data.Counters[I].Value);
-  std::fprintf(Out, "},\"histograms\":[");
-  for (size_t I = 0; I < Doc.Data.Histograms.size(); ++I) {
-    const metrics::HistogramSnapshot &H = Doc.Data.Histograms[I];
-    double Mean = H.Count ? double(H.Sum) / double(H.Count) : 0.0;
-    std::fprintf(Out,
-                 "%s{\"name\":\"%s\",\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                 ",\"mean\":%.6g,\"buckets\":[",
-                 I == 0 ? "" : ",", jsonEscape(H.Name).c_str(), H.Count,
-                 H.Sum, Mean);
-    bool First = true;
-    for (uint32_t B = 0; B < metrics::HistogramBuckets; ++B) {
-      if (H.Buckets[B] == 0)
-        continue;
-      std::fprintf(Out, "%s[%" PRIu64 ",%" PRIu64 ",%" PRIu64 "]",
-                   First ? "" : ",", bucketLow(B), bucketHigh(B),
-                   H.Buckets[B]);
-      First = false;
-    }
-    std::fprintf(Out, "]}");
-  }
-  std::fprintf(Out, "],\"spans\":[");
-  for (size_t I = 0; I < Doc.Data.Spans.size(); ++I) {
-    const metrics::SpanSnapshot &S = Doc.Data.Spans[I];
-    std::fprintf(Out,
-                 "%s{\"name\":\"%s\",\"t0_ns\":%" PRIu64 ",\"dur_ns\":%" PRIu64
-                 ",\"tid\":%" PRIu32 "}",
-                 I == 0 ? "" : ",", jsonEscape(S.Name).c_str(), S.StartNs,
-                 S.DurNs, S.Tid);
-  }
-  std::fprintf(Out, "]}\n");
-}
-
 void ccl::obs::writeMetricsChrome(const MetricsDoc &Doc, std::FILE *Out) {
   std::fprintf(Out, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool First = true;

@@ -63,10 +63,6 @@ bool parseMetricsLine(const std::string &Line, MetricsDoc &Doc);
 /// (power-of-two buckets), span list.
 void printMetricsReport(const MetricsDoc &Doc, std::FILE *Out);
 
-/// Re-render as one aggregated JSON document
-/// (schema "ccl-metrics-summary-v1").
-void writeMetricsSummaryJson(const MetricsDoc &Doc, std::FILE *Out);
-
 /// Spans as Chrome trace-event JSON ("X" complete events, one row per
 /// recording thread; microsecond timestamps).
 void writeMetricsChrome(const MetricsDoc &Doc, std::FILE *Out);

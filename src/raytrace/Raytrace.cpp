@@ -166,6 +166,7 @@ public:
       All[I] = I;
     int64_t RootIdx = build(All, Bounds, 0);
     materialize(RootIdx);
+    packScene();
 
     uint64_t Hits = 0;
     uint64_t TSum = 0;
@@ -294,11 +295,33 @@ private:
     }
   }
 
+  /// Copies the arrays the rays read (the spheres, the item pool and the
+  /// leaf runs) into one region aligned to the simulator's translation
+  /// unit, as RADIANCE keeps its scene in one heap; each array starts on
+  /// a 16-byte boundary, where malloc on 64-bit Linux would start it.
+  /// Their simulated addresses then follow from the scene alone, not from
+  /// where the host heap put the vectors that built them.
+  void packScene() {
+    constexpr uint64_t ArrayAlign = 16;
+    uint64_t ItemsAt = alignUp(Spheres.size() * sizeof(Sphere), ArrayAlign);
+    uint64_t RunsAt =
+        alignUp(ItemsAt + ItemPool.size() * sizeof(uint32_t), ArrayAlign);
+    Scene = allocateAligned(
+        std::max<uint64_t>(Params.capacityBytes(), Params.PageBytes),
+        RunsAt + LeafRuns.size() * sizeof(LeafRun));
+    SceneSpheres = reinterpret_cast<Sphere *>(Scene.get());
+    SceneItems = reinterpret_cast<uint32_t *>(Scene.get() + ItemsAt);
+    SceneRuns = reinterpret_cast<LeafRun *>(Scene.get() + RunsAt);
+    std::copy(Spheres.begin(), Spheres.end(), SceneSpheres);
+    std::copy(ItemPool.begin(), ItemPool.end(), SceneItems);
+    std::copy(LeafRuns.begin(), LeafRuns.end(), SceneRuns);
+  }
+
   void traceLeaf(const LeafRun &Run, const Ray &R, double &Best) {
     for (uint32_t I = 0; I < Run.Count; ++I) {
-      uint32_t Item = A.load(&ItemPool[Run.Begin + I]);
-      A.touch(&Spheres[Item], sizeof(Sphere));
-      double T = raySphere(R, Spheres[Item]);
+      uint32_t Item = A.load(&SceneItems[Run.Begin + I]);
+      A.touch(&SceneSpheres[Item], sizeof(Sphere));
+      double T = raySphere(R, SceneSpheres[Item]);
       A.tick(15);
       if (T > 0 && T < Best)
         Best = T;
@@ -360,7 +383,7 @@ private:
         Group = static_cast<uint32_t>(E) * GroupBytes;
       }
       if (E < 0) {
-        LeafRun Run = A.load(&LeafRuns[size_t(-E) - 1]);
+        LeafRun Run = A.load(&SceneRuns[size_t(-E) - 1]);
         traceLeaf(Run, R, Best);
       }
       // Advance just past this voxel.
@@ -382,6 +405,11 @@ private:
   std::vector<std::array<int64_t, 8>> Groups;
   std::vector<LeafRun> LeafRuns;
   AlignedBuffer Base;
+  /// The region the rays read the scene from (packScene).
+  AlignedBuffer Scene;
+  Sphere *SceneSpheres = nullptr;
+  uint32_t *SceneItems = nullptr;
+  LeafRun *SceneRuns = nullptr;
   int64_t RootGroup = -1;
   LeafRun RootLeaf{0, 0};
 };

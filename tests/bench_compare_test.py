@@ -13,6 +13,10 @@ Cases:
   * Documents stamped with different cpu_model and kernel values must
     produce one HOST MISMATCH line for each field; a reference without
     those fields (as the committed BENCH_*.json are) produces none.
+  * ccl-bench-v1 rows that differ only in tree_keys (fig10's) are
+    compared separately, so a regression in the first one is REGRESSED.
+  * A ccl-bench-v1 document that repeats a row key exits 1 and names
+    the key.
 
 Usage: bench_compare_test.py <bench_compare.py> <reference.json>
        <fresh_zero_throughput.json> <fresh_4cpu.json>
@@ -44,6 +48,20 @@ def host_stamped(reference, directory, name, cpu_model, kernel):
     with open(reference, "r", encoding="utf-8") as f:
         doc = json.load(f)
     doc["context"].update(cpu_model=cpu_model, kernel=kernel)
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    return path
+
+
+def fig10_document(directory, name, rows):
+    """Writes a ccl-bench-v1 document with one fig10 row per
+    (tree_keys, ctree_cycles) pair; returns its path."""
+    doc = {"schema": "ccl-bench-v1", "binary": "fig10_model_validation",
+           "git": "x", "bench": "fig10", "full": False,
+           "build_type": "release",
+           "results": [{"name": "ctree_speedup", "tree_keys": keys,
+                        "ctree_cycles": cycles} for keys, cycles in rows]}
     path = os.path.join(directory, name)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
@@ -98,6 +116,29 @@ def main():
             print("bench_compare_test: a reference without cpu_model and "
                   "kernel must compare without HOST MISMATCH, got exit %d "
                   "and %r" % (proc.returncode, mismatch))
+            failed = True
+
+        base = fig10_document(tmp, "f10.json",
+                              [(262143, 1000), (1048575, 1000)])
+        slower = fig10_document(tmp, "f10_slower.json",
+                                [(262143, 3000), (1048575, 1000)])
+        proc = run(script, base, slower)
+        regressed = lines_starting(proc, "REGRESSED")
+        if proc.returncode != 1 or len(regressed) != 1 \
+                or "tree_keys=262143" not in regressed[0]:
+            print("bench_compare_test: expected exit 1 with one REGRESSED "
+                  "row for tree_keys=262143, got exit %d and %r"
+                  % (proc.returncode, regressed))
+            failed = True
+
+        repeated = fig10_document(tmp, "f10_repeated.json",
+                                  [(262143, 1000), (262143, 3000)])
+        proc = run(script, base, repeated)
+        if proc.returncode != 1 or "tree_keys=262143" not in proc.stderr \
+                or "Traceback" in proc.stderr:
+            print("bench_compare_test: expected exit 1 naming the repeated "
+                  "key, got exit %d and %r"
+                  % (proc.returncode, proc.stderr))
             failed = True
     return 1 if failed else 0
 

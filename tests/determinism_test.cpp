@@ -10,9 +10,10 @@
 // mixed sizes; on a fresh thread; and again on this thread, whose slab
 // stash earlier runs have filled. Every SimStats field and the checksum
 // must match across the four. The cells are Fig. 7's health ccmorph and
-// ccmalloc cells at its default scale, plus one ccmorph cell of each
-// other Olden benchmark: every simulated byte they touch comes from a
-// CcHeap slab or a ccmorph frame.
+// ccmalloc cells at its default scale, one ccmorph cell of each other
+// Olden benchmark, and Fig. 6's three RADIANCE layouts on a small scene:
+// every simulated byte they touch comes from a CcHeap slab, a ccmorph
+// frame or an allocateAligned region.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "olden/Mst.h"
 #include "olden/Perimeter.h"
 #include "olden/TreeAdd.h"
+#include "raytrace/Raytrace.h"
 
 #include <gtest/gtest.h>
 
@@ -34,9 +36,19 @@ using namespace ccl::olden;
 
 namespace {
 
+/// What a cell's runs are compared by.
+struct Outcome {
+  sim::SimStats Stats;
+  uint64_t Checksum = 0;
+};
+
+template <typename Result> Outcome outcome(const Result &R) {
+  return {R.Stats, R.Checksum};
+}
+
 struct Cell {
   std::string Name;
-  std::function<BenchResult()> Run;
+  std::function<Outcome()> Run;
 };
 
 void PrintTo(const Cell &C, std::ostream *OS) { *OS << C.Name; }
@@ -57,19 +69,37 @@ std::vector<Cell> cells() {
   MstConfig Mst;
   Mst.NumVertices = 128;
   Mst.Degree = 16;
+  // Fig. 6's octree parameters on a small scene: 1,000 spheres still
+  // build a multi-level octree, and the tsan run stays short.
+  static const sim::HierarchyConfig E5000 =
+      sim::HierarchyConfig::ultraSparcE5000();
+  raytrace::RaytraceConfig Scene;
+  Scene.NumSpheres = 1000;
+  Scene.NumRays = 1000;
+  Scene.MaxDepth = 9;
+  Scene.LeafCapacity = 4;
 
   auto HealthCell = [&](const char *Name, Variant V) {
-    return Cell{Name, [=] { return runHealth(Health, V, &Sim); }};
+    return Cell{Name, [=] { return outcome(runHealth(Health, V, &Sim)); }};
+  };
+  auto RadianceCell = [&](const char *Name, raytrace::RtLayout L) {
+    return Cell{Name, [=] {
+                  return outcome(raytrace::runRaytrace(Scene, L, &E5000));
+                }};
   };
   const Variant Color = Variant::CcMorphColor;
   return {
       HealthCell("HealthCluster", Variant::CcMorphCluster),
       HealthCell("HealthClusterColor", Color),
       HealthCell("HealthNewBlock", Variant::CcMallocNewBlock),
-      {"TreeAddClusterColor", [=] { return runTreeAdd(TreeAdd, Color, &Sim); }},
+      {"TreeAddClusterColor",
+       [=] { return outcome(runTreeAdd(TreeAdd, Color, &Sim)); }},
       {"PerimeterClusterColor",
-       [=] { return runPerimeter(Perimeter, Color, &Sim); }},
-      {"MstClusterColor", [=] { return runMst(Mst, Color, &Sim); }},
+       [=] { return outcome(runPerimeter(Perimeter, Color, &Sim)); }},
+      {"MstClusterColor", [=] { return outcome(runMst(Mst, Color, &Sim)); }},
+      RadianceCell("RadianceBase", raytrace::RtLayout::Base),
+      RadianceCell("RadianceCluster", raytrace::RtLayout::Cluster),
+      RadianceCell("RadianceClusterColor", raytrace::RtLayout::ClusterColor),
   };
 }
 
@@ -94,8 +124,7 @@ private:
   std::vector<void *> Blocks;
 };
 
-void expectSameRun(const BenchResult &A, const BenchResult &B,
-                   const char *Label) {
+void expectSameRun(const Outcome &A, const Outcome &B, const char *Label) {
   SCOPED_TRACE(Label);
   const sim::SimStats &X = A.Stats;
   const sim::SimStats &Y = B.Stats;
@@ -125,15 +154,15 @@ class HostPlacement : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(HostPlacement, SimulatedCellIgnoresHostHeapAndThread) {
   const Cell &C = GetParam();
-  BenchResult Plain = C.Run();
-  BenchResult WithJunk;
+  Outcome Plain = C.Run();
+  Outcome WithJunk;
   {
     HostHeapJunk Junk;
     WithJunk = C.Run();
   }
-  BenchResult OnThread;
+  Outcome OnThread;
   std::thread([&] { OnThread = C.Run(); }).join();
-  BenchResult Warm = C.Run();
+  Outcome Warm = C.Run();
 
   EXPECT_GT(Plain.Stats.memoryReferences(), 0u);
   expectSameRun(Plain, WithJunk, "200 live malloc blocks");
@@ -141,7 +170,7 @@ TEST_P(HostPlacement, SimulatedCellIgnoresHostHeapAndThread) {
   expectSameRun(Plain, Warm, "warm slab stash");
 }
 
-INSTANTIATE_TEST_SUITE_P(Fig7Cells, HostPlacement,
+INSTANTIATE_TEST_SUITE_P(FigureCells, HostPlacement,
                          ::testing::ValuesIn(cells()),
                          [](const ::testing::TestParamInfo<Cell> &Info) {
                            return Info.param.Name;

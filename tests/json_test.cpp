@@ -4,13 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The shared parser (obs/Json.h) and the two mappers built on it
-// (metrics, bench): what they accept, what they skip, and what they
-// reject, with the reason a tool prints.
+// The shared parser (obs/Json.h) and the ccl-metrics-v1 mapper built on
+// it: what they accept, what they skip, and what they reject, with the
+// reason a tool prints.
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/BenchReader.h"
 #include "obs/Json.h"
 #include "obs/MetricsExport.h"
 
@@ -52,10 +51,6 @@ std::string metricsError(const std::string &Line, MetricsDoc &Doc,
                          bool *Mapped = nullptr) {
   return mapError(
       Line, [&](JsonObject &O) { return parseMetricsLine(O, Doc); }, Mapped);
-}
-
-std::string benchError(const std::string &Line, BenchDoc &Doc) {
-  return mapError(Line, [&](JsonObject &O) { return parseBenchJson(O, Doc); });
 }
 
 std::string writeTemp(const std::string &Name, const std::string &Text) {
@@ -198,14 +193,6 @@ TEST(JsonMappers, UnknownKindsAndKeysAreSkipped) {
             "");
   EXPECT_TRUE(Mapped);
   EXPECT_EQ(M.Data.SpansDropped, 3u);
-
-  BenchDoc B;
-  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1","simd":"ssse3",)"
-                       R"("results":[{"name":"r","nested":{"a":1}}]})",
-                       B),
-            "");
-  ASSERT_EQ(B.Results.size(), 1u);
-  EXPECT_EQ(B.Results[0].str("name"), "r");
 }
 
 TEST(JsonMappers, RequiredKeysAndBucketPairs) {
@@ -219,36 +206,26 @@ TEST(JsonMappers, RequiredKeysAndBucketPairs) {
             "\"b\": expected [bucket, count] pairs");
 }
 
-TEST(JsonMappers, BenchDocumentShape) {
-  BenchDoc B;
-  EXPECT_EQ(benchError(R"({"schema":"ccl-lint-v1","results":[]})", B),
-            "not a ccl-bench-v1 document");
-  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1"})", B),
-            "\"results\": expected an array of objects");
-  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1","results":[1]})", B),
-            "\"results\": expected an array of objects");
-  EXPECT_EQ(benchError(R"({"schema":"ccl-bench-v1","full":"yes",)"
-                       R"("results":[]})",
-                       B),
-            "\"full\": expected 0 or 1");
-
-  // Python json.dumps spacing parses like the compact writer's.
-  BenchDoc Py;
-  ASSERT_EQ(benchError(R"({"schema": "ccl-bench-v1", "binary": "py", )"
-                       R"("git": "abc", "bench": "fig5", "full": true, )"
-                       R"("results": [{"name": "r", "searches": 10}]})",
-                       Py),
+TEST(JsonMappers, PythonDumpsSpacingParsesLikeTheWriter) {
+  // json.dumps puts a space after every ',' and ':'.
+  MetricsDoc Py;
+  ASSERT_EQ(metricsError(R"({"kind": "meta", "schema": "ccl-metrics-v1", )"
+                         R"("binary": "py", "git": "abc", "overflowed": true})",
+                         Py),
+            "");
+  ASSERT_EQ(metricsError(R"({"kind": "h", "name": "h", "count": 1, )"
+                         R"("sum": 4, "b": [[3, 1]]})",
+                         Py),
             "");
   EXPECT_EQ(Py.Binary, "py");
   EXPECT_EQ(Py.Git, "abc");
-  EXPECT_TRUE(Py.Full);
-  ASSERT_EQ(Py.Results.size(), 1u);
-  EXPECT_EQ(Py.Results[0].num("searches"), 10.0);
+  EXPECT_TRUE(Py.Data.Overflowed);
+  ASSERT_EQ(Py.Data.Histograms.size(), 1u);
+  EXPECT_EQ(Py.Data.Histograms[0].Buckets[3], 1u);
 }
 
-TEST(JsonEscape, EveryEscapedStringRoundTripsThroughEveryReader) {
-  // The metrics and bench readers used to turn \t into t, and
-  // every reader turned \u0001 into u0001.
+TEST(JsonEscape, EveryEscapedStringRoundTripsThroughTheReader) {
+  // The metrics reader used to turn \t into t, and \u0001 into u0001.
   std::string Raw = "q\"b\\s/t\tn\nr\r";
   for (int C = 1; C < 0x20; ++C)
     Raw += char(C);
@@ -261,14 +238,6 @@ TEST(JsonEscape, EveryEscapedStringRoundTripsThroughEveryReader) {
   ASSERT_EQ(metricsError(R"({"kind":"c","name":")" + Esc + R"(","v":1})", M),
             "");
   EXPECT_EQ(M.Data.Counters.at(0).Name, Raw);
-
-  BenchDoc B;
-  ASSERT_EQ(benchError(R"({"schema":"ccl-bench-v1","bench":")" + Esc +
-                           R"(","results":[{"name":")" + Esc + "\"}]}",
-                       B),
-            "");
-  EXPECT_EQ(B.Bench, Raw);
-  EXPECT_EQ(B.Results.at(0).str("name"), Raw);
 }
 
 TEST(JsonLines, ReportsTheFirstBadLineByNumber) {

@@ -6,9 +6,8 @@
 //
 // Covers the support-layer metrics registry (registration idempotence,
 // concurrent adds under SweepRunner, heaps publishing their path counts
-// from sweep workers, histogram bucket edges, spans), the
-// ccl-metrics-v1 round-trip through the obs exporters, the PerfCounters
-// unavailable fallback, and the ccl-bench-v1 reader.
+// from sweep workers, histogram bucket edges, spans) and the
+// ccl-metrics-v1 round-trip through the obs exporters.
 //
 // The registry is process-global and names are never unregistered, so
 // the overflow test (which exhausts the counter table) lives in its own
@@ -19,9 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "heap/CcHeap.h"
-#include "obs/BenchReader.h"
 #include "obs/MetricsExport.h"
-#include "obs/PerfCounters.h"
 #include "support/Metrics.h"
 #include "support/Random.h"
 #include "support/SweepRunner.h"
@@ -29,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -280,95 +276,6 @@ TEST(MetricsExport, ReportListsSlabAcquiresInCounterTable) {
   EXPECT_EQ(RowLine.substr(RowLine.find_last_of(' ') + 1), "7") << Report;
   EXPECT_EQ(Report.find("parallel layout tools"), std::string::npos)
       << Report;
-}
-
-TEST(PerfCountersTest, EnvDisableForcesUnavailable) {
-  ::setenv("CCL_PERF_DISABLE", "1", 1);
-  obs::PerfCounters Counters;
-  ::unsetenv("CCL_PERF_DISABLE");
-  EXPECT_FALSE(Counters.available());
-  EXPECT_EQ(Counters.reason(), "disabled by CCL_PERF_DISABLE");
-
-  // start/stop must be safe no-ops; the reading reports the reason.
-  Counters.start();
-  obs::PerfReading R = Counters.stop();
-  EXPECT_FALSE(R.Available);
-  EXPECT_EQ(R.Reason, "disabled by CCL_PERF_DISABLE");
-  for (unsigned I = 0; I < obs::PerfNumEvents; ++I)
-    EXPECT_FALSE(R.has(I));
-
-  // PerfScope on an unavailable group degrades the same way.
-  obs::PerfReading Scoped;
-  { obs::PerfScope Scope(Counters, Scoped); }
-  EXPECT_FALSE(Scoped.Available);
-}
-
-TEST(PerfCountersTest, ReadingDefaultsAreInert) {
-  obs::PerfReading R;
-  EXPECT_FALSE(R.Available);
-  EXPECT_EQ(R.runningShare(), 0.0);
-  for (unsigned I = 0; I < obs::PerfNumEvents; ++I) {
-    EXPECT_FALSE(R.has(I));
-    EXPECT_EQ(R.Raw[I], -1);
-    EXPECT_EQ(R.Scaled[I], -1);
-  }
-}
-
-TEST(BenchReaderTest, ParsesCclBenchDocument) {
-  const std::string Text =
-      R"({"schema":"ccl-bench-v1","bench":"fig5","full":true,)"
-      R"("build_type":"release","results":[)"
-      R"({"name":"random tree","section":"64bit","searches":100,)"
-      R"("sim_l1_misses":2048,"hw_l1d_misses":1500,)"
-      R"("nanos_per_search":95.5},)"
-      R"json({"name":"(hw)","metric":"hw","hw_available":"no",)json"
-      "\"hw_reason\":\"a \\\"quoted\\\" reason\"}]}";
-  obs::BenchDoc Doc;
-  ASSERT_TRUE(obs::parseBenchJson(Text, Doc));
-  EXPECT_EQ(Doc.Bench, "fig5");
-  EXPECT_EQ(Doc.BuildType, "release");
-  EXPECT_TRUE(Doc.Full);
-  ASSERT_EQ(Doc.Results.size(), 2u);
-
-  const obs::BenchResultRecord &R = Doc.Results[0];
-  EXPECT_EQ(R.str("name"), "random tree");
-  EXPECT_EQ(R.str("section"), "64bit");
-  bool Ok = false;
-  EXPECT_EQ(R.num("searches", &Ok), 100.0);
-  EXPECT_TRUE(Ok);
-  EXPECT_EQ(R.num("sim_l1_misses"), 2048.0);
-  EXPECT_EQ(R.num("hw_l1d_misses"), 1500.0);
-  EXPECT_DOUBLE_EQ(R.num("nanos_per_search"), 95.5);
-  EXPECT_FALSE(R.has("absent_key"));
-  R.num("absent_key", &Ok);
-  EXPECT_FALSE(Ok);
-
-  EXPECT_EQ(Doc.Results[1].str("hw_reason"), "a \"quoted\" reason");
-}
-
-TEST(BenchReaderTest, RejectsWrongSchema) {
-  obs::BenchDoc Doc;
-  EXPECT_FALSE(obs::parseBenchJson(
-      R"({"schema":"ccl-bench-v2","results":[]})", Doc));
-  EXPECT_FALSE(obs::parseBenchJson("[]", Doc));
-  EXPECT_FALSE(obs::parseBenchJson("", Doc));
-}
-
-TEST(BenchReaderTest, SkipsRetiredSimdStamp) {
-  // Documents written while the header stamped the retired "simd"
-  // decode kernel still parse; the unknown key is skipped.
-  obs::BenchDoc Stamped;
-  ASSERT_TRUE(obs::parseBenchJson(
-      R"({"schema":"ccl-bench-v1","bench":"sim","full":false,)"
-      R"("build_type":"bench","simd":"ssse3","results":[]})",
-      Stamped));
-  EXPECT_EQ(Stamped.Bench, "sim");
-  EXPECT_EQ(Stamped.BuildType, "bench");
-
-  obs::BenchDoc Legacy;
-  ASSERT_TRUE(obs::parseBenchJson(
-      R"({"schema":"ccl-bench-v1","bench":"sim","results":[]})", Legacy));
-  EXPECT_TRUE(Legacy.BuildType.empty());
 }
 
 // Runs last (see file header): floods the counter table past
