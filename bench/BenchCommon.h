@@ -8,10 +8,9 @@
 /// Small shared pieces for the per-figure/per-table benchmark binaries:
 /// a `--full` flag for paper-scale inputs (defaults are scaled down to
 /// finish in seconds), percentage/normalization formatting, and the
-/// machine-readable summary channel: `--out <path>` (or the
-/// CCL_BENCH_OUT environment variable) selects a file to which the
-/// benchmark writes a ccl-bench-v1 JSON document via BenchJson, so CI
-/// can archive results without scraping tables.
+/// machine-readable summary channel: `--out <path>` selects a file to
+/// which the benchmark writes a ccl-bench-v1 JSON document via
+/// BenchJson, so CI can archive results without scraping tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +21,6 @@
 #include "support/TablePrinter.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -81,27 +79,16 @@ inline std::string flagValue(int Argc, char **Argv, const char *Flag) {
   return {};
 }
 
-/// Path for the machine-readable summary: `--out <path>` / `--out=<path>`
-/// beats the CCL_BENCH_OUT environment variable; empty means disabled.
+/// Path for the machine-readable summary: `--out <path>` /
+/// `--out=<path>`; empty means disabled.
 inline std::string benchOutPath(int Argc, char **Argv) {
-  std::string Path = flagValue(Argc, Argv, "--out");
-  if (!Path.empty())
-    return Path;
-  if (const char *Env = std::getenv("CCL_BENCH_OUT"))
-    return Env;
-  return {};
+  return flagValue(Argc, Argv, "--out");
 }
 
 /// Path for a ccl-metrics-v1 runtime-metrics dump: `--metrics <path>` /
-/// `--metrics=<path>` beats the CCL_METRICS_OUT environment variable;
-/// empty means disabled ("-" = stdout).
+/// `--metrics=<path>`; empty means disabled ("-" = stdout).
 inline std::string metricsOutPath(int Argc, char **Argv) {
-  std::string Path = flagValue(Argc, Argv, "--metrics");
-  if (!Path.empty())
-    return Path;
-  if (const char *Env = std::getenv("CCL_METRICS_OUT"))
-    return Env;
-  return {};
+  return flagValue(Argc, Argv, "--metrics");
 }
 
 /// Accumulates one benchmark run's results and writes them as a single
@@ -138,7 +125,11 @@ public:
   }
 
   void str(const std::string &Key, const std::string &Value) {
-    addField(Key, "\"" + obs::jsonEscape(Value) + "\"");
+    // Built with append: GCC 12 at -O3 warns (-Wrestrict, a false
+    // positive) on "literal" + std::string.
+    std::string Quoted = "\"";
+    Quoted.append(obs::jsonEscape(Value)).append("\"");
+    addField(Key, Quoted);
   }
 
   /// Writes the document to \p Path ("-" = stdout). Returns false (with
@@ -185,7 +176,9 @@ private:
   void addField(const std::string &Key, const std::string &Rendered) {
     if (Results.empty())
       Results.emplace_back();
-    Results.back().push_back("\"" + obs::jsonEscape(Key) + "\":" + Rendered);
+    std::string Field = "\"";
+    Field.append(obs::jsonEscape(Key)).append("\":").append(Rendered);
+    Results.back().push_back(std::move(Field));
   }
 
   std::string Bench;

@@ -7,10 +7,9 @@
 /// \file
 /// One main() for every google-benchmark microbench binary:
 ///
-///  * `--out <path>` / `--out=<path>` / CCL_BENCH_OUT map onto
-///    google-benchmark's JSON reporter (--benchmark_out +
-///    --benchmark_out_format=json) — the same machine-readable channel
-///    the figure benchmarks use;
+///  * `--out <path>` / `--out=<path>` map onto google-benchmark's JSON
+///    reporter (--benchmark_out + --benchmark_out_format=json) — the
+///    same machine-readable channel the figure benchmarks use;
 ///  * a `ccl_build_type` context field records how *this binary* was
 ///    compiled. google-benchmark's own library_build_type reflects the
 ///    (system) benchmark library, which on Debian reports "debug" even

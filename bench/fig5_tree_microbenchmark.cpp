@@ -428,7 +428,7 @@ int main(int Argc, char **Argv) {
   std::printf("  C-tree vs B-tree(.50):      %s  (paper: ~1.5x)\n",
               bench::speedupStr(CBtHalf, CCt).c_str());
 
-  // Machine-readable summary (--out <path> / CCL_BENCH_OUT).
+  // Machine-readable summary (--out <path>).
   bench::BenchJson Json("fig5", Full);
   Json.beginResult("(meta)");
   Json.str("section", "meta");

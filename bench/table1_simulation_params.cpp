@@ -91,8 +91,8 @@ ProbeResult selfCheck(const HierarchyConfig &ConfigIn) {
 }
 
 /// One ccl-bench-v1 result per preset: the configured parameters plus
-/// the self-check's observed latencies, so cclstat and bench_compare
-/// can diff simulator configuration drift across commits.
+/// the self-check's observed latencies, so bench_compare.py can diff
+/// simulator configuration drift across commits.
 void emitConfig(bench::BenchJson &Json, const char *Name,
                 const HierarchyConfig &Config, const ProbeResult &Probe) {
   Json.beginResult(Name);
@@ -130,7 +130,7 @@ int main(int Argc, char **Argv) {
               HierarchyConfig::ultraSparcE5000());
   ProbeResult Ultra = selfCheck(HierarchyConfig::ultraSparcE5000());
 
-  // Machine-readable summary (--out <path> / CCL_BENCH_OUT).
+  // Machine-readable summary (--out <path>).
   bench::BenchJson Json("table1", Full);
   emitConfig(Json, "rsim_table1", HierarchyConfig::rsimTable1(), Rsim);
   emitConfig(Json, "ultrasparc_e5000", HierarchyConfig::ultraSparcE5000(),

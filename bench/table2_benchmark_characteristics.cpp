@@ -40,7 +40,7 @@ int main(int Argc, char **Argv) {
   TablePrinter Table({"name", "description", "main pointer structures",
                       "input data set", "memory allocated", "paper"});
 
-  // Machine-readable summary (--out <path> / CCL_BENCH_OUT).
+  // Machine-readable summary (--out <path>).
   bench::BenchJson Json("table2", Full);
   auto Emit = [&Json](const char *Name, const BenchResult &R,
                       const char *Structures, const char *PaperMemory) {

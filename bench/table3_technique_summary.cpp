@@ -60,7 +60,7 @@ int main(int Argc, char **Argv) {
               "costs performance — every benchmark in this repository "
               "asserts checksum equality across variants.\n");
 
-  // Machine-readable summary (--out <path> / CCL_BENCH_OUT).
+  // Machine-readable summary (--out <path>).
   bench::BenchJson Json("table3", Full);
   Json.beginResult("ccmorph");
   Json.str("workload", "mst");

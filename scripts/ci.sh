@@ -10,7 +10,7 @@
 # simulated tables and --profile attribution report, and fig6's
 # simulated columns across sweep thread counts, reads fig7's and fig10's
 # bench documents through bench_compare.py and fig7's metrics dump
-# through cclstat, and runs each perfbench workload briefly to check
+# through cclstat.py, and runs each perfbench workload briefly to check
 # that replay still equals live simulation. Any failure aborts the
 # script.
 #
@@ -128,8 +128,9 @@ rm -rf "$DET_DIR"
 # (not only CCL_BENCH_ARTIFACTS=1) checks it against its writer. fig7's
 # and fig10's ccl-bench-v1 documents go through bench_compare.py against
 # themselves, which also rejects a document whose rows repeat a key;
-# fig7's ccl-metrics-v1 dump goes through cclstat.
-echo "=== [artifacts] fig7/fig10 --out through bench_compare.py, fig7 --metrics through cclstat ==="
+# fig7's ccl-metrics-v1 dump goes through cclstat.py, whose Chrome trace
+# must load as JSON.
+echo "=== [artifacts] fig7/fig10 --out through bench_compare.py, fig7 --metrics through cclstat.py ==="
 ART_DIR="$(mktemp -d)"
 build-release/bench/fig7_olden --out "$ART_DIR/fig7.json" \
   --metrics "$ART_DIR/fig7.jsonl" > /dev/null
@@ -138,7 +139,10 @@ build-release/bench/fig10_model_validation --out "$ART_DIR/fig10.json" \
 for doc in fig7 fig10; do
   python3 scripts/bench_compare.py "$ART_DIR/$doc.json" "$ART_DIR/$doc.json"
 done
-build-release/tools/cclstat "$ART_DIR/fig7.jsonl" > /dev/null
+python3 scripts/cclstat.py --chrome "$ART_DIR/fig7.chrome.json" \
+  "$ART_DIR/fig7.jsonl" > /dev/null
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+  "$ART_DIR/fig7.chrome.json"
 rm -rf "$ART_DIR"
 
 # End-to-end correctness: every perfbench op checks that trace replay
@@ -204,8 +208,8 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
     --out "$ART/BENCH_ablation_subtree_size.json"
 
   # Smoke the metrics reader over an artifact it consumes.
-  echo "=== cclstat smoke over metrics artifacts ==="
-  build-bench/tools/cclstat "$ART/METRICS_fig5.jsonl" > /dev/null
+  echo "=== cclstat.py smoke over metrics artifacts ==="
+  python3 scripts/cclstat.py "$ART/METRICS_fig5.jsonl" > /dev/null
 
   # Regression gate: diff the fresh micro-bench numbers against the
   # committed references. Blocking by default — a regression beyond

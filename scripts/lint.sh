@@ -48,7 +48,7 @@ seen = set()
 for entry in db:
     f = os.path.normpath(os.path.join(entry["directory"], entry["file"]))
     rel = os.path.relpath(f)
-    if rel.startswith(("src/", "tools/", "bench/", "examples/", "tests/")):
+    if rel.startswith(("src/", "bench/", "examples/", "tests/")):
         seen.add(rel)
 print("\n".join(sorted(seen)))
 EOF

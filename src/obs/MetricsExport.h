@@ -1,4 +1,4 @@
-//===- obs/MetricsExport.h - ccl-metrics-v1 writer/reader ------*- C++ -*-===//
+//===- obs/MetricsExport.h - ccl-metrics-v1 writer --------------*- C++ -*-===//
 //
 // Part of the cache-conscious structure layout library (PLDI'99 repro).
 //
@@ -6,8 +6,7 @@
 ///
 /// \file
 /// JSONL export for the support-layer metrics registry
-/// (support/Metrics.h), plus the offline reader and renderers used by
-/// tools/cclstat.
+/// (support/Metrics.h). scripts/cclstat.py reads and renders the dumps.
 ///
 /// Metrics schema (ccl-metrics-v1), one object per line:
 ///   {"kind":"meta","schema":"ccl-metrics-v1","binary":"fig5_...",
@@ -18,8 +17,7 @@
 ///                                    // bucket B holds bit_width==B
 ///   {"kind":"s","name":"fig5.replay","t0":1000,"dur":52000,"tid":0}
 ///
-/// The meta line starts with obs/Json.h's envelope, and readers follow
-/// its reader contract.
+/// The meta line starts with obs/Json.h's envelope.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,29 +41,6 @@ void writeMetricsJsonl(const metrics::Snapshot &Snapshot, std::FILE *Out);
 /// ("-" = stdout). Returns false with a note on stderr if the file
 /// cannot be opened. No-op (returns true) when \p Path is empty.
 bool dumpProcessMetrics(const std::string &Path);
-
-/// A parsed ccl-metrics-v1 dump: the producing binary/git stamp plus a
-/// reconstructed registry snapshot.
-struct MetricsDoc {
-  std::string Binary;
-  std::string Git;
-  metrics::Snapshot Data;
-};
-
-/// Maps one dump line into \p Doc: true for a record; false for an
-/// unknown kind (skipped) or after Line.fail() (\p Doc is then
-/// unspecified). The string form is false for both. Repeated
-/// counter/histogram lines for one name sum, matching multi-dump cat.
-bool parseMetricsLine(JsonObject &Line, MetricsDoc &Doc);
-bool parseMetricsLine(const std::string &Line, MetricsDoc &Doc);
-
-/// Human-readable report: counter table, histogram distributions
-/// (power-of-two buckets), span list.
-void printMetricsReport(const MetricsDoc &Doc, std::FILE *Out);
-
-/// Spans as Chrome trace-event JSON ("X" complete events, one row per
-/// recording thread; microsecond timestamps).
-void writeMetricsChrome(const MetricsDoc &Doc, std::FILE *Out);
 
 } // namespace ccl::obs
 

@@ -16,13 +16,12 @@
 
 #include "support/Metrics.h"
 
-#include "support/ThreadSafety.h"
-
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <new>
 
 using namespace ccl;
@@ -58,17 +57,18 @@ struct SpanRec {
 };
 
 struct RegistryState {
-  ccl::Mutex Mutex;
-  char CounterNames[MaxCounters][MaxNameLen] CCL_GUARDED_BY(Mutex) = {};
-  char HistogramNames[MaxHistograms][MaxNameLen] CCL_GUARDED_BY(Mutex) = {};
-  uint32_t NumCounters CCL_GUARDED_BY(Mutex) = 0;
-  uint32_t NumHistograms CCL_GUARDED_BY(Mutex) = 0;
-  bool CounterOverflow CCL_GUARDED_BY(Mutex) = false;
-  bool HistogramOverflow CCL_GUARDED_BY(Mutex) = false;
-  uint32_t NextTid CCL_GUARDED_BY(Mutex) = 0;
-  SpanRec Spans[MaxSpans] CCL_GUARDED_BY(Mutex);
-  uint32_t NumSpans CCL_GUARDED_BY(Mutex) = 0;
-  uint64_t SpansDropped CCL_GUARDED_BY(Mutex) = 0;
+  /// Guards every member below.
+  std::mutex Mutex;
+  char CounterNames[MaxCounters][MaxNameLen] = {};
+  char HistogramNames[MaxHistograms][MaxNameLen] = {};
+  uint32_t NumCounters = 0;
+  uint32_t NumHistograms = 0;
+  bool CounterOverflow = false;
+  bool HistogramOverflow = false;
+  uint32_t NextTid = 0;
+  SpanRec Spans[MaxSpans];
+  uint32_t NumSpans = 0;
+  uint64_t SpansDropped = 0;
 };
 
 RegistryState &state() {
@@ -104,7 +104,7 @@ thread_local uint32_t SpanTid = 0;
 
 Counter metrics::counter(const char *Name) {
   RegistryState &R = state();
-  MutexLock Lock(R.Mutex);
+  std::lock_guard Lock(R.Mutex);
   Counter C;
   C.Id = findOrAdd(R.CounterNames, R.NumCounters, Name, MaxCounters,
                    R.CounterOverflow);
@@ -113,7 +113,7 @@ Counter metrics::counter(const char *Name) {
 
 Histogram metrics::histogram(const char *Name) {
   RegistryState &R = state();
-  MutexLock Lock(R.Mutex);
+  std::lock_guard Lock(R.Mutex);
   Histogram H;
   H.Id = findOrAdd(R.HistogramNames, R.NumHistograms, Name, MaxHistograms,
                    R.HistogramOverflow);
@@ -143,7 +143,7 @@ uint64_t metrics::clockNs() {
 void metrics::recordSpan(const char *Name, uint64_t StartNs,
                          uint64_t DurNs) {
   RegistryState &R = state();
-  MutexLock Lock(R.Mutex);
+  std::lock_guard Lock(R.Mutex);
   if (SpanTid == 0)
     SpanTid = ++R.NextTid;
   if (R.NumSpans >= MaxSpans) {
@@ -162,7 +162,7 @@ uint32_t HistogramSnapshot::usedBuckets() const {
 
 Snapshot metrics::snapshot() {
   RegistryState &R = state();
-  MutexLock Lock(R.Mutex);
+  std::lock_guard Lock(R.Mutex);
   Snapshot Out;
   Out.Overflowed = R.CounterOverflow || R.HistogramOverflow;
   Out.SpansDropped = R.SpansDropped;
@@ -196,7 +196,7 @@ Snapshot metrics::snapshot() {
 
 void metrics::resetForTest() {
   RegistryState &R = state();
-  MutexLock Lock(R.Mutex);
+  std::lock_guard Lock(R.Mutex);
   for (std::atomic<uint64_t> &C : CounterCells)
     C.store(0, std::memory_order_relaxed);
   for (auto &Cells : HistogramCells)

@@ -7,7 +7,6 @@
 #include "support/SweepRunner.h"
 
 #include "support/Metrics.h"
-#include "support/ThreadSafety.h"
 
 #include <algorithm>
 #include <atomic>
@@ -15,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -36,13 +36,12 @@ const SweepMetrics &sweepMetrics() {
 
 /// First-exception capture shared by the workers of one run. The Armed
 /// flag is the workers' cheap should-I-stop probe; the exception_ptr
-/// itself is mutex-guarded so the first-writer-wins protocol is visible
-/// to the thread-safety analysis.
+/// itself is guarded by a mutex, so the first writer wins.
 class ErrorSlot {
 public:
   /// Records the in-flight exception if none was recorded yet.
-  void capture() CCL_EXCLUDES(M) {
-    MutexLock Lock(M);
+  void capture() {
+    std::lock_guard Lock(M);
     if (!First)
       First = std::current_exception();
     Armed.store(true, std::memory_order_relaxed);
@@ -52,15 +51,16 @@ public:
   bool armed() const { return Armed.load(std::memory_order_relaxed); }
 
   /// Rethrows the first captured exception, if any. Call after join().
-  void rethrow() CCL_EXCLUDES(M) {
-    MutexLock Lock(M);
+  void rethrow() {
+    std::lock_guard Lock(M);
     if (First)
       std::rethrow_exception(First);
   }
 
 private:
-  ccl::Mutex M;
-  std::exception_ptr First CCL_GUARDED_BY(M);
+  /// Guards First.
+  std::mutex M;
+  std::exception_ptr First;
   std::atomic<bool> Armed{false};
 };
 } // namespace

@@ -6,8 +6,9 @@
 //
 // Covers the support-layer metrics registry (registration idempotence,
 // concurrent adds under SweepRunner, heaps publishing their path counts
-// from sweep workers, histogram bucket edges, spans) and the
-// ccl-metrics-v1 round-trip through the obs exporters.
+// from sweep workers, histogram bucket edges, spans) and the lines the
+// ccl-metrics-v1 writer prints. tools_malformed_test reads them back
+// through scripts/cclstat.py.
 //
 // The registry is process-global and names are never unregistered, so
 // the overflow test (which exhausts the counter table) lives in its own
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -189,93 +191,44 @@ TEST(MetricsRegistry, SpansRecord) {
   EXPECT_EQ(S.Spans[0].Name, "test.phase");
 }
 
-TEST(MetricsExport, JsonlRoundTrip) {
+TEST(MetricsExport, JsonlWritesExactLines) {
   metrics::resetForTest();
   metrics::add(metrics::counter("test.rt_counter"), 123456789012ULL);
   metrics::record(metrics::histogram("test.rt_hist"), 7);
   metrics::record(metrics::histogram("test.rt_hist"), 900);
-  { metrics::ScopedSpan Span("test.rt_span"); }
-  metrics::Snapshot Before = metrics::snapshot();
+  metrics::recordSpan("test.rt_span", 1000, 52000);
+  metrics::Snapshot Snap = metrics::snapshot();
+  ASSERT_EQ(Snap.Spans.size(), 1u);
 
   std::FILE *F = std::tmpfile();
   ASSERT_NE(F, nullptr);
-  obs::writeMetricsJsonl(Before, F);
+  obs::writeMetricsJsonl(Snap, F);
   std::rewind(F);
-  obs::MetricsDoc Doc;
-  long Parsed = 0;
+  std::vector<std::string> Lines;
   char Line[4096];
   while (std::fgets(Line, sizeof(Line), F))
-    Parsed += obs::parseMetricsLine(std::string(Line), Doc);
+    Lines.push_back(Line);
   std::fclose(F);
-  ASSERT_GT(Parsed, 0);
-  EXPECT_FALSE(Doc.Binary.empty());
 
-  uint64_t Value = counterValue(Doc.Data, "test.rt_counter");
-  EXPECT_EQ(Value, 123456789012ULL);
-  const metrics::HistogramSnapshot *H =
-      findHistogram(Doc.Data, "test.rt_hist");
-  ASSERT_NE(H, nullptr);
-  EXPECT_EQ(H->Count, 2u);
-  EXPECT_EQ(H->Sum, 907u);
-  EXPECT_EQ(H->Buckets[3], 1u);  // 7
-  EXPECT_EQ(H->Buckets[10], 1u); // 900
-  bool FoundSpan = false;
-  for (const metrics::SpanSnapshot &Span : Doc.Data.Spans)
-    FoundSpan |= Span.Name == "test.rt_span";
-  EXPECT_TRUE(FoundSpan);
-}
-
-TEST(MetricsExport, ConcatenatedDumpsAccumulate) {
-  // cat a.jsonl b.jsonl | cclstat -: repeated lines for one name sum.
-  obs::MetricsDoc Doc;
-  EXPECT_TRUE(obs::parseMetricsLine(
-      R"({"kind":"c","name":"x.total","v":10})", Doc));
-  EXPECT_TRUE(obs::parseMetricsLine(
-      R"({"kind":"c","name":"x.total","v":32})", Doc));
-  EXPECT_TRUE(obs::parseMetricsLine(
-      R"({"kind":"h","name":"x.h","count":1,"sum":4,"b":[[3,1]]})", Doc));
-  EXPECT_TRUE(obs::parseMetricsLine(
-      R"({"kind":"h","name":"x.h","count":2,"sum":6,"b":[[2,2]]})", Doc));
-  EXPECT_EQ(counterValue(Doc.Data, "x.total"), 42u);
-  const metrics::HistogramSnapshot *H = findHistogram(Doc.Data, "x.h");
-  ASSERT_NE(H, nullptr);
-  EXPECT_EQ(H->Count, 3u);
-  EXPECT_EQ(H->Sum, 10u);
-  EXPECT_EQ(H->Buckets[3], 1u);
-  EXPECT_EQ(H->Buckets[2], 2u);
-  // Unknown kinds and corrupt lines are skipped, not fatal.
-  EXPECT_FALSE(obs::parseMetricsLine(
-      R"({"kind":"future-kind","name":"n"})", Doc));
-  EXPECT_FALSE(obs::parseMetricsLine("not json at all", Doc));
+  ASSERT_FALSE(Lines.empty());
+  EXPECT_EQ(Lines[0].rfind(R"({"kind":"meta","schema":"ccl-metrics-v1",)", 0),
+            0u)
+      << Lines[0];
+  auto Wrote = [&](const std::string &Expected) {
+    return std::count(Lines.begin(), Lines.end(), Expected + "\n") == 1;
+  };
+  EXPECT_TRUE(
+      Wrote(R"({"kind":"c","name":"test.rt_counter","v":123456789012})"));
+  // Sparse buckets: 7 has bit width 3, 900 bit width 10.
+  EXPECT_TRUE(Wrote(R"({"kind":"h","name":"test.rt_hist","count":2,"sum":907,)"
+                    R"("b":[[3,1],[10,1]]})"));
+  EXPECT_TRUE(Wrote(R"({"kind":"s","name":"test.rt_span","t0":1000,)"
+                    R"("dur":52000,"tid":)" +
+                    std::to_string(Snap.Spans[0].Tid) + "}"));
 }
 
 TEST(MetricsExport, DumpProcessMetricsEmptyPathIsNoop) {
   EXPECT_TRUE(obs::dumpProcessMetrics(""));
-}
-
-TEST(MetricsExport, ReportListsSlabAcquiresInCounterTable) {
-  // Every ccmalloc run acquires slabs, sharded or not, so the counter is
-  // an ordinary row of the counters table with no section of its own.
-  obs::MetricsDoc Doc;
-  ASSERT_TRUE(obs::parseMetricsLine(
-      R"({"kind":"c","name":"ccmalloc.slab_acquires","v":7})", Doc));
-  std::FILE *F = std::tmpfile();
-  ASSERT_NE(F, nullptr);
-  obs::printMetricsReport(Doc, F);
-  std::rewind(F);
-  std::string Report;
-  for (int C; (C = std::fgetc(F)) != EOF;)
-    Report += char(C);
-  std::fclose(F);
-
-  size_t Table = Report.find("\ncounters:\n");
-  ASSERT_NE(Table, std::string::npos) << Report;
-  size_t Row = Report.find("  ccmalloc.slab_acquires ", Table);
-  ASSERT_NE(Row, std::string::npos) << Report;
-  std::string RowLine = Report.substr(Row, Report.find('\n', Row) - Row);
-  EXPECT_EQ(RowLine.substr(RowLine.find_last_of(' ') + 1), "7") << Report;
-  EXPECT_EQ(Report.find("parallel layout tools"), std::string::npos)
-      << Report;
 }
 
 // Runs last (see file header): floods the counter table past
